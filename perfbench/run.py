@@ -12,7 +12,9 @@ A single client waits for each reply (closed loop).  Every output is checked
 with the independent validator, and every later pass over the pool must
 reproduce the first pass byte for byte.
 
-``--trace 0`` prints the end-to-end metrics; ``--trace 1`` runs each
+Times are reported at a fixed machine pace (see ``Pace``), so that other
+load on a shared host does not move them.  ``--trace 0`` prints the
+end-to-end metrics; ``--trace 1`` runs each
 operation untraced and then traced, and prints the per-layer metrics.  The
 last line of standard output is one JSON object with the keys ``correct``,
 ``attempted``, ``failed`` and ``metrics``.  ``perfbench/METRICS.md`` defines
@@ -27,10 +29,12 @@ import hashlib
 import importlib
 import json
 import math
+import random
 import resource
 import statistics
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
@@ -39,11 +43,17 @@ from tracing import Tracer
 from workloads import WORKLOADS, make_pool
 
 MODULES = ("model", "ordering", "engine", "serialize", "validate", "gantt", "oracle", "scenarios")
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 WARMUP_OPS = 2
 MIN_PASSES = 3  # repeats of each instance before the run may end
 ORACLE_NODE_BUDGET = 200_000  # desk instances have needed at most about 3 000
 OUT_DIR = Path(__file__).resolve().parent / "out"
+PACE_EVERY_S = 0.025  # time the reference kernel this often between operations
+PACE_WINDOW = 21  # kernel times in the pace estimate
+REFERENCE_S = 450e-6  # the reference kernel's time at the reported pace
+# Back to back, with its table in cache, the kernel runs about 1.45x faster
+# than between operations; this is its back-to-back time at the same pace.
+BURST_REFERENCE_S = 310e-6
 
 END_TO_END_UNITS = {
     "setup_s": "s",
@@ -104,6 +114,70 @@ def import_program(src: Path) -> SimpleNamespace:
         raise SystemExit(f"error: plansched was imported from {package.__file__}, not from {src}")
     modules = {"": package, **{m: importlib.import_module(f"plansched.{m}") for m in MODULES}}
     return SimpleNamespace(modules=modules, **{m: modules[m] for m in MODULES})
+
+
+class Pace:
+    """How fast this machine runs Python just now, relative to a reference.
+
+    On a shared host, other load slows the same code by up to 1.6x for
+    minutes at a time, longer than a run, so no repeat of an operation within
+    a run escapes it.  The benchmark times ``kernel`` every PACE_EVERY_S
+    between operations and multiplies each measured time by ``scale()``:
+    REFERENCE_S over the median of the last PACE_WINDOW kernel times.
+    Reported times are thus times at the pace at which the kernel takes
+    REFERENCE_S.  The kernel calls no program code, so a change to the
+    program moves scaled times by the same ratio as raw ones.
+
+    The kernel is fixed interpreter work in two parts: ``random.Random``
+    draws, which are Python-level calls, that index a table of about 1 MB,
+    and an integer arithmetic loop.  Machine slow-downs differ in kind (some
+    hit memory access more, some the arithmetic more), and no single kind of
+    kernel tried (the two parts alone, draws without the table, object and
+    dict building, an event-list insertion) followed the program through all
+    of them.  The sum of the two parts did best on every workload.
+    """
+
+    def __init__(self):
+        self.table = [list(range(i, i + 8)) for i in range(0, 40_000, 8)]
+        self.recent: deque = deque(maxlen=PACE_WINDOW)
+        self.taken: list[float] = []
+        self.last = -math.inf
+
+    def sample(self) -> None:
+        t0 = time.perf_counter()
+        self.kernel()
+        self.last = time.perf_counter()
+        self.recent.append(self.last - t0)
+        self.taken.append(self.last - t0)
+
+    def kernel(self) -> int:
+        rng, table, total = random.Random(1), self.table, 0
+        for _ in range(300):
+            total += table[rng.randrange(len(table))][3]
+        for i in range(2000):
+            total += i * i % 7
+        return total
+
+    def tick(self) -> None:
+        if time.perf_counter() - self.last >= PACE_EVERY_S:
+            self.sample()
+
+    def scale(self) -> float:
+        """Scale for the operation about to run."""
+        return REFERENCE_S / statistics.median(self.recent)
+
+    def run_scale(self) -> float:
+        """Scale for span totals, which are summed over the whole run."""
+        return REFERENCE_S / statistics.median(self.taken)
+
+    def burst(self) -> list[float]:
+        """PACE_WINDOW kernel times taken back to back, outside the measurement."""
+        times = []
+        for _ in range(PACE_WINDOW):
+            t0 = time.perf_counter()
+            self.kernel()
+            times.append(time.perf_counter() - t0)
+        return times
 
 
 def run_op(prog, text: str, with_oracle: bool) -> SimpleNamespace:
@@ -193,8 +267,12 @@ class Setup:
     generate_seconds: float
 
 
-def set_up(src: Path, workload, seed: int) -> Setup:
-    """Import, generate the pool, encode it as JSON text and warm up."""
+def set_up(src: Path, workload, seed: int, pace: Pace) -> Setup:
+    """Import, generate the pool, encode it as JSON text and warm up.
+
+    The times are scaled by the pace of kernel bursts just before and after.
+    """
+    before = pace.burst()
     t0 = time.perf_counter()
     prog = import_program(src)
     t1 = time.perf_counter()
@@ -206,37 +284,32 @@ def set_up(src: Path, workload, seed: int) -> Setup:
             check(prog, run_op(prog, text, workload.oracle))
         except Exception:  # counted when the measured pass meets it
             pass
-    return Setup(prog, texts, time.perf_counter() - t0, t2 - t1)
+    t3 = time.perf_counter()
+    scale = BURST_REFERENCE_S / statistics.median(before + pace.burst())
+    return Setup(prog, texts, scale * (t3 - t0), scale * (t2 - t1))
 
 
-class Best:
-    """Fastest time seen per instance over its repeats.
+class Samples:
+    """Pace-scaled times of every successful operation, in run order."""
 
-    Other load on a shared machine can slow the same code by up to 40 % for
-    stretches of 15-40 seconds.  The fastest repeat of an instance is the
-    estimate such stretches disturb least, so quantiles are over instances.
-    """
+    def __init__(self):
+        self.pipeline: list[float] = []
+        self.build: list[float] = []
+        self.oracle: list[float] = []
+        self.plans: list[int] = []
 
-    def __init__(self, n: int):
-        self.pipeline = [math.inf] * n
-        self.build = [math.inf] * n
-        self.oracle = [math.inf] * n
-
-    def add(self, i: int, op) -> None:
-        self.pipeline[i] = min(self.pipeline[i], op.pipeline_s)
-        self.build[i] = min(self.build[i], op.build_s)
-        self.oracle[i] = min(self.oracle[i], op.oracle_s)
-
-
-def seen(times: list[float]) -> list[float]:
-    return [t for t in times if t != math.inf]
+    def add(self, op, scale: float) -> None:
+        self.pipeline.append(scale * op.pipeline_s)
+        self.build.append(scale * op.build_s)
+        self.oracle.append(scale * op.oracle_s)
+        self.plans.append(len(op.instance.plans))
 
 
 @dataclass
 class Measurement:
-    untraced: Best
-    traced: Best
-    half_build: list[float]  # per instance of the half-size pool
+    untraced: Samples
+    traced: Samples
+    half_build: list[float]  # every build of a half-size instance
     first: list[Outcome | None]  # pass 0, pool order
     attempted: int = 0
     failed: int = 0
@@ -248,7 +321,7 @@ class Measurement:
     traced_first: int = 0  # traced operations in pass 0
 
 
-def measure(setup: Setup, workload, seconds: float, tracer: Tracer | None, half: list) -> Measurement:
+def measure(setup: Setup, workload, seconds: float, tracer: Tracer | None, half: list, pace: Pace) -> Measurement:
     """Pass over the pool until ``seconds`` have gone and MIN_PASSES are done.
 
     The first pass always completes: its outputs are the reference for every
@@ -258,20 +331,21 @@ def measure(setup: Setup, workload, seconds: float, tracer: Tracer | None, half:
     """
     prog, texts = setup.prog, setup.texts
     n = len(texts)
-    m = Measurement(Best(n), Best(n), [math.inf] * len(half), [None] * n)
+    m = Measurement(Samples(), Samples(), [], [None] * n)
     deadline = time.perf_counter() + seconds
 
-    def attempt(i: int, best: Best) -> None:
+    def attempt(i: int, samples: Samples) -> None:
+        pace.tick()
         m.attempted += 1
         try:
-            if best is m.traced:
+            if samples is m.traced:
                 m.traced_ops += 1
                 with tracer.operation(m.attempted):
                     op = run_op(prog, texts[i], workload.oracle)
             else:
                 op = run_op(prog, texts[i], workload.oracle)
             outcome = check(prog, op)
-            if op.oracle is not None and op.oracle.time_limit_hit and m.passes == 0 and best is m.untraced:
+            if op.oracle is not None and op.oracle.time_limit_hit and m.passes == 0 and samples is m.untraced:
                 m.limit_hits += 1
         except Exception as exc:  # a crash fails the operation, not the run
             outcome = None
@@ -283,7 +357,7 @@ def measure(setup: Setup, workload, seconds: float, tracer: Tracer | None, half:
             m.failed += 1
             m.errors.append(f"instance {i}, pass {m.passes}: {errors[0]}")
             return
-        best.add(i, op)
+        samples.add(op, pace.scale())
         if m.first[i] is None:
             m.first[i] = outcome
 
@@ -300,7 +374,7 @@ def measure(setup: Setup, workload, seconds: float, tracer: Tracer | None, half:
             if half:
                 t0 = time.perf_counter()
                 prog.engine.build_schedule(half[i])
-                m.half_build[i] = min(m.half_build[i], time.perf_counter() - t0)
+                m.half_build.append(pace.scale() * (time.perf_counter() - t0))
         if tracer is not None and m.passes == 0:
             m.counts = {**tracer.calls, **tracer.counts}
         m.passes += 1
@@ -326,11 +400,11 @@ def quality(m: Measurement) -> dict:
     }
 
 
-def end_to_end(setups: list[Setup], m: Measurement) -> dict:
-    pipeline, build, q = seen(m.untraced.pipeline), seen(m.untraced.build), quality(m)
-    plans = sum(o.plans for o, t in zip(m.first, m.untraced.build) if t != math.inf)
+def end_to_end(setups: list[tuple[float, float]], m: Measurement) -> dict:
+    pipeline, build, q = m.untraced.pipeline, m.untraced.build, quality(m)
+    plans = sum(m.untraced.plans)
     return {
-        "setup_s": statistics.median(x.seconds for x in setups),
+        "setup_s": statistics.median(seconds for seconds, _ in setups),
         "pipeline_ms_p50": 1000 * statistics.median(pipeline),
         "pipeline_ms_p90": 1000 * p90(pipeline),
         "build_ms_p50": 1000 * statistics.median(build),
@@ -342,21 +416,22 @@ def end_to_end(setups: list[Setup], m: Measurement) -> dict:
     }
 
 
-def per_layer(setups: list[Setup], m: Measurement, tracer: Tracer) -> dict:
+def per_layer(setups: list[tuple[float, float]], m: Measurement, tracer: Tracer, pace: Pace) -> dict:
     c, n0, n_traced = m.counts, m.traced_first, m.traced_ops
+    run_scale = pace.run_scale()
     first = [o for o in m.first if o is not None]
 
     def per_op(*names) -> float:
         return ratio(sum(c.get(name, 0) for name in names), n0)
 
     def ms(*names, table=tracer.total) -> float:
-        return ratio(1000 * sum(table[name] for name in names), n_traced)
+        return ratio(1000 * run_scale * sum(table[name] for name in names), n_traced)
 
     def mean(attr) -> float:
         return ratio(sum(getattr(o, attr) for o in first), len(first))
 
-    oracle_ms = [1000 * x for x in seen(m.untraced.oracle)] if any(o.optimum is not None for o in first) else [0.0]
-    untraced_build = statistics.median(seen(m.untraced.build))
+    oracle_ms = [1000 * x for x in m.untraced.oracle] if any(o.optimum is not None for o in first) else [0.0]
+    untraced_build = statistics.median(m.untraced.build)
     return {
         "engine.copies": per_op("model.EventList.copy", "model.Schedule.copy"),
         "engine.copy_ms": ms("model.EventList.copy", "model.Schedule.copy"),
@@ -374,7 +449,7 @@ def per_layer(setups: list[Setup], m: Measurement, tracer: Tracer) -> dict:
         "engine.rollback_ms": ms("engine.rollback_plan"),
         "engine.build_self_ms": ms("engine.build_schedule", table=tracer.self_time),
         "engine.events_final": mean("events"),
-        "engine.doubling_ratio": ratio(untraced_build, statistics.median(seen(m.half_build))) if m.half_build else 0.0,
+        "engine.doubling_ratio": ratio(untraced_build, statistics.median(m.half_build)) if m.half_build else 0.0,
         "ordering.ms": ms("ordering.topological_sort", "ordering.sort_plans", table=tracer.self_time),
         "ordering.topo_calls_per_build": ratio(c.get("ordering.topological_sort", 0), c.get("engine.build_schedule", 0)),
         "serialize.parse_ms": ms("serialize.instance_from_dict"),
@@ -388,8 +463,8 @@ def per_layer(setups: list[Setup], m: Measurement, tracer: Tracer) -> dict:
         "oracle.ms": ms("oracle.exact_max_weight"),
         "oracle.nodes": mean("nodes"),
         "oracle.limit_hits": m.limit_hits,
-        "scenarios.generate_ms": 1000 * statistics.median(x.generate_seconds for x in setups),
-        "trace.overhead": ratio(statistics.median(seen(m.traced.build)), untraced_build),
+        "scenarios.generate_ms": 1000 * statistics.median(generate for _, generate in setups),
+        "trace.overhead": ratio(statistics.median(m.traced.build), untraced_build),
         "optimality_gap": quality(m)["optimality_gap"],
         "oracle_ms_p50": statistics.median(oracle_ms),
     }
@@ -410,8 +485,12 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(src))
     workload = WORKLOADS[args.workload]
 
-    setups = [set_up(src, workload, args.seed) for _ in range(SETUP_REPEATS)]
-    prog = setups[-1].prog
+    pace = Pace()
+    setups = []  # (seconds, generate seconds); only the last set-up is kept alive
+    for _ in range(SETUP_REPEATS):
+        setup = set_up(src, workload, args.seed, pace)
+        setups.append((setup.seconds, setup.generate_seconds))
+    prog = setup.prog
     tracer = Tracer(prog.modules) if args.trace else None
     half = []
     if args.trace and workload.doubling:
@@ -420,12 +499,14 @@ def main(argv=None) -> int:
     # CLI process, not the pool and the rest of the benchmark's own state.
     gc.collect()
     gc.freeze()
-    m = measure(setups[-1], workload, args.seconds, tracer, half)
+    m = measure(setup, workload, args.seconds, tracer, half, pace)
 
     sha = hashlib.sha256(b"".join(o.digest for o in m.first if o is not None)).hexdigest()
     print(f"workload {workload.name}, seed {args.seed}, trace {args.trace}: {m.attempted} operations "
-          f"in {m.passes} passes over {len(setups[-1].texts)} instances")
+          f"in {m.passes} passes over {len(setup.texts)} instances")
     print(f"schedule_sha {sha}")
+    print(f"pace: reference kernel median {1e6 * statistics.median(pace.taken):.1f} us over {len(pace.taken)} "
+          f"timings; times are scaled to {1e6 * REFERENCE_S:.0f} us")
     for error in m.errors[:10]:
         print(f"failed: {error}")
     if args.trace:
@@ -434,14 +515,14 @@ def main(argv=None) -> int:
         spans = OUT_DIR / f"spans-{workload.name}-{args.seed}.jsonl.gz"
         tracer.write(spans)
         print(f"spans: {len(tracer.spans)} written to {spans}, {tracer.dropped} dropped")
-        metrics, units = per_layer(setups, m, tracer), PER_LAYER_UNITS
+        metrics, units = per_layer(setups, m, tracer, pace), PER_LAYER_UNITS
     else:
         metrics, units = end_to_end(setups, m), END_TO_END_UNITS
         q = quality(m)
         extras = {"failed_share": (ratio(m.failed, m.attempted), "ratio")}
         if workload.oracle:
             extras["optimality_gap"] = (q["optimality_gap"], "ratio")
-            extras["oracle_ms_p50"] = (1000 * statistics.median(seen(m.untraced.oracle)), "ms")
+            extras["oracle_ms_p50"] = (1000 * statistics.median(m.untraced.oracle), "ms")
         for name, (value, unit) in extras.items():
             print(f"  {name:<30} {value:>14.6g} {unit}")
     for name, value in metrics.items():

@@ -48,9 +48,6 @@ class Workload:
     doubling: bool = False  # the traced run also times a half-size pool
 
 
-# BENCHMARK.json gates only ``scenarios`` and ``desk``.  ``groups`` and
-# ``congested`` run the same way and carry the engine's scale costs, but
-# their timings spread too widely between runs on a shared VM to be gated.
 WORKLOADS = {
     w.name: w
     for w in (
