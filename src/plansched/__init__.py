@@ -11,8 +11,6 @@ exporter round out the package.
 
 from .engine import (
     EngineConfig,
-    IDLE_PREV_EVENT,
-    IDLE_RESOURCE_PRED,
     ScheduleResult,
     build_schedule,
     check_constraints,
@@ -83,8 +81,6 @@ __all__ = [
     "EventList",
     "FrontierPartition",
     "GLOBAL_WINDOW",
-    "IDLE_PREV_EVENT",
-    "IDLE_RESOURCE_PRED",
     "INTRA_PLAN_PRECEDENCE",
     "Instance",
     "InstanceError",

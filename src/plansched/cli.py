@@ -10,7 +10,7 @@ import argparse
 import sys
 import time
 
-from .engine import IDLE_PREV_EVENT, IDLE_RESOURCE_PRED, EngineConfig, build_schedule
+from .engine import EngineConfig, build_schedule
 from .gantt import render_gantt
 from .model import InstanceError, SchedulingError, UnknownTask
 from .oracle import exact_max_weight
@@ -28,9 +28,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sched.add_argument("--out", help="write the schedule document here")
     p_sched.add_argument("--gantt", help="write a gantt rendering here")
     p_sched.add_argument("--gantt-format", choices=["text", "svg"], default="text")
-    p_sched.add_argument(
-        "--idle-metric", choices=[IDLE_RESOURCE_PRED, IDLE_PREV_EVENT], default=IDLE_RESOURCE_PRED
-    )
     p_sched.add_argument("--strict-plan-precedence", action="store_true")
     p_sched.add_argument("--priority-order", choices=["desc", "asc"], default="desc")
     p_sched.add_argument("--debug-events", action="store_true", help="include the event list in --out")
@@ -54,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_schedule(args) -> int:
     instance = parse_instance(args.instance)
     config = EngineConfig(
-        idle_metric=args.idle_metric,
         strict_plan_precedence=args.strict_plan_precedence,
         priority_descending=args.priority_order == "desc",
     )

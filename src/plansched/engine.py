@@ -14,7 +14,9 @@ Plans are inserted in the order of :func:`plansched.ordering.sort_plans`, a
 priority merge of the plan-DAG frontiers: a plan comes as soon as its DAG
 predecessors are in and no ready plan has a better priority.  Consecutive
 equal-priority plans of one frontier are committed in the order that keeps
-resources busiest (smallest idle-time sum first).
+resources busiest (smallest idle-time sum first); each candidate is placed,
+measured and rolled back by the same exact undo, so the working state is the
+engine's only state.
 """
 
 from __future__ import annotations
@@ -33,33 +35,20 @@ from .model import (
     TimeWindow,
     completion_time,
 )
-from .ordering import sort_plans, topological_sort
-
-IDLE_RESOURCE_PRED = "resource-pred"
-IDLE_PREV_EVENT = "prev-event"
+from .ordering import merge_frontiers, topological_sort
 
 
 @dataclass(frozen=True)
 class EngineConfig:
     """Tunables of the insertion heuristic.
 
-    idle_metric: how the idle time of a trial placement is measured when
-        ordering equal-priority plans.  ``resource-pred`` measures each task's
-        gap to the latest completion on one of its own resources;
-        ``prev-event`` measures the gap to the previous event regardless of
-        resource.
     strict_plan_precedence: when True, a plan whose DAG predecessor was
         discarded is discarded as well instead of being attempted.
     priority_descending: larger priority value means scheduled earlier.
     """
 
-    idle_metric: str = IDLE_RESOURCE_PRED
     strict_plan_precedence: bool = False
     priority_descending: bool = True
-
-    def __post_init__(self):
-        if self.idle_metric not in (IDLE_RESOURCE_PRED, IDLE_PREV_EVENT):
-            raise ValueError(f"unknown idle metric {self.idle_metric!r}")
 
 
 @dataclass
@@ -130,7 +119,7 @@ def schedule_task(
     el: EventList,
     window: TimeWindow,
     *,
-    plan: Plan | None = None,
+    plan: Plan,
 ) -> bool:
     """Place ``task`` at its earliest feasible instant, or fail cleanly.
 
@@ -141,13 +130,12 @@ def schedule_task(
     start and completion events hold the task and the covered intervals are
     marked busy; the function returns True.
 
-    On failure nothing is changed, and when ``plan`` is given every sibling
-    task already placed is removed as well (all-or-nothing plans), restoring
-    the previous state exactly.
+    On failure every task of ``plan`` already placed is removed as well
+    (all-or-nothing plans), restoring the state from before the plan exactly.
     """
-    lower = earliest_start(task, plan, s_w, window) if plan is not None else _lower_bound_solo(task, s_w, window)
+    lower = earliest_start(task, plan, s_w, window)
     if lower > window.end:
-        _fail(task, plan, s_w, el)
+        rollback_plan(plan, s_w, el)
         return False
 
     existed = el.at(lower) is not None
@@ -176,7 +164,7 @@ def schedule_task(
     if not check_constraints(start_event.time, task, window):
         if created is not None and created.is_empty():
             el.remove(created.time)
-        _fail(task, plan, s_w, el)
+        rollback_plan(plan, s_w, el)
         return False
 
     start = start_event.time
@@ -189,19 +177,6 @@ def schedule_task(
         for rho in task.resources:
             event.set_busy(rho)
     return True
-
-
-def _lower_bound_solo(task: Task, s_w: Schedule, window: TimeWindow) -> int:
-    # Without the owning plan, predecessors cannot be resolved; only tasks
-    # free of predecessors may be placed standalone.
-    if task.predecessors:
-        raise PredecessorUnscheduled(f"task {task.id} has predecessors; pass its plan")
-    return max(window.start, task.release)
-
-
-def _fail(task: Task, plan: Plan | None, s_w: Schedule, el: EventList) -> None:
-    if plan is not None:
-        rollback_plan(plan, s_w, el)
 
 
 def rollback_plan(plan: Plan, s_w: Schedule, el: EventList) -> None:
@@ -243,32 +218,19 @@ def schedule_plan(plan: Plan, s_w: Schedule, el: EventList, window: TimeWindow) 
     return True
 
 
-def idle_time_sum(
-    plan: Plan,
-    trial: Schedule,
-    el: EventList,
-    window: TimeWindow,
-    *,
-    metric: str = IDLE_RESOURCE_PRED,
-) -> int:
+def idle_time_sum(plan: Plan, s_w: Schedule, el: EventList, window: TimeWindow) -> int:
     """Total idle time the placed ``plan`` leaves behind it.
 
     For each task: the gap between its start and the latest completion on one
-    of its own resources (``resource-pred``), or between its start event and
-    the previous event of the list (``prev-event``).  With nothing before it
-    the gap is measured from the window start.  Requires the plan to be placed
-    in ``trial``/``el`` already.
+    of its own resources, or the window start when none was used before.
+    Requires the plan to be placed in ``s_w``/``el`` already.
     """
     total = 0
     for task in plan.tasks:
-        start = trial.start_of(task.id)
+        start = s_w.start_of(task.id)
         if start is None:
-            raise PredecessorUnscheduled(f"task {task.id} is not placed in the trial schedule")
-        if metric == IDLE_PREV_EVENT:
-            prev = el.prev_before(start)
-            total += start - (prev.time if prev is not None else window.start)
-        else:
-            total += start - _latest_release_on(el, task.resources, start, window.start)
+            raise PredecessorUnscheduled(f"task {task.id} is not placed in the schedule")
+        total += start - _latest_release_on(el, task.resources, start, window.start)
     return total
 
 
@@ -292,21 +254,15 @@ def _latest_release_on(el: EventList, resources, start: int, w_s: int) -> int:
     return best
 
 
-def schedule_plan_set(
-    plans: list[Plan],
-    s_w: Schedule,
-    el: EventList,
-    window: TimeWindow,
-    *,
-    idle_metric: str = IDLE_RESOURCE_PRED,
-) -> set[int]:
+def schedule_plan_set(plans: list[Plan], s_w: Schedule, el: EventList, window: TimeWindow) -> set[int]:
     """Commit a group of equal-priority plans, lowest idle-time first.
 
-    Each round trial-places every remaining plan on a private copy of the
-    working state, measures its idle-time sum, and commits the plan with the
-    smallest one (on ties the last examined wins).  Plans whose trial fails
-    are dropped from the group for good: more commitments only make placement
-    harder.  Returns the ids of the plans that could not be scheduled.
+    Each round trial-places every remaining plan in the working state,
+    measures its idle-time sum and rolls it back again, then commits the plan
+    with the smallest sum (on ties the last examined wins).  Plans whose trial
+    fails are dropped from the group for good: more commitments only make
+    placement harder.  Returns the ids of the plans that could not be
+    scheduled.
     """
     pending = list(plans)
     unscheduled: set[int] = set()
@@ -314,10 +270,9 @@ def schedule_plan_set(
         best: Plan | None = None
         best_idle: int | None = None
         for plan in list(pending):
-            trial_schedule = s_w.copy()
-            trial_events = el.copy()
-            if schedule_plan(plan, trial_schedule, trial_events, window):
-                idle = idle_time_sum(plan, trial_schedule, trial_events, window, metric=idle_metric)
+            if schedule_plan(plan, s_w, el, window):
+                idle = idle_time_sum(plan, s_w, el, window)
+                rollback_plan(plan, s_w, el)
                 if best_idle is None or idle <= best_idle:
                     best_idle = idle
                     best = plan
@@ -327,7 +282,7 @@ def schedule_plan_set(
         if best is None:
             break
         if not schedule_plan(best, s_w, el, window):
-            unscheduled.add(best.id)  # cannot happen: the trial ran on an identical state
+            unscheduled.add(best.id)  # cannot happen: the trial's rollback restored the state
         pending.remove(best)
     return unscheduled
 
@@ -350,7 +305,7 @@ def build_schedule(instance: Instance, config: EngineConfig | None = None) -> Sc
     s_w = Schedule()
 
     _, partition = topological_sort(instance)
-    queue = deque(sort_plans(instance, descending=config.priority_descending))
+    queue = deque(merge_frontiers(instance, partition, descending=config.priority_descending))
     while queue:
         plan = queue.popleft()
         if config.strict_plan_precedence and _has_discarded_predecessor(instance, plan.id, s_w):
@@ -377,7 +332,7 @@ def build_schedule(instance: Instance, config: EngineConfig | None = None) -> Sc
             if not schedule_plan(group[0], s_w, el, window):
                 s_w.discarded_plans.append(group[0].id)
         else:
-            unscheduled = schedule_plan_set(group, s_w, el, window, idle_metric=config.idle_metric)
+            unscheduled = schedule_plan_set(group, s_w, el, window)
             for member in group:  # group order keeps the discard list deterministic
                 if member.id in unscheduled:
                     s_w.discarded_plans.append(member.id)

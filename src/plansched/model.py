@@ -287,9 +287,6 @@ class Event:
         assert task_id not in self.starting, "a task cannot start and complete at the same instant"
         self.completing.add(task_id)
 
-    def copy(self) -> "Event":
-        return Event(self.time, set(self.starting), set(self.completing), dict(self.usage))
-
 
 @dataclass
 class EventList:
@@ -354,9 +351,6 @@ class EventList:
         j = bisect_left(self._times, hi)
         return [self._events[t] for t in self._times[i:j]]
 
-    def copy(self) -> "EventList":
-        return EventList(list(self._times), {t: e.copy() for t, e in self._events.items()})
-
 
 @dataclass
 class Schedule:
@@ -374,9 +368,3 @@ class Schedule:
 
     def start_of(self, task_id: TaskId) -> int | None:
         return self.starts.get(task_id)
-
-    def is_scheduled(self, plan_id: int) -> bool:
-        return plan_id in self.scheduled_plans
-
-    def copy(self) -> "Schedule":
-        return Schedule(dict(self.starts), list(self.scheduled_plans), list(self.discarded_plans))

@@ -83,7 +83,11 @@ def sort_plans(instance: Instance, *, descending: bool = True) -> list[Plan]:
     Ready heads sit in a heap and each plan counts its untaken predecessors,
     so the merge costs O(K log K + E) for K plans and E DAG edges.
     """
-    _, partition = topological_sort(instance)
+    return merge_frontiers(instance, topological_sort(instance)[1], descending=descending)
+
+
+def merge_frontiers(instance: Instance, partition: FrontierPartition, *, descending: bool = True) -> list[Plan]:
+    """The :func:`sort_plans` merge over an already computed ``partition``."""
     by_id = {p.id: p for p in instance.plans}
 
     def key(plan: Plan) -> int:

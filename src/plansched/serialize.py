@@ -209,6 +209,8 @@ def schedule_from_dict(doc: dict) -> Schedule:
             _as_int(_require(entry, "plan", where), f"{where}.plan"),
             _as_int(_require(entry, "task", where), f"{where}.task"),
         )
+        if key in starts:
+            raise ParseError(f"{where}: duplicate start for plan {key[0]} task {key[1]}")
         starts[key] = _as_int(_require(entry, "start", where), f"{where}.start")
     return Schedule(
         starts=starts,

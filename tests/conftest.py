@@ -81,7 +81,7 @@ def idle_example():
 
 
 def base_seed() -> int:
-    return int(os.environ.get("PLANSCHED_SEED", "20260810"))
+    return int(os.environ.get("PLANSCHED_SEED") or "20260810")
 
 
 def random_instance(

@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 """
 
+import copy
 import random
 import time
 
@@ -175,7 +176,7 @@ def test_criterion_property_suite():
         el.insert(Event(instance.window.start))
         s_w = Schedule()
         for plan in sort_plans(instance):
-            snap_s, snap_el = s_w.copy(), el.copy()
+            snap_s, snap_el = copy.deepcopy(s_w), copy.deepcopy(el)
             if not schedule_plan(plan, s_w, el, instance.window):
                 rollback_failures += 1
                 assert s_w == snap_s and el == snap_el

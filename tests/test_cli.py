@@ -43,7 +43,7 @@ def test_schedule_respects_flags(tmp_path, example2_file):
     out = tmp_path / "schedule.json"
     assert main([
         "schedule", str(example2_file), "--out", str(out),
-        "--idle-metric", "prev-event", "--priority-order", "asc",
+        "--priority-order", "asc",
         "--strict-plan-precedence",
     ]) == 0
     doc = json.loads(out.read_text())
@@ -114,4 +114,7 @@ def test_oracle_subcommand(tmp_path, capsys):
 def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["schedule"])  # missing positional argument
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["schedule", "instance.json", "--idle-metric", "prev-event"])  # unknown flag
     assert err.value.code == 2

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from plansched import (
@@ -19,7 +21,6 @@ from plansched import (
     schedule_task,
     validate_schedule,
 )
-from plansched.engine import IDLE_PREV_EVENT
 from conftest import make_plan
 
 
@@ -231,8 +232,8 @@ def test_schedule_plan_rolls_back_partial_placement():
         window=window,
     )
     s_w, el = _load(instance, [1])
-    before_schedule = s_w.copy()
-    before_events = el.copy()
+    before_schedule = copy.deepcopy(s_w)
+    before_events = copy.deepcopy(el)
     assert not schedule_plan(instance.plan(2), s_w, el, window)
     assert s_w == before_schedule
     assert el == before_events
@@ -240,8 +241,8 @@ def test_schedule_plan_rolls_back_partial_placement():
 
 def test_rollback_removes_committed_plan(example2):
     s_w, el = _load(example2, [1, 2])
-    before_schedule = s_w.copy()
-    before_events = el.copy()
+    before_schedule = copy.deepcopy(s_w)
+    before_events = copy.deepcopy(el)
     assert schedule_plan(example2.plan(3), s_w, el, example2.window)
     rollback_plan(example2.plan(3), s_w, el)
     assert s_w == before_schedule
@@ -253,12 +254,12 @@ def test_rollback_removes_committed_plan(example2):
 def test_idle_time_sums_on_shared_priority_group(idle_example):
     window = idle_example.window
     s_w, el = _load(idle_example, [1, 2])
-    trial_s, trial_el = s_w.copy(), el.copy()
+    trial_s, trial_el = copy.deepcopy(s_w), copy.deepcopy(el)
     assert schedule_plan(idle_example.plan(3), trial_s, trial_el, window)
     assert trial_s.starts[(3, 1)] == 4
     assert idle_time_sum(idle_example.plan(3), trial_s, trial_el, window) == 2
 
-    trial_s, trial_el = s_w.copy(), el.copy()
+    trial_s, trial_el = copy.deepcopy(s_w), copy.deepcopy(el)
     assert schedule_plan(idle_example.plan(4), trial_s, trial_el, window)
     assert trial_s.starts == {**s_w.starts, (4, 1): 3, (4, 2): 4}
     assert idle_time_sum(idle_example.plan(4), trial_s, trial_el, window) == 1
@@ -279,17 +280,6 @@ def test_idle_zero_when_start_meets_completion():
     assert idle_time_sum(instance.plan(2), s_w, el, window) == 0
 
 
-def test_idle_prev_event_metric(idle_example):
-    window = idle_example.window
-    s_w, el = _load(idle_example, [1, 2])
-    trial_s, trial_el = s_w.copy(), el.copy()
-    assert schedule_plan(idle_example.plan(4), trial_s, trial_el, window)
-    # task 1 starts at 3 (previous event at 2), task 2 at 4 (previous event at 3):
-    # the event-gap metric sees 1 + 1, while the resource-gap metric sees 1 + 0
-    assert idle_time_sum(idle_example.plan(4), trial_s, trial_el, window, metric=IDLE_PREV_EVENT) == 2
-    assert idle_time_sum(idle_example.plan(4), trial_s, trial_el, window) == 1
-
-
 # ----------------------------------------------------------- plan-set commits
 
 def test_plan_set_commits_lowest_idle_first(idle_example):
@@ -308,7 +298,7 @@ def test_plan_set_single_infeasible_plan():
         [make_plan(1, 1, [(1, 5, 0, 3, {1}, [])])], window=window  # cannot fit
     )
     s_w, el = _fresh_state(window)
-    before = el.copy()
+    before = copy.deepcopy(el)
     assert schedule_plan_set([instance.plan(1)], s_w, el, window) == {1}
     assert el == before
     assert s_w.starts == {}

@@ -8,7 +8,6 @@ from plansched import (
     EventList,
     InstanceError,
     Plan,
-    Schedule,
     Task,
     TimeWindow,
     UnknownResource,
@@ -135,27 +134,3 @@ def test_event_list_order_queries():
         el.insert(Event(4))
     el.remove(4)
     assert el.times() == [2, 9]
-
-
-def test_event_list_copy_is_deep():
-    el = EventList()
-    event = Event(2)
-    event.set_busy(1)
-    el.insert(event)
-    clone = el.copy()
-    clone.at(2).clear_busy(1)
-    clone.at(2).starting.add((1, 1))
-    assert el.at(2).busy(1) == 1
-    assert not el.at(2).starting
-    assert clone != el
-
-
-def test_schedule_copy_is_independent():
-    s = Schedule(starts={(1, 1): 2}, scheduled_plans=[1])
-    c = s.copy()
-    c.starts[(2, 1)] = 3
-    c.scheduled_plans.append(2)
-    c.discarded_plans.append(9)
-    assert s.starts == {(1, 1): 2}
-    assert s.scheduled_plans == [1]
-    assert s.discarded_plans == []

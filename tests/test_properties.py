@@ -1,5 +1,6 @@
 """Randomised invariants of the engine, validator and serialisation."""
 
+import copy
 import random
 
 from plansched import (
@@ -40,7 +41,7 @@ def test_rollback_is_bit_exact_on_every_failure():
         s_w = Schedule()
         last_objective = 0
         for plan in sort_plans(instance):
-            snapshot_s, snapshot_el = s_w.copy(), el.copy()
+            snapshot_s, snapshot_el = copy.deepcopy(s_w), copy.deepcopy(el)
             if not schedule_plan(plan, s_w, el, instance.window):
                 failures += 1
                 assert s_w == snapshot_s

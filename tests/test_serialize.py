@@ -17,7 +17,7 @@ from plansched import (
     parse_schedule,
 )
 from plansched.data import bundled_names, load_bundled
-from plansched.serialize import instance_from_dict, instance_to_dict
+from plansched.serialize import instance_from_dict, instance_to_dict, schedule_from_dict
 from conftest import example1_instance, example2_instance, idle_instance, make_plan
 
 
@@ -86,6 +86,14 @@ def test_non_integer_field_rejected():
     with pytest.raises(ParseError) as err:
         instance_from_dict(doc)
     assert "window.end" in str(err.value)
+
+
+def test_duplicate_start_rejected():
+    doc = {"starts": [{"plan": 1, "task": 1, "start": 2}, {"plan": 1, "task": 1, "start": 5}]}
+    with pytest.raises(ParseError) as err:
+        schedule_from_dict(doc)
+    assert "starts[1]" in str(err.value)
+    assert "plan 1 task 1" in str(err.value)
 
 
 @pytest.mark.parametrize(
