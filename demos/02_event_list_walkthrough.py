@@ -9,8 +9,9 @@ This walkthrough uses the bundled five-plan example: plans 1 and 2 go in
 first, then 3, 4 and 5 squeeze into the gaps.
 """
 
-from plansched import Event, EventList, Schedule, schedule_plan
+from plansched import Event, EventList, Schedule
 from plansched.data import load_bundled
+from plansched.engine import schedule_plan
 
 instance = load_bundled("example2.json")
 window = instance.window

@@ -13,14 +13,6 @@ from .engine import (
     EngineConfig,
     ScheduleResult,
     build_schedule,
-    check_constraints,
-    earliest_start,
-    get_event,
-    idle_time_sum,
-    rollback_plan,
-    schedule_plan,
-    schedule_plan_set,
-    schedule_task,
 )
 from .gantt import render_gantt
 from .model import (
@@ -106,25 +98,17 @@ __all__ = [
     "Violation",
     "build_instance",
     "build_schedule",
-    "check_constraints",
     "completion_time",
     "dumps_instance",
     "dumps_schedule",
-    "earliest_start",
     "emit_instance",
     "emit_schedule",
     "exact_max_weight",
     "generate_scenario",
-    "get_event",
-    "idle_time_sum",
     "objective",
     "parse_instance",
     "parse_schedule",
     "render_gantt",
-    "rollback_plan",
-    "schedule_plan",
-    "schedule_plan_set",
-    "schedule_task",
     "sort_plans",
     "topological_sort",
     "validate_schedule",

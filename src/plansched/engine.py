@@ -4,19 +4,22 @@ Tasks are inserted one at a time at the earliest instant where their temporal
 constraints hold and every resource they need is free for their whole
 duration.  The schedule is decomposed into events: an event records the tasks
 starting and completing at its instant and, per resource, whether the interval
-up to the next event is occupied.  Candidate start instants are scanned along
-the event list; an event is materialised only where a task actually starts or
-completes, so the list stays linear in the number of placed tasks.
+up to the next event is occupied.  A task's start is found first by a read-only
+walk along the event list from its temporal lower bound, which stops once the
+candidate passes the latest start the due date and the window allow; only then
+are its start and completion events written, so the list stays linear in the
+number of placed tasks.
 
 A plan is all-or-nothing: when one of its tasks cannot be placed, everything
 the plan already put into the working state is taken out again, bit-exactly.
 Plans are inserted in the order of :func:`plansched.ordering.sort_plans`, a
 priority merge of the plan-DAG frontiers: a plan comes as soon as its DAG
 predecessors are in and no ready plan has a better priority.  Consecutive
-equal-priority plans of one frontier are committed in the order that keeps
-resources busiest (smallest idle-time sum first); each candidate is placed,
-measured and rolled back by the same exact undo, so the working state is the
-engine's only state.
+equal-priority plans of one frontier form a group, and every group, a single
+plan included, goes through :func:`schedule_plan_set`: it commits the members
+in the order that keeps resources busiest (smallest idle-time sum first); each
+candidate is placed, measured and rolled back by the same exact undo, so the
+working state is the engine's only state.
 """
 
 from __future__ import annotations
@@ -67,21 +70,6 @@ class ScheduleResult:
         return self.schedule.discarded_plans
 
 
-def check_constraints(t: int, task: Task, window: TimeWindow) -> bool:
-    """True iff ``task`` may run over ``[t, t + p)``.
-
-    The start must lie in the task window and the global window; the
-    completion must lie in the global window and must not pass the due date.
-    """
-    end = completion_time(task, t)
-    return (
-        task.release <= t <= task.due
-        and window.contains(t)
-        and window.contains(end)
-        and end <= task.due
-    )
-
-
 def earliest_start(task: Task, plan: Plan, schedule: Schedule, window: TimeWindow) -> int:
     """Lower bound for the start of ``task``: window, release and predecessors.
 
@@ -123,60 +111,54 @@ def schedule_task(
 ) -> bool:
     """Place ``task`` at its earliest feasible instant, or fail cleanly.
 
-    The scan starts at the task's temporal lower bound and walks the event
-    list.  A candidate start event is kept while every covered event interval
-    has all needed resources free; on a conflict the candidate jumps to the
-    conflicting position and the required duration resets.  On success the
-    start and completion events hold the task and the covered intervals are
-    marked busy; the function returns True.
+    The start is the first instant from the task's temporal lower bound
+    (:func:`earliest_start`) at which every needed resource is free for the
+    whole duration, provided the task then completes by its due date and the
+    window end.  ``el`` must hold the window sentinel, an event at the window
+    start, as :func:`build_schedule` creates it.  On success the start and
+    completion events hold the task and the covered intervals are marked busy;
+    the function returns True.
 
-    On failure every task of ``plan`` already placed is removed as well
-    (all-or-nothing plans), restoring the state from before the plan exactly.
+    On failure nothing is written, and every task of ``plan`` already placed
+    is removed as well (all-or-nothing plans), restoring the state from before
+    the plan exactly.
     """
     lower = earliest_start(task, plan, s_w, window)
-    if lower > window.end:
+    latest = min(task.due, window.end) - task.processing_time
+    start = _earliest_fit(task, lower, latest, el)
+    if start is None:
         rollback_plan(plan, s_w, el)
         return False
 
-    existed = el.at(lower) is not None
-    start_event = get_event(lower, el)
-    # get_event may materialise the candidate; if the scan abandons it, the
-    # empty split event must not linger.
-    created = None if existed else start_event
-    remaining = task.processing_time
-    scan = start_event
-    while scan is not el.last() and remaining > 0:
-        nxt = el.next_after(scan.time)
-        if all(scan.busy(rho) == 0 for rho in task.resources) and check_constraints(
-            start_event.time, task, window
-        ):
-            remaining = max(0, remaining - (nxt.time - scan.time))
-            scan = nxt
-        else:
-            abandoned = start_event
-            start_event = nxt
-            scan = nxt
-            remaining = task.processing_time
-            if abandoned is created and abandoned.is_empty():
-                el.remove(abandoned.time)
-            created = None
-
-    if not check_constraints(start_event.time, task, window):
-        if created is not None and created.is_empty():
-            el.remove(created.time)
-        rollback_plan(plan, s_w, el)
-        return False
-
-    start = start_event.time
     end = completion_time(task, start)
-    end_event = get_event(end, el)
-    start_event.add_start(task.id)
-    end_event.add_completion(task.id)
+    get_event(start, el).add_start(task.id)
+    get_event(end, el).add_completion(task.id)
     s_w.starts[task.id] = start
     for event in el.between(start, end):
         for rho in task.resources:
             event.set_busy(rho)
     return True
+
+
+def _earliest_fit(task: Task, lower: int, latest: int, el: EventList) -> int | None:
+    """First ``t`` in ``[lower, latest]`` with ``task``'s resources free over ``[t, t + p)``.
+
+    Reads the event list only.  A busy interval moves the candidate to the
+    interval's end; the walk stops once the candidate passes ``latest``.  The
+    interval after the last event is free.  None when no start fits.
+    """
+    t = lower
+    event = el.at_or_before(lower)
+    while t <= latest:
+        nxt = el.next_after(event.time)
+        if nxt is None:
+            return t
+        if any(event.busy(rho) for rho in task.resources):
+            t = nxt.time
+        elif nxt.time >= t + task.processing_time:
+            return t
+        event = nxt
+    return None
 
 
 def rollback_plan(plan: Plan, s_w: Schedule, el: EventList) -> None:
@@ -257,16 +239,18 @@ def _latest_release_on(el: EventList, resources, start: int, w_s: int) -> int:
 def schedule_plan_set(plans: list[Plan], s_w: Schedule, el: EventList, window: TimeWindow) -> set[int]:
     """Commit a group of equal-priority plans, lowest idle-time first.
 
-    Each round trial-places every remaining plan in the working state,
-    measures its idle-time sum and rolls it back again, then commits the plan
-    with the smallest sum (on ties the last examined wins).  Plans whose trial
-    fails are dropped from the group for good: more commitments only make
-    placement harder.  Returns the ids of the plans that could not be
-    scheduled.
+    While two or more plans remain, each round trial-places every remaining
+    plan in the working state, measures its idle-time sum and rolls it back
+    again, then commits the plan with the smallest sum (on ties the last
+    examined wins).  Plans whose trial fails are dropped from the group for
+    good: more commitments only make placement harder.  The last remaining
+    plan has no rival to be measured against and is committed without a
+    trial, so a group of one is a plain :func:`schedule_plan`.  Returns the
+    ids of the plans that could not be scheduled.
     """
     pending = list(plans)
     unscheduled: set[int] = set()
-    while pending:
+    while len(pending) > 1:
         best: Plan | None = None
         best_idle: int | None = None
         for plan in list(pending):
@@ -284,6 +268,9 @@ def schedule_plan_set(plans: list[Plan], s_w: Schedule, el: EventList, window: T
         if not schedule_plan(best, s_w, el, window):
             unscheduled.add(best.id)  # cannot happen: the trial's rollback restored the state
         pending.remove(best)
+    for plan in pending:
+        if not schedule_plan(plan, s_w, el, window):
+            unscheduled.add(plan.id)
     return unscheduled
 
 
@@ -292,11 +279,13 @@ def build_schedule(instance: Instance, config: EngineConfig | None = None) -> Sc
 
     Plans are processed in :func:`plansched.ordering.sort_plans` order, which
     merges the priority-sorted DAG frontiers by priority, the lower frontier
-    first on ties.  A run of consecutive plans of one frontier that share a
-    priority is handed to :func:`schedule_plan_set`; any other plan is
-    inserted directly.  Because failed insertions restore the working state
-    exactly, the working schedule is feasible after every step and is returned
-    as the result.
+    first on ties.  Each run of consecutive plans of one frontier that share a
+    priority, a single plan included, is handed to :func:`schedule_plan_set`.
+    In strict mode the members with a discarded DAG predecessor are discarded
+    first; members of one frontier never precede each other, so one look at
+    the discards made before the group suffices.  Because failed insertions
+    restore the working state exactly, the working schedule is feasible after
+    every step and is returned as the result.
     """
     config = config or EngineConfig()
     window = instance.window
@@ -308,9 +297,6 @@ def build_schedule(instance: Instance, config: EngineConfig | None = None) -> Sc
     queue = deque(merge_frontiers(instance, partition, descending=config.priority_descending))
     while queue:
         plan = queue.popleft()
-        if config.strict_plan_precedence and _has_discarded_predecessor(instance, plan.id, s_w):
-            s_w.discarded_plans.append(plan.id)
-            continue
         group = [plan]
         while (
             queue
@@ -318,27 +304,16 @@ def build_schedule(instance: Instance, config: EngineConfig | None = None) -> Sc
             and partition.frontier_of[queue[0].id] == partition.frontier_of[plan.id]
         ):
             group.append(queue.popleft())
-        if config.strict_plan_precedence and len(group) > 1:
+        if config.strict_plan_precedence:
+            discarded = set(s_w.discarded_plans)
             kept = []
             for member in group:
-                if _has_discarded_predecessor(instance, member.id, s_w):
-                    s_w.discarded_plans.append(member.id)
-                else:
+                if discarded.isdisjoint(instance.predecessors_of_plan(member.id)):
                     kept.append(member)
-            group = kept
-            if not group:
-                continue
-        if len(group) == 1:
-            if not schedule_plan(group[0], s_w, el, window):
-                s_w.discarded_plans.append(group[0].id)
-        else:
-            unscheduled = schedule_plan_set(group, s_w, el, window)
-            for member in group:  # group order keeps the discard list deterministic
-                if member.id in unscheduled:
+                else:
                     s_w.discarded_plans.append(member.id)
+            group = kept
+        unscheduled = schedule_plan_set(group, s_w, el, window)
+        # group order keeps the discard list deterministic
+        s_w.discarded_plans.extend(member.id for member in group if member.id in unscheduled)
     return ScheduleResult(schedule=s_w, events=el)
-
-
-def _has_discarded_predecessor(instance: Instance, plan_id: int, s_w: Schedule) -> bool:
-    discarded = set(s_w.discarded_plans)
-    return any(pred in discarded for pred in instance.predecessors_of_plan(plan_id))

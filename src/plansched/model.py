@@ -57,9 +57,6 @@ class TimeWindow:
         if self.start > self.end:
             raise BadWindow(f"window start {self.start} exceeds end {self.end}")
 
-    def contains(self, t: int) -> bool:
-        return self.start <= t <= self.end
-
 
 @dataclass(frozen=True)
 class Task:

@@ -113,9 +113,10 @@ def instance_from_dict(doc: dict) -> Instance:
     resources: dict[int, int] = {}
     for i, res in enumerate(_as_list(_require(doc, "resources", "document"), "resources")):
         where = f"resources[{i}]"
-        resources[_as_int(_require(res, "id", where), f"{where}.id")] = _as_int(
-            res.get("availability", 1), f"{where}.availability"
-        )
+        rho = _as_int(_require(res, "id", where), f"{where}.id")
+        if rho in resources:
+            raise ParseError(f"{where}: duplicate resource id {rho}")
+        resources[rho] = _as_int(res.get("availability", 1), f"{where}.availability")
     plans: list[Plan] = []
     edges: set[tuple[int, int]] = set()
     for i, plan_doc in enumerate(_as_list(_require(doc, "plans", "document"), "plans")):

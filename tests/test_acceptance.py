@@ -15,11 +15,11 @@ from plansched import (
     exact_max_weight,
     generate_scenario,
     objective,
-    schedule_plan,
     sort_plans,
     topological_sort,
     validate_schedule,
 )
+from plansched.engine import schedule_plan
 from plansched.serialize import (
     instance_from_dict,
     instance_to_dict,

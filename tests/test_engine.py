@@ -11,7 +11,9 @@ from plansched import (
     TimeWindow,
     build_instance,
     build_schedule,
-    check_constraints,
+    validate_schedule,
+)
+from plansched.engine import (
     earliest_start,
     get_event,
     idle_time_sum,
@@ -19,13 +21,8 @@ from plansched import (
     schedule_plan,
     schedule_plan_set,
     schedule_task,
-    validate_schedule,
 )
 from conftest import make_plan
-
-
-def _task(instance, plan_id, index):
-    return instance.plan(plan_id).task(index)
 
 
 def _fresh_state(window):
@@ -49,21 +46,40 @@ def _load(instance, plan_ids):
     return s_w, el
 
 
-# ---------------------------------------------------------------- constraints
+# ------------------------------------------------------- start-time bounds
 
-def test_check_constraints_window_cases(example1):
-    task = _task(example1, 1, 1)  # r=2 d=7 p=3
-    window = example1.window
-    assert check_constraints(2, task, window)  # completes at 5 <= 7
-    assert not check_constraints(5, task, window)  # completion 8 > 7
-    assert not check_constraints(1, task, window)  # before release
-
-
-def test_check_constraints_global_window():
-    task = make_plan(1, 1, [(1, 4, 0, 30, {1}, [])]).tasks[0]
-    window = TimeWindow(0, 10)
-    assert check_constraints(6, task, window)
-    assert not check_constraints(7, task, window)  # completion 11 > window end
+@pytest.mark.parametrize(
+    "window, blocker, row, expected",
+    [
+        # latest = min(due, W_e) - p; a blocker on resource 1 holds [0, blocker)
+        pytest.param((0, 20), 4, (3, 2, 7), 4, id="due-fits-at-latest"),
+        pytest.param((0, 20), 5, (3, 2, 7), None, id="due-blocker-one-longer"),
+        pytest.param((0, 10), 6, (4, 0, 30), 6, id="window-end-fits-at-latest"),
+        pytest.param((0, 10), 7, (4, 0, 30), None, id="window-end-blocker-one-longer"),
+        pytest.param((0, 20), None, (2, 5, 20), 5, id="release-clamp"),
+        pytest.param((0, 20), 3, (2, 5, 20), 5, id="release-clamp-after-blocker"),
+        pytest.param((0, 20), 7, (2, 5, 20), 7, id="blocker-past-release"),
+    ],
+)
+def test_schedule_task_bounds(window, blocker, row, expected):
+    window = TimeWindow(*window)
+    s_w, el = _fresh_state(window)
+    if blocker is not None:
+        assert schedule_plan(make_plan(1, 9, [(1, blocker, 0, 100, {1}, [])]), s_w, el, window)
+    p, release, due = row
+    plan = make_plan(2, 1, [(1, p, release, due, {1}, [])])
+    task = plan.tasks[0]
+    before_schedule, before_events = copy.deepcopy(s_w), copy.deepcopy(el)
+    placed = schedule_task(task, s_w, el, window, plan=plan)
+    if expected is None:
+        assert not placed
+        assert s_w == before_schedule
+        assert el == before_events
+    else:
+        assert placed
+        assert s_w.starts[task.id] == expected
+        assert task.id in el.at(expected).starting
+        assert task.id in el.at(expected + p).completing
 
 
 # ------------------------------------------------------------- earliest start

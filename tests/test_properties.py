@@ -9,11 +9,11 @@ from plansched import (
     Schedule,
     build_schedule,
     objective,
-    schedule_plan,
     sort_plans,
     topological_sort,
     validate_schedule,
 )
+from plansched.engine import earliest_start, schedule_plan, schedule_task
 from plansched.serialize import instance_from_dict, instance_to_dict, schedule_from_dict, schedule_to_dict
 from conftest import base_seed, random_instance
 
@@ -50,6 +50,44 @@ def test_rollback_is_bit_exact_on_every_failure():
             assert value >= last_objective  # plans are only ever added
             last_objective = value
     assert failures > 50  # the generator must actually force failures
+
+
+def _brute_force_start(instance, task, s_w, lower, latest):
+    """First instant of ``[lower, latest]`` where no placed task holds a needed
+    resource over ``[t, t + p)``, found from the start times alone."""
+    held = [
+        (start, start + instance.task(tid).processing_time)
+        for tid, start in s_w.starts.items()
+        if instance.task(tid).resources & task.resources
+    ]
+    for t in range(lower, latest + 1):
+        if all(t + task.processing_time <= s or e <= t for s, e in held):
+            return t
+    return None
+
+
+def test_every_placement_is_the_earliest_feasible_instant():
+    rng = random.Random(base_seed() + 7)
+    delayed = failed = 0
+    for _ in range(150):
+        instance = random_instance(rng, max_plans=6)
+        window = instance.window
+        el = EventList()
+        el.insert(Event(window.start))
+        s_w = Schedule()
+        for plan in sort_plans(instance):
+            for task in plan.tasks:
+                lower = earliest_start(task, plan, s_w, window)
+                latest = min(task.due, window.end) - task.processing_time
+                expected = _brute_force_start(instance, task, s_w, lower, latest)
+                placed = schedule_task(task, s_w, el, window, plan=plan)
+                assert placed == (expected is not None), (instance, task)
+                if not placed:
+                    failed += 1
+                    break
+                assert s_w.starts[task.id] == expected, (instance, task)
+                delayed += expected > lower
+    assert delayed > 20 and failed > 20  # resource conflicts and failures both occur
 
 
 def test_event_list_size_bound():

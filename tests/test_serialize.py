@@ -97,6 +97,21 @@ def test_duplicate_start_rejected():
 
 
 @pytest.mark.parametrize(
+    "resources",
+    [
+        [{"id": 1, "availability": 2}, {"id": 1}],
+        [{"id": 1}, {"id": 1, "availability": 2}],
+    ],
+)
+def test_duplicate_resource_rejected(resources):
+    doc = {"window": {"start": 0, "end": 10}, "resources": resources, "plans": []}
+    with pytest.raises(ParseError) as err:
+        instance_from_dict(doc)
+    assert "resources[1]" in str(err.value)
+    assert "duplicate resource id 1" in str(err.value)
+
+
+@pytest.mark.parametrize(
     "name, builder",
     [
         ("example1.json", example1_instance),
