@@ -26,7 +26,7 @@ def show(events, resources=(1, 2, 3)):
     for event in events:
         starting = ",".join(f"J{p}.{i}" for p, i in sorted(event.starting)) or "-"
         completing = ",".join(f"J{p}.{i}" for p, i in sorted(event.completing)) or "-"
-        bits = "  ".join(str(event.busy(r)) for r in resources)
+        bits = "  ".join(str(int(event.busy(r))) for r in resources)
         print(f"  {event.time:>3} {starting:<24} {completing:<24} {bits}")
 
 

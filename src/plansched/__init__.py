@@ -36,7 +36,7 @@ from .model import (
     completion_time,
 )
 from .oracle import OracleResult, exact_max_weight
-from .ordering import FrontierPartition, sort_plans, topological_sort
+from .ordering import sort_plans
 from .scenarios import SCENARIOS, BadScenario, generate_scenario
 from .serialize import (
     ParseError,
@@ -71,7 +71,6 @@ __all__ = [
     "EngineConfig",
     "Event",
     "EventList",
-    "FrontierPartition",
     "GLOBAL_WINDOW",
     "INTRA_PLAN_PRECEDENCE",
     "Instance",
@@ -110,6 +109,5 @@ __all__ = [
     "parse_schedule",
     "render_gantt",
     "sort_plans",
-    "topological_sort",
     "validate_schedule",
 ]

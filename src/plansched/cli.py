@@ -12,10 +12,10 @@ import time
 
 from .engine import EngineConfig, build_schedule
 from .gantt import render_gantt
-from .model import InstanceError, SchedulingError, UnknownTask
+from .model import SchedulingError
 from .oracle import exact_max_weight
 from .scenarios import SCENARIOS, BadScenario, generate_scenario
-from .serialize import ParseError, dumps_schedule, parse_instance, parse_schedule
+from .serialize import dumps_schedule, parse_instance, parse_schedule
 from .validate import validate_schedule
 
 
@@ -143,10 +143,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (OSError, ParseError, InstanceError, BadScenario, UnknownTask) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SchedulingError as exc:
+    except (OSError, SchedulingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

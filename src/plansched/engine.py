@@ -13,7 +13,8 @@ number of placed tasks.
 A plan is all-or-nothing: when one of its tasks cannot be placed, everything
 the plan already put into the working state is taken out again, bit-exactly.
 Plans are inserted in the order of :func:`plansched.ordering.sort_plans`, a
-priority merge of the plan-DAG frontiers: a plan comes as soon as its DAG
+priority merge of the plan-DAG frontiers that the instance records when it is
+built (``Instance.frontier_of``): a plan comes as soon as its DAG
 predecessors are in and no ready plan has a better priority.  Consecutive
 equal-priority plans of one frontier form a group, and every group, a single
 plan included, goes through :func:`schedule_plan_set`: it commits the members
@@ -38,7 +39,7 @@ from .model import (
     TimeWindow,
     completion_time,
 )
-from .ordering import merge_frontiers, topological_sort
+from .ordering import sort_plans
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ def get_event(t: int, el: EventList) -> Event:
     if existing is not None:
         return existing
     prev = el.prev_before(t)
-    event = Event(t, usage=dict(prev.usage) if prev is not None else {})
+    event = Event(t, usage=set(prev.usage) if prev is not None else set())
     el.insert(event)
     return event
 
@@ -278,9 +279,10 @@ def build_schedule(instance: Instance, config: EngineConfig | None = None) -> Sc
     """Build a feasible schedule for the whole instance.
 
     Plans are processed in :func:`plansched.ordering.sort_plans` order, which
-    merges the priority-sorted DAG frontiers by priority, the lower frontier
-    first on ties.  Each run of consecutive plans of one frontier that share a
-    priority, a single plan included, is handed to :func:`schedule_plan_set`.
+    merges the priority-sorted DAG frontiers (``instance.frontier_of``) by
+    priority, the lower frontier first on ties.  Each run of consecutive plans
+    of one frontier that share a priority, a single plan included, is handed
+    to :func:`schedule_plan_set`.
     In strict mode the members with a discarded DAG predecessor are discarded
     first; members of one frontier never precede each other, so one look at
     the discards made before the group suffices.  Because failed insertions
@@ -293,15 +295,15 @@ def build_schedule(instance: Instance, config: EngineConfig | None = None) -> Sc
     el.insert(Event(window.start))  # window sentinel: scans may start at W_s
     s_w = Schedule()
 
-    _, partition = topological_sort(instance)
-    queue = deque(merge_frontiers(instance, partition, descending=config.priority_descending))
+    frontier_of = instance.frontier_of
+    queue = deque(sort_plans(instance, descending=config.priority_descending))
     while queue:
         plan = queue.popleft()
         group = [plan]
         while (
             queue
             and queue[0].priority == plan.priority
-            and partition.frontier_of[queue[0].id] == partition.frontier_of[plan.id]
+            and frontier_of[queue[0].id] == frontier_of[plan.id]
         ):
             group.append(queue.popleft())
         if config.strict_plan_precedence:

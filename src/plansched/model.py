@@ -1,8 +1,11 @@
 """Domain types for plan scheduling: tasks, plans, instances, events and schedules.
 
 Immutable inputs (``TimeWindow``, ``Task``, ``Plan``, ``Instance``) validate their
-structural invariants at construction time.  Mutable working state
-(``EventList``, ``Schedule``) is owned by a single scheduler run.
+structural invariants at construction time.  ``Instance`` is the only place
+that reads the plan DAG: one pass rejects cycles and records each plan's
+frontier and DAG neighbours, which the ordering and the engine look up.
+Mutable working state (``EventList``, ``Schedule``) is owned by a single
+scheduler run.
 """
 
 from __future__ import annotations
@@ -162,26 +165,56 @@ class Instance:
     ``resources`` maps resource id to its per-tick availability; only unary
     resources (availability 1) are supported, the field is kept so richer
     capacities stay expressible in the serialised format.
+
+    Construction reads ``plan_dag`` once.  ``frontier_of`` maps every plan id
+    to its frontier, the longest edge distance from a root (a plan nobody
+    precedes), so every edge crosses from a lower frontier to a strictly
+    higher one.  The DAG predecessors and successors of a plan are kept only
+    for plans that have edges.
     """
 
     plans: tuple[Plan, ...]
     plan_dag: frozenset[tuple[int, int]]
     resources: dict[int, int]
     window: TimeWindow
+    frontier_of: dict[int, int] = field(init=False, repr=False, compare=False)
+    _by_id: dict[int, Plan] = field(init=False, repr=False, compare=False)
+    _preds: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    _succs: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "plans", tuple(self.plans))
         object.__setattr__(self, "plan_dag", frozenset((int(a), int(b)) for a, b in self.plan_dag))
-        ids = [p.id for p in self.plans]
-        if len(set(ids)) != len(ids):
+        by_id = {p.id: p for p in self.plans}
+        if len(by_id) != len(self.plans):
             raise InstanceError("duplicate plan ids")
-        known = set(ids)
+        preds: dict[int, list[int]] = {}
+        succs: dict[int, list[int]] = {}
         for a, b in self.plan_dag:
-            if a not in known or b not in known:
+            if a not in by_id or b not in by_id:
                 raise InstanceError(f"plan precedence edge ({a}, {b}) names unknown plan")
             if a == b:
                 raise CyclicPlanDag(f"plan {a} precedes itself")
-        _check_plan_dag_acyclic(known, self.plan_dag)
+            preds.setdefault(b, []).append(a)
+            succs.setdefault(a, []).append(b)
+        # Kahn's algorithm from the roots that have edges; a plan on or behind
+        # a cycle is never reached and keeps unmet predecessors.
+        frontier_of = dict.fromkeys(by_id, 0)
+        unmet = {b: len(a) for b, a in preds.items()}
+        queue = [a for a in succs if a not in unmet]
+        while queue:
+            a = queue.pop()
+            for b in succs.get(a, ()):
+                frontier_of[b] = max(frontier_of[b], frontier_of[a] + 1)
+                unmet[b] -= 1
+                if unmet[b] == 0:
+                    queue.append(b)
+        if any(unmet.values()):
+            raise CyclicPlanDag("plan precedence graph has a cycle")
+        object.__setattr__(self, "frontier_of", frontier_of)
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_preds", {b: tuple(a) for b, a in preds.items()})
+        object.__setattr__(self, "_succs", {a: tuple(b) for a, b in succs.items()})
         for rho, avail in self.resources.items():
             if avail != 1:
                 raise InstanceError(f"resource {rho}: only availability 1 is supported, got {avail}")
@@ -193,10 +226,10 @@ class Instance:
                     raise UnknownResource(f"task {task.id} uses undeclared resources {sorted(missing)}")
 
     def plan(self, plan_id: int) -> Plan:
-        for p in self.plans:
-            if p.id == plan_id:
-                return p
-        raise UnknownTask(f"no plan {plan_id}")
+        try:
+            return self._by_id[plan_id]
+        except KeyError:
+            raise UnknownTask(f"no plan {plan_id}") from None
 
     def task(self, task_id: TaskId) -> Task:
         return self.plan(task_id[0]).task(task_id[1])
@@ -205,27 +238,13 @@ class Instance:
         for plan in self.plans:
             yield from plan.tasks
 
-    def predecessors_of_plan(self, plan_id: int) -> set[int]:
-        return {a for a, b in self.plan_dag if b == plan_id}
+    def predecessors_of_plan(self, plan_id: int) -> tuple[int, ...]:
+        """Ids of the plans with a DAG edge into ``plan_id``."""
+        return self._preds.get(plan_id, ())
 
-
-def _check_plan_dag_acyclic(nodes: set[int], edges: frozenset[tuple[int, int]]) -> None:
-    succs: dict[int, list[int]] = {n: [] for n in nodes}
-    indeg = {n: 0 for n in nodes}
-    for a, b in edges:
-        succs[a].append(b)
-        indeg[b] += 1
-    queue = [n for n in nodes if indeg[n] == 0]
-    seen = 0
-    while queue:
-        n = queue.pop()
-        seen += 1
-        for m in succs[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                queue.append(m)
-    if seen != len(nodes):
-        raise CyclicPlanDag("plan precedence graph has a cycle")
+    def successors_of_plan(self, plan_id: int) -> tuple[int, ...]:
+        """Ids of the plans with a DAG edge from ``plan_id``."""
+        return self._succs.get(plan_id, ())
 
 
 def build_instance(plans, plan_dag=(), resources=None, window=None) -> Instance:
@@ -255,23 +274,23 @@ def build_instance(plans, plan_dag=(), resources=None, window=None) -> Instance:
 class Event:
     """A time instant of the schedule, with the tasks starting/completing there.
 
-    ``usage`` is sparse: it holds an entry ``rho -> 1`` exactly for the
-    resources occupied during the interval from this event to the next one.
+    ``usage`` holds exactly the resources occupied during the interval from
+    this event to the next one.
     """
 
     time: int
     starting: set[TaskId] = field(default_factory=set)
     completing: set[TaskId] = field(default_factory=set)
-    usage: dict[int, int] = field(default_factory=dict)
+    usage: set[int] = field(default_factory=set)
 
-    def busy(self, rho: int) -> int:
-        return self.usage.get(rho, 0)
+    def busy(self, rho: int) -> bool:
+        return rho in self.usage
 
     def set_busy(self, rho: int) -> None:
-        self.usage[rho] = 1
+        self.usage.add(rho)
 
     def clear_busy(self, rho: int) -> None:
-        self.usage.pop(rho, None)
+        self.usage.discard(rho)
 
     def is_empty(self) -> bool:
         return not self.starting and not self.completing

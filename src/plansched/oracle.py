@@ -94,7 +94,7 @@ class _Search:
 
     def _predecessors_chosen(self, plan: Plan, chosen: list[Plan]) -> bool:
         chosen_ids = {p.id for p in chosen}
-        return self.instance.predecessors_of_plan(plan.id) <= chosen_ids
+        return chosen_ids.issuperset(self.instance.predecessors_of_plan(plan.id))
 
     def _feasible_assignment(self, plans: list[Plan]) -> dict | None:
         tasks = [(plan, task) for plan in plans for task in plan.tasks]

@@ -1,9 +1,9 @@
-"""Ordering of the plan set: precedence layering plus a priority merge.
+"""Ordering of the plan set: a priority merge of the plan-DAG frontiers.
 
-Plans are first layered by their precedence DAG: the frontier index of a plan
-is the longest edge distance from any root (a plan nobody precedes).  Every
-edge therefore crosses from a lower frontier to a strictly higher one.  Within
-one frontier plans are mutually unordered and get sorted by priority.
+The frontiers come from :attr:`plansched.model.Instance.frontier_of`: a plan's
+frontier is its longest edge distance from any root, so every edge crosses
+from a lower frontier to a strictly higher one.  Within one frontier plans are
+mutually unordered and get sorted by priority.
 
 The scheduling order merges those per-frontier lists by priority: at each
 step it takes the best-priority head among the frontier heads whose DAG
@@ -15,56 +15,8 @@ The DAG orders insertion only; it places no constraint on times.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .model import Instance, Plan
-
-
-@dataclass(frozen=True)
-class FrontierPartition:
-    """Plans grouped by longest distance from the DAG roots.
-
-    ``frontiers[i]`` lists the plan ids at distance ``i`` (input order
-    preserved); ``frontier_of`` maps every plan id to its frontier index.
-    """
-
-    frontiers: tuple[tuple[int, ...], ...]
-    frontier_of: dict[int, int]
-
-
-def topological_sort(instance: Instance) -> tuple[list[int], FrontierPartition]:
-    """Order plan ids so that every precedence edge points forward.
-
-    Returns the order (frontier by frontier, input order within a frontier)
-    together with the :class:`FrontierPartition`.  Cycles cannot occur here:
-    instance construction rejects them.
-    """
-    ids = [p.id for p in instance.plans]
-    preds: dict[int, list[int]] = {i: [] for i in ids}
-    succs: dict[int, list[int]] = {i: [] for i in ids}
-    for a, b in instance.plan_dag:
-        preds[b].append(a)
-        succs[a].append(b)
-
-    # Longest distance from any root, by propagating along a Kahn traversal.
-    depth = {i: 0 for i in ids}
-    remaining = {i: len(preds[i]) for i in ids}
-    queue = [i for i in ids if remaining[i] == 0]
-    while queue:
-        node = queue.pop()
-        for succ in succs[node]:
-            depth[succ] = max(depth[succ], depth[node] + 1)
-            remaining[succ] -= 1
-            if remaining[succ] == 0:
-                queue.append(succ)
-
-    n_frontiers = max(depth.values(), default=-1) + 1
-    layers: list[list[int]] = [[] for _ in range(n_frontiers)]
-    for i in ids:  # input order within each layer
-        layers[depth[i]].append(i)
-    partition = FrontierPartition(tuple(tuple(layer) for layer in layers), dict(depth))
-    order = [i for layer in layers for i in layer]
-    return order, partition
 
 
 def sort_plans(instance: Instance, *, descending: bool = True) -> list[Plan]:
@@ -83,22 +35,17 @@ def sort_plans(instance: Instance, *, descending: bool = True) -> list[Plan]:
     Ready heads sit in a heap and each plan counts its untaken predecessors,
     so the merge costs O(K log K + E) for K plans and E DAG edges.
     """
-    return merge_frontiers(instance, topological_sort(instance)[1], descending=descending)
-
-
-def merge_frontiers(instance: Instance, partition: FrontierPartition, *, descending: bool = True) -> list[Plan]:
-    """The :func:`sort_plans` merge over an already computed ``partition``."""
-    by_id = {p.id: p for p in instance.plans}
 
     def key(plan: Plan) -> int:
         return -plan.priority if descending else plan.priority
 
-    frontiers = [sorted((by_id[i] for i in layer), key=key) for layer in partition.frontiers]
-    unmet = {p.id: 0 for p in instance.plans}
-    succs: dict[int, list[int]] = {p.id: [] for p in instance.plans}
-    for a, b in instance.plan_dag:
-        unmet[b] += 1
-        succs[a].append(b)
+    frontier_of = instance.frontier_of
+    frontiers: list[list[Plan]] = [[] for _ in range(max(frontier_of.values(), default=-1) + 1)]
+    for plan in instance.plans:  # input order within each frontier
+        frontiers[frontier_of[plan.id]].append(plan)
+    for layer in frontiers:
+        layer.sort(key=key)
+    unmet = {p.id: len(instance.predecessors_of_plan(p.id)) for p in instance.plans}
 
     heads = [0] * len(frontiers)  # position of each frontier's head
     ready = [(key(layer[0]), f) for f, layer in enumerate(frontiers) if unmet[layer[0].id] == 0]
@@ -109,11 +56,11 @@ def merge_frontiers(instance: Instance, partition: FrontierPartition, *, descend
         plan = frontiers[f][heads[f]]
         out.append(plan)
         heads[f] += 1
-        for succ in succs[plan.id]:
+        for succ in instance.successors_of_plan(plan.id):
             unmet[succ] -= 1
-            g = partition.frontier_of[succ]
+            g = frontier_of[succ]
             if unmet[succ] == 0 and frontiers[g][heads[g]].id == succ:
-                heapq.heappush(ready, (key(by_id[succ]), g))
+                heapq.heappush(ready, (key(frontiers[g][heads[g]]), g))
         if heads[f] < len(frontiers[f]):
             head = frontiers[f][heads[f]]
             if unmet[head.id] == 0:

@@ -72,9 +72,6 @@ def _as_list(value, where):
 
 
 def instance_to_dict(instance: Instance) -> dict:
-    precedes: dict[int, list[int]] = {p.id: [] for p in instance.plans}
-    for a, b in sorted(instance.plan_dag):
-        precedes[a].append(b)
     return {
         "window": {"start": instance.window.start, "end": instance.window.end},
         "resources": [
@@ -84,7 +81,7 @@ def instance_to_dict(instance: Instance) -> dict:
             {
                 "id": plan.id,
                 "priority": plan.priority,
-                "precedes": precedes[plan.id],
+                "precedes": sorted(instance.successors_of_plan(plan.id)),
                 "tasks": [
                     {
                         "index": task.index,

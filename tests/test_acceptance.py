@@ -16,7 +16,6 @@ from plansched import (
     generate_scenario,
     objective,
     sort_plans,
-    topological_sort,
     validate_schedule,
 )
 from plansched.engine import schedule_plan
@@ -185,12 +184,12 @@ def test_criterion_property_suite():
         assert len(result.events) <= 2 * len(result.schedule.starts) + 2
 
         # (d) ordering invariants
-        _, partition = topological_sort(instance)
-        position = {p.id: k for k, p in enumerate(sort_plans(instance))}
+        ordered = sort_plans(instance)
+        position = {p.id: k for k, p in enumerate(ordered)}
         for a, b in instance.plan_dag:
             assert position[a] < position[b]
-        for layer in partition.frontiers:
-            prios = [instance.plan(pid).priority for pid in sorted(layer, key=position.get)]
+        for f in set(instance.frontier_of.values()):
+            prios = [p.priority for p in ordered if instance.frontier_of[p.id] == f]
             assert prios == sorted(prios, reverse=True)
 
         # (e) lossless JSON round-trips

@@ -133,7 +133,7 @@ def test_get_event_on_empty_list():
     el = EventList()
     created = get_event(0, el)
     assert created.time == 0
-    assert created.usage == {}
+    assert created.usage == set()
     assert el.times() == [0]
 
 

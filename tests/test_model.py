@@ -11,6 +11,7 @@ from plansched import (
     Task,
     TimeWindow,
     UnknownResource,
+    UnknownTask,
     build_instance,
     completion_time,
 )
@@ -80,15 +81,19 @@ def test_build_instance_single_trivial():
     plan = make_plan(1, 1, [(1, 1, 0, 5, {1}, [])])
     instance = build_instance([plan], window=TimeWindow(0, 10))
     assert instance.plan(1).task_count == 1
+    with pytest.raises(UnknownTask):
+        instance.plan(2)
 
 
 def test_build_instance_rejects_plan_dag_cycle():
-    plans = [
-        make_plan(1, 1, [(1, 1, 0, 5, {1}, [])]),
-        make_plan(2, 1, [(1, 1, 0, 5, {2}, [])]),
-    ]
-    with pytest.raises(CyclicPlanDag):
-        build_instance(plans, plan_dag={(1, 2), (2, 1)}, window=TimeWindow(0, 10))
+    plans = [make_plan(i, 1, [(1, 1, 0, 5, {i}, [])]) for i in range(1, 5)]
+    for edges in (
+        {(1, 2), (2, 1)},  # no root at all
+        {(1, 2), (2, 3), (3, 2)},  # downstream of the root 1
+        {(1, 2), (3, 4), (4, 3)},  # beside the acyclic component 1 -> 2
+    ):
+        with pytest.raises(CyclicPlanDag):
+            build_instance(plans, plan_dag=edges, window=TimeWindow(0, 10))
 
 
 def test_build_instance_rejects_unknown_resource():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plansched import TimeWindow, build_instance, sort_plans, topological_sort
+from plansched import TimeWindow, build_instance, sort_plans
 from conftest import make_plan
 
 
@@ -17,30 +17,23 @@ def _instance(priorities, edges=()):
 
 def test_no_edges_single_frontier():
     instance = _instance([(1, 1), (2, 1), (3, 1)])
-    order, partition = topological_sort(instance)
-    assert order == [1, 2, 3]
-    assert partition.frontiers == ((1, 2, 3),)
-    assert partition.frontier_of == {1: 0, 2: 0, 3: 0}
+    assert instance.frontier_of == {1: 0, 2: 0, 3: 0}
 
 
 def test_chain_one_frontier_each():
     instance = _instance([(1, 1), (2, 1), (3, 1)], edges={(1, 2), (2, 3)})
-    order, partition = topological_sort(instance)
-    assert order == [1, 2, 3]
-    assert partition.frontiers == ((1,), (2,), (3,))
+    assert instance.frontier_of == {1: 0, 2: 1, 3: 2}
 
 
 def test_diamond_layering():
     instance = _instance([(1, 1), (2, 1), (3, 1), (4, 1)], edges={(1, 2), (1, 3), (2, 4), (3, 4)})
-    _, partition = topological_sort(instance)
-    assert partition.frontiers == ((1,), (2, 3), (4,))
+    assert instance.frontier_of == {1: 0, 2: 1, 3: 1, 4: 2}
 
 
 def test_longest_path_wins():
     # 1 -> 2 -> 4 and 3 -> 4: node 4 sits two steps deep even though 3 is a root
     instance = _instance([(1, 1), (2, 1), (3, 1), (4, 1)], edges={(1, 2), (2, 4), (3, 4)})
-    _, partition = topological_sort(instance)
-    assert partition.frontier_of == {1: 0, 3: 0, 2: 1, 4: 2}
+    assert instance.frontier_of == {1: 0, 3: 0, 2: 1, 4: 2}
 
 
 def test_sort_by_priority_within_frontier():
@@ -80,10 +73,11 @@ def test_priority_merge_of_frontiers(priorities, edges, expected):
 
 def _merge_by_rescan(instance, descending=True):
     """The merge rule spelled out: rescan every frontier head at each pick."""
-    _, partition = topological_sort(instance)
     sign = -1 if descending else 1
-    by_id = {p.id: p for p in instance.plans}
-    lists = [sorted((by_id[i] for i in layer), key=lambda p: sign * p.priority) for layer in partition.frontiers]
+    lists = [
+        sorted((p for p in instance.plans if instance.frontier_of[p.id] == f), key=lambda p: sign * p.priority)
+        for f in range(max(instance.frontier_of.values()) + 1)
+    ]
     taken = []
     while any(lists):
         ready = [
@@ -131,13 +125,9 @@ def test_random_dags_layering_and_sorting(data):
     priorities = [(i, data.draw(st.integers(min_value=1, max_value=4))) for i in range(1, n + 1)]
     instance = _instance(priorities, edges)
 
-    order, partition = topological_sort(instance)
-    assert sorted(order) == list(range(1, n + 1))
-    position = {pid: i for i, pid in enumerate(order)}
     for a, b in edges:
-        assert position[a] < position[b]
-        assert partition.frontier_of[a] < partition.frontier_of[b]
-    assert partition.frontier_of == _brute_depth(n, edges)
+        assert instance.frontier_of[a] < instance.frontier_of[b]
+    assert instance.frontier_of == _brute_depth(n, edges)
 
     ordered = sort_plans(instance)
     assert sorted(p.id for p in ordered) == list(range(1, n + 1))
@@ -145,8 +135,8 @@ def test_random_dags_layering_and_sorting(data):
     for a, b in edges:
         assert pos[a] < pos[b]
     # within each frontier, priorities never increase
-    for layer in partition.frontiers:
-        prios = [p.priority for p in ordered if p.id in layer]
+    for f in set(instance.frontier_of.values()):
+        prios = [p.priority for p in ordered if instance.frontier_of[p.id] == f]
         assert prios == sorted(prios, reverse=True)
 
 

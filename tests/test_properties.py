@@ -10,7 +10,6 @@ from plansched import (
     build_schedule,
     objective,
     sort_plans,
-    topological_sort,
     validate_schedule,
 )
 from plansched.engine import earliest_start, schedule_plan, schedule_task
@@ -112,13 +111,14 @@ def test_sorting_invariants_on_random_instances():
     rng = random.Random(base_seed() + 4)
     for _ in range(150):
         instance = random_instance(rng, max_plans=6)
-        order, partition = topological_sort(instance)
-        assert sorted(order) == sorted(p.id for p in instance.plans)
-        position = {pid: i for i, pid in enumerate(p.id for p in sort_plans(instance))}
+        ordered = sort_plans(instance)
+        assert sorted(p.id for p in ordered) == sorted(p.id for p in instance.plans)
+        position = {p.id: i for i, p in enumerate(ordered)}
         for a, b in instance.plan_dag:
             assert position[a] < position[b]
-        for layer in partition.frontiers:
-            prios = [instance.plan(pid).priority for pid in sorted(layer, key=position.get)]
+            assert instance.frontier_of[a] < instance.frontier_of[b]
+        for f in set(instance.frontier_of.values()):
+            prios = [p.priority for p in ordered if instance.frontier_of[p.id] == f]
             assert prios == sorted(prios, reverse=True)
 
 
