@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from plansched import TimeWindow, build_instance, sort_plans
 from conftest import make_plan
+from reference import plan_order
 
 
 def _instance(priorities, edges=()):
@@ -71,24 +72,6 @@ def test_priority_merge_of_frontiers(priorities, edges, expected):
     assert [p.id for p in sort_plans(_instance(priorities, edges))] == expected
 
 
-def _merge_by_rescan(instance, descending=True):
-    """The merge rule spelled out: rescan every frontier head at each pick."""
-    sign = -1 if descending else 1
-    lists = [
-        sorted((p for p in instance.plans if instance.frontier_of[p.id] == f), key=lambda p: sign * p.priority)
-        for f in range(max(instance.frontier_of.values()) + 1)
-    ]
-    taken = []
-    while any(lists):
-        ready = [
-            (sign * layer[0].priority, f)
-            for f, layer in enumerate(lists)
-            if layer and all(a in taken for a, b in instance.plan_dag if b == layer[0].id)
-        ]
-        taken.append(lists[min(ready)[1]].pop(0).id)
-    return taken
-
-
 def _brute_depth(n_plans, edges):
     """Longest edge distance from any root, by path enumeration."""
     def walk(node, seen):
@@ -149,5 +132,6 @@ def test_random_dags_merge_matches_rescan(data):
     }
     priorities = [(i, data.draw(st.integers(min_value=1, max_value=4))) for i in range(1, n + 1)]
     instance = _instance(priorities, edges)
-    assert [p.id for p in sort_plans(instance)] == _merge_by_rescan(instance)
-    assert [p.id for p in sort_plans(instance, descending=False)] == _merge_by_rescan(instance, descending=False)
+    for descending in (True, False):
+        expected = [p.id for p, _ in plan_order(instance, descending)]
+        assert [p.id for p in sort_plans(instance, descending=descending)] == expected
