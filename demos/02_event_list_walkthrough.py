@@ -1,23 +1,23 @@
 """Watch the event list evolve as plans are inserted one at a time.
 
-The schedule is stored as a sequence of events; each event knows which tasks
-start and complete at its instant and which resources are occupied until the
-next event.  Inserting a plan means scanning that list for the earliest run
-of free intervals long enough for each task.
+The paper describes a schedule as a sequence of events; each event knows which
+tasks start and complete at its instant and which resources are occupied until
+the next event.  The engine itself keeps only the busy intervals of each
+resource and finds every task the earliest run of free time long enough for
+it; the event list is derived from the start times, here after every plan.
 
 This walkthrough uses the bundled five-plan example: plans 1 and 2 go in
 first, then 3, 4 and 5 squeeze into the gaps.
 """
 
-from plansched import Event, EventList, Schedule
+from plansched import EventList, Schedule
 from plansched.data import load_bundled
 from plansched.engine import schedule_plan
 
 instance = load_bundled("example2.json")
 window = instance.window
 
-events = EventList()
-events.insert(Event(window.start))
+busy = {}  # resource -> (sorted interval starts, their ends)
 working = Schedule()
 
 
@@ -31,8 +31,8 @@ def show(events, resources=(1, 2, 3)):
 
 
 for plan in instance.plans:
-    ok = schedule_plan(plan, working, events, window)
+    ok = schedule_plan(plan, working, busy, window)
     print(f"\nafter inserting plan {plan.id} ({'placed' if ok else 'rejected'}):")
-    show(events)
+    show(EventList.from_schedule(working, instance))
 
 print("\nfinal start times:", {f"J{p}.{i}": s for (p, i), s in sorted(working.starts.items())})

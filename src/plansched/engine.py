@@ -1,14 +1,12 @@
-"""The scheduling engine: serial insertion of plans driven by an event list.
+"""The scheduling engine: serial insertion of plans on per-resource busy timelines.
 
 Tasks are inserted one at a time at the earliest instant where their temporal
 constraints hold and every resource they need is free for their whole
-duration.  The schedule is decomposed into events: an event records the tasks
-starting and completing at its instant and, per resource, whether the interval
-up to the next event is occupied.  A task's start is found first by a read-only
-walk along the event list from its temporal lower bound, which stops once the
-candidate passes the latest start the due date and the window allow; only then
-are its start and completion events written, so the list stays linear in the
-number of placed tasks.
+duration.  Resources are unary, so the working state keeps, per resource, the
+disjoint busy intervals of the tasks placed on it: their sorted starts and the
+parallel ends.  Finding a start, writing it, taking it out again and measuring
+the idle time a task leaves are bisects on the task's own resources; no other
+resource is read.
 
 A plan is all-or-nothing: when one of its tasks cannot be placed, everything
 the plan already put into the working state is taken out again, bit-exactly.
@@ -21,15 +19,19 @@ plan included, goes through :func:`schedule_plan_set`: it commits the members
 in the order that keeps resources busiest (smallest idle-time sum first); each
 candidate is placed, measured and rolled back by the same exact undo, so the
 working state is the engine's only state.
+
+The paper's event list is not maintained during the build: it is derived once
+from the final start times when ``ScheduleResult.events`` is first read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .model import (
-    Event,
     EventList,
     Instance,
     Plan,
@@ -40,6 +42,13 @@ from .model import (
     completion_time,
 )
 from .ordering import sort_plans
+
+Timelines = dict[int, tuple[list[int], list[int]]]
+"""Busy intervals per resource: sorted starts and the parallel ends.
+
+The intervals of one resource are disjoint because resources are unary, so
+the ends are sorted too.  A resource without intervals has no entry.
+"""
 
 
 @dataclass(frozen=True)
@@ -57,10 +66,15 @@ class EngineConfig:
 
 @dataclass
 class ScheduleResult:
-    """Outcome of a full build: the schedule plus the final event list."""
+    """Outcome of a full build: the schedule, and its event list on demand."""
 
     schedule: Schedule
-    events: EventList
+    instance: Instance = field(repr=False)
+
+    @cached_property
+    def events(self) -> EventList:
+        """The event list of the schedule, built on first access."""
+        return EventList.from_schedule(self.schedule, self.instance)
 
     @property
     def scheduled_plans(self) -> list[int]:
@@ -86,26 +100,10 @@ def earliest_start(task: Task, plan: Plan, schedule: Schedule, window: TimeWindo
     return bound
 
 
-def get_event(t: int, el: EventList) -> Event:
-    """Event at instant ``t``, created (and inserted) if missing.
-
-    A created event inherits the resource usage of the nearest preceding
-    event: it splits that event's interval, which does not change what is
-    occupied when.  With no preceding event everything is free.
-    """
-    existing = el.at(t)
-    if existing is not None:
-        return existing
-    prev = el.prev_before(t)
-    event = Event(t, usage=set(prev.usage) if prev is not None else set())
-    el.insert(event)
-    return event
-
-
 def schedule_task(
     task: Task,
     s_w: Schedule,
-    el: EventList,
+    busy: Timelines,
     window: TimeWindow,
     *,
     plan: Plan,
@@ -115,10 +113,8 @@ def schedule_task(
     The start is the first instant from the task's temporal lower bound
     (:func:`earliest_start`) at which every needed resource is free for the
     whole duration, provided the task then completes by its due date and the
-    window end.  ``el`` must hold the window sentinel, an event at the window
-    start, as :func:`build_schedule` creates it.  On success the start and
-    completion events hold the task and the covered intervals are marked busy;
-    the function returns True.
+    window end.  On success the start is recorded and the task's interval is
+    added to the timeline of each of its resources; the function returns True.
 
     On failure nothing is written, and every task of ``plan`` already placed
     is removed as well (all-or-nothing plans), restoring the state from before
@@ -126,118 +122,119 @@ def schedule_task(
     """
     lower = earliest_start(task, plan, s_w, window)
     latest = min(task.due, window.end) - task.processing_time
-    start = _earliest_fit(task, lower, latest, el)
+    start = _earliest_fit(task, lower, latest, busy)
     if start is None:
-        rollback_plan(plan, s_w, el)
+        rollback_plan(plan, s_w, busy)
         return False
 
-    end = completion_time(task, start)
-    get_event(start, el).add_start(task.id)
-    get_event(end, el).add_completion(task.id)
     s_w.starts[task.id] = start
-    for event in el.between(start, end):
-        for rho in task.resources:
-            event.set_busy(rho)
+    end = completion_time(task, start)
+    for rho in task.resources:
+        line = busy.get(rho)
+        if line is None:
+            line = busy[rho] = ([], [])
+        starts, ends = line
+        i = bisect_left(starts, start)
+        starts.insert(i, start)
+        ends.insert(i, end)
     return True
 
 
-def _earliest_fit(task: Task, lower: int, latest: int, el: EventList) -> int | None:
+def _earliest_fit(task: Task, lower: int, latest: int, busy: Timelines) -> int | None:
     """First ``t`` in ``[lower, latest]`` with ``task``'s resources free over ``[t, t + p)``.
 
-    Reads the event list only.  A busy interval moves the candidate to the
-    interval's end; the walk stops once the candidate passes ``latest``.  The
-    interval after the last event is free.  None when no start fits.
+    On each resource only the last interval that starts before ``t + p`` needs
+    a look: ends are sorted as well, so if any interval overlaps ``[t, t + p)``
+    that one does, and no start before its end fits.  The candidate jumps to
+    that end and the resources are checked again, until none moves it or it
+    passes ``latest``.  None when no start fits.
     """
+    p = task.processing_time
+    lines = [line for line in map(busy.get, task.resources) if line is not None]
     t = lower
-    event = el.at_or_before(lower)
     while t <= latest:
-        nxt = el.next_after(event.time)
-        if nxt is None:
+        moved = False
+        for starts, ends in lines:
+            i = bisect_left(starts, t + p)
+            if i and ends[i - 1] > t:
+                t = ends[i - 1]
+                moved = True
+        if not moved:
             return t
-        if any(event.busy(rho) for rho in task.resources):
-            t = nxt.time
-        elif nxt.time >= t + task.processing_time:
-            return t
-        event = nxt
     return None
 
 
-def rollback_plan(plan: Plan, s_w: Schedule, el: EventList) -> None:
-    """Remove every placed task of ``plan`` from the schedule and event list.
+def rollback_plan(plan: Plan, s_w: Schedule, busy: Timelines) -> None:
+    """Remove every placed task of ``plan`` from the schedule and the timelines.
 
-    Resource markings are cleared over each removed task's interval (safe:
-    resources are unary, so nobody else holds them there) and events that end
-    up carrying no task are dropped, except the window sentinel.  The state
+    A timeline left without intervals is dropped, and a committed plan, which
+    is always the last one committed, comes off ``scheduled_plans``: the state
     afterwards equals the state before the plan was attempted.
     """
-    sentinel = el.first()
-    touched: set[int] = set()
     for task in plan.tasks:
         start = s_w.starts.pop(task.id, None)
         if start is None:
             continue
-        end = completion_time(task, start)
-        el.at(start).starting.discard(task.id)
-        el.at(end).completing.discard(task.id)
-        touched.update((start, end))
-        for event in el.between(start, end):
-            for rho in task.resources:
-                event.clear_busy(rho)
-            touched.add(event.time)
-    for t in sorted(touched):
-        event = el.at(t)
-        if event is not None and event is not sentinel and event.is_empty():
-            el.remove(t)
-    if plan.id in s_w.scheduled_plans:
-        s_w.scheduled_plans.remove(plan.id)
+        for rho in task.resources:
+            starts, ends = busy[rho]
+            i = bisect_left(starts, start)
+            del starts[i], ends[i]
+            if not starts:
+                del busy[rho]
+    if s_w.scheduled_plans and s_w.scheduled_plans[-1] == plan.id:
+        s_w.scheduled_plans.pop()
 
 
-def schedule_plan(plan: Plan, s_w: Schedule, el: EventList, window: TimeWindow) -> bool:
+def schedule_plan(plan: Plan, s_w: Schedule, busy: Timelines, window: TimeWindow) -> bool:
     """Insert all tasks of ``plan`` in order; False (and no state change) if any fails."""
     for task in plan.tasks:
-        if not schedule_task(task, s_w, el, window, plan=plan):
+        if not schedule_task(task, s_w, busy, window, plan=plan):
             return False
     s_w.scheduled_plans.append(plan.id)
     return True
 
 
-def idle_time_sum(plan: Plan, s_w: Schedule, el: EventList, window: TimeWindow) -> int:
+def idle_time_sum(plan: Plan, s_w: Schedule, busy: Timelines, window: TimeWindow) -> int:
     """Total idle time the placed ``plan`` leaves behind it.
 
     For each task: the gap between its start and the latest completion on one
     of its own resources, or the window start when none was used before.
-    Requires the plan to be placed in ``s_w``/``el`` already.
+    Requires the plan to be placed in ``s_w``/``busy`` already.
     """
     total = 0
     for task in plan.tasks:
         start = s_w.start_of(task.id)
         if start is None:
             raise PredecessorUnscheduled(f"task {task.id} is not placed in the schedule")
-        total += start - _latest_release_on(el, task.resources, start, window.start)
+        total += start - _latest_release_on(busy, task.resources, start, window.start)
     return total
 
 
-def _latest_release_on(el: EventList, resources, start: int, w_s: int) -> int:
+def _latest_release_on(busy: Timelines, resources, start: int, w_s: int) -> int:
     """Latest instant <= start at which one of ``resources`` turned free.
 
-    Walks event pairs: an occupied interval ending at an event time is a
-    completion on that resource.  At ``start`` itself the resource may already
-    carry the candidate task's own marking, so the transition test is relaxed
-    there.  Falls back to the window start when the resources were never used.
+    That is an interval end ``e <= start`` after which the resource stays free,
+    because none of its intervals starts at ``e``, or ``e == start``, where the
+    candidate task's own interval begins.  Only the next interval can start at
+    ``e``, so a back-to-back run is walked backwards to its first gap.  Falls
+    back to the window start when the resources were never used.
     """
     best = w_s
-    prev: Event | None = None
-    for event in el.between(w_s, start + 1):
-        if prev is not None:
-            for rho in resources:
-                if prev.busy(rho) and (not event.busy(rho) or event.time == start):
-                    best = max(best, event.time)
-                    break
-        prev = event
+    for rho in resources:
+        line = busy.get(rho)
+        if line is None:
+            continue
+        starts, ends = line
+        j = bisect_right(ends, start) - 1
+        while j >= 0 and ends[j] > best:
+            if ends[j] == start or j + 1 == len(starts) or starts[j + 1] != ends[j]:
+                best = ends[j]
+                break
+            j -= 1
     return best
 
 
-def schedule_plan_set(plans: list[Plan], s_w: Schedule, el: EventList, window: TimeWindow) -> set[int]:
+def schedule_plan_set(plans: list[Plan], s_w: Schedule, busy: Timelines, window: TimeWindow) -> set[int]:
     """Commit a group of equal-priority plans, lowest idle-time first.
 
     While two or more plans remain, each round trial-places every remaining
@@ -255,9 +252,9 @@ def schedule_plan_set(plans: list[Plan], s_w: Schedule, el: EventList, window: T
         best: Plan | None = None
         best_idle: int | None = None
         for plan in list(pending):
-            if schedule_plan(plan, s_w, el, window):
-                idle = idle_time_sum(plan, s_w, el, window)
-                rollback_plan(plan, s_w, el)
+            if schedule_plan(plan, s_w, busy, window):
+                idle = idle_time_sum(plan, s_w, busy, window)
+                rollback_plan(plan, s_w, busy)
                 if best_idle is None or idle <= best_idle:
                     best_idle = idle
                     best = plan
@@ -266,11 +263,11 @@ def schedule_plan_set(plans: list[Plan], s_w: Schedule, el: EventList, window: T
                 unscheduled.add(plan.id)
         if best is None:
             break
-        if not schedule_plan(best, s_w, el, window):
+        if not schedule_plan(best, s_w, busy, window):
             unscheduled.add(best.id)  # cannot happen: the trial's rollback restored the state
         pending.remove(best)
     for plan in pending:
-        if not schedule_plan(plan, s_w, el, window):
+        if not schedule_plan(plan, s_w, busy, window):
             unscheduled.add(plan.id)
     return unscheduled
 
@@ -291,8 +288,7 @@ def build_schedule(instance: Instance, config: EngineConfig | None = None) -> Sc
     """
     config = config or EngineConfig()
     window = instance.window
-    el = EventList()
-    el.insert(Event(window.start))  # window sentinel: scans may start at W_s
+    busy: Timelines = {}
     s_w = Schedule()
 
     frontier_of = instance.frontier_of
@@ -315,7 +311,7 @@ def build_schedule(instance: Instance, config: EngineConfig | None = None) -> Sc
                 else:
                     s_w.discarded_plans.append(member.id)
             group = kept
-        unscheduled = schedule_plan_set(group, s_w, el, window)
+        unscheduled = schedule_plan_set(group, s_w, busy, window)
         # group order keeps the discard list deterministic
         s_w.discarded_plans.extend(member.id for member in group if member.id in unscheduled)
-    return ScheduleResult(schedule=s_w, events=el)
+    return ScheduleResult(schedule=s_w, instance=instance)

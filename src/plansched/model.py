@@ -4,8 +4,8 @@ Immutable inputs (``TimeWindow``, ``Task``, ``Plan``, ``Instance``) validate the
 structural invariants at construction time.  ``Instance`` is the only place
 that reads the plan DAG: one pass rejects cycles and records each plan's
 frontier and DAG neighbours, which the ordering and the engine look up.
-Mutable working state (``EventList``, ``Schedule``) is owned by a single
-scheduler run.
+``Schedule`` is the mutable result of a single scheduler run; an
+``EventList`` is derived from it.
 """
 
 from __future__ import annotations
@@ -270,7 +270,7 @@ def build_instance(plans, plan_dag=(), resources=None, window=None) -> Instance:
     return Instance(plans=tuple(plans), plan_dag=frozenset(plan_dag), resources=res, window=window)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Event:
     """A time instant of the schedule, with the tasks starting/completing there.
 
@@ -279,41 +279,44 @@ class Event:
     """
 
     time: int
-    starting: set[TaskId] = field(default_factory=set)
-    completing: set[TaskId] = field(default_factory=set)
-    usage: set[int] = field(default_factory=set)
+    starting: frozenset[TaskId] = frozenset()
+    completing: frozenset[TaskId] = frozenset()
+    usage: frozenset[int] = frozenset()
 
     def busy(self, rho: int) -> bool:
         return rho in self.usage
 
-    def set_busy(self, rho: int) -> None:
-        self.usage.add(rho)
-
-    def clear_busy(self, rho: int) -> None:
-        self.usage.discard(rho)
-
-    def is_empty(self) -> bool:
-        return not self.starting and not self.completing
-
-    def add_start(self, task_id: TaskId) -> None:
-        assert task_id not in self.completing, "a task cannot start and complete at the same instant"
-        self.starting.add(task_id)
-
-    def add_completion(self, task_id: TaskId) -> None:
-        assert task_id not in self.starting, "a task cannot start and complete at the same instant"
-        self.completing.add(task_id)
-
 
 @dataclass
 class EventList:
-    """Events ordered by time, at most one per instant.
+    """Events ordered by time, at most one per instant, with order queries.
 
-    Supports order queries (next/previous event) and range iteration, which is
-    what the insertion scan of the scheduler needs.
+    The paper describes a schedule by this list; :meth:`from_schedule`
+    derives it from start times.
     """
 
     _times: list[int] = field(default_factory=list)
     _events: dict[int, Event] = field(default_factory=dict)
+
+    @classmethod
+    def from_schedule(cls, schedule: Schedule, instance: Instance) -> EventList:
+        """The event list of ``schedule``: one event at the window start and at
+        every start and completion instant, swept once in time order."""
+        starting: dict[int, list[Task]] = {}
+        completing: dict[int, list[Task]] = {}
+        for task in instance.iter_tasks():
+            start = schedule.starts.get(task.id)
+            if start is not None:
+                starting.setdefault(start, []).append(task)
+                completing.setdefault(completion_time(task, start), []).append(task)
+        events = cls()
+        held: set[int] = set()  # resources are unary: a release and a take at t never clash
+        for t in sorted({instance.window.start, *starting, *completing}):
+            begins, ends = starting.get(t, ()), completing.get(t, ())
+            held.difference_update(*(task.resources for task in ends))
+            held.update(*(task.resources for task in begins))
+            events.insert(Event(t, frozenset(k.id for k in begins), frozenset(k.id for k in ends), frozenset(held)))
+        return events
 
     def __len__(self) -> int:
         return len(self._times)
@@ -341,10 +344,6 @@ class EventList:
             raise ValueError(f"event already present at t={event.time}")
         insort(self._times, event.time)
         self._events[event.time] = event
-
-    def remove(self, t: int) -> None:
-        del self._events[t]
-        self._times.pop(bisect_left(self._times, t))
 
     def next_after(self, t: int) -> Event | None:
         """First event strictly after ``t``."""

@@ -8,8 +8,6 @@ import random
 import time
 
 from plansched import (
-    Event,
-    EventList,
     Schedule,
     build_schedule,
     exact_max_weight,
@@ -171,14 +169,12 @@ def test_criterion_property_suite():
         assert validate_schedule(instance, result.schedule).feasible
 
         # (b) rollback exactness after every forced failure
-        el = EventList()
-        el.insert(Event(instance.window.start))
-        s_w = Schedule()
+        s_w, busy = Schedule(), {}
         for plan in sort_plans(instance):
-            snap_s, snap_el = copy.deepcopy(s_w), copy.deepcopy(el)
-            if not schedule_plan(plan, s_w, el, instance.window):
+            snap_s, snap_busy = copy.deepcopy(s_w), copy.deepcopy(busy)
+            if not schedule_plan(plan, s_w, busy, instance.window):
                 rollback_failures += 1
-                assert s_w == snap_s and el == snap_el
+                assert s_w == snap_s and busy == snap_busy
 
         # (c) event-list size bound
         assert len(result.events) <= 2 * len(result.schedule.starts) + 2

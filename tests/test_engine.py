@@ -4,7 +4,6 @@ import pytest
 
 from plansched import (
     EngineConfig,
-    Event,
     EventList,
     PredecessorUnscheduled,
     Schedule,
@@ -15,7 +14,6 @@ from plansched import (
 )
 from plansched.engine import (
     earliest_start,
-    get_event,
     idle_time_sum,
     rollback_plan,
     schedule_plan,
@@ -25,25 +23,29 @@ from plansched.engine import (
 from conftest import make_plan
 
 
-def _fresh_state(window):
-    el = EventList()
-    el.insert(Event(window.start))
-    return Schedule(), el
+def _fresh_state():
+    """An empty schedule and empty busy timelines."""
+    return Schedule(), {}
 
 
-def _snapshot(el, resources=(1, 2, 3)):
+def _snapshot(events, resources=(1, 2, 3)):
     return [
         (e.time, sorted(e.starting), sorted(e.completing), tuple(e.busy(r) for r in resources))
-        for e in el
+        for e in events
     ]
+
+
+def _view(s_w, instance):
+    """The event list derived from the working schedule."""
+    return EventList.from_schedule(s_w, instance)
 
 
 def _load(instance, plan_ids):
     """Schedule the given plans in order on a fresh state."""
-    s_w, el = _fresh_state(instance.window)
+    s_w, busy = _fresh_state()
     for pid in plan_ids:
-        assert schedule_plan(instance.plan(pid), s_w, el, instance.window)
-    return s_w, el
+        assert schedule_plan(instance.plan(pid), s_w, busy, instance.window)
+    return s_w, busy
 
 
 # ------------------------------------------------------- start-time bounds
@@ -63,23 +65,23 @@ def _load(instance, plan_ids):
 )
 def test_schedule_task_bounds(window, blocker, row, expected):
     window = TimeWindow(*window)
-    s_w, el = _fresh_state(window)
+    s_w, busy = _fresh_state()
     if blocker is not None:
-        assert schedule_plan(make_plan(1, 9, [(1, blocker, 0, 100, {1}, [])]), s_w, el, window)
+        assert schedule_plan(make_plan(1, 9, [(1, blocker, 0, 100, {1}, [])]), s_w, busy, window)
     p, release, due = row
     plan = make_plan(2, 1, [(1, p, release, due, {1}, [])])
     task = plan.tasks[0]
-    before_schedule, before_events = copy.deepcopy(s_w), copy.deepcopy(el)
-    placed = schedule_task(task, s_w, el, window, plan=plan)
+    before_schedule, before_busy = copy.deepcopy(s_w), copy.deepcopy(busy)
+    placed = schedule_task(task, s_w, busy, window, plan=plan)
     if expected is None:
         assert not placed
         assert s_w == before_schedule
-        assert el == before_events
+        assert busy == before_busy
     else:
         assert placed
         assert s_w.starts[task.id] == expected
-        assert task.id in el.at(expected).starting
-        assert task.id in el.at(expected + p).completing
+        starts, ends = busy[1]
+        assert ends[starts.index(expected)] == expected + p
 
 
 # ------------------------------------------------------------- earliest start
@@ -107,34 +109,46 @@ def test_earliest_start_requires_predecessor(example1):
         earliest_start(plan.task(2), plan, Schedule(), example1.window)
 
 
-# ------------------------------------------------------------------ get_event
+# ------------------------------------------------------- busy timelines and view
 
-def test_get_event_exact_hit():
-    el = EventList()
-    el.insert(Event(2))
-    el.insert(Event(4))
-    assert get_event(4, el) is el.at(4)
-    assert el.times() == [2, 4]
-
-
-def test_get_event_inherits_usage():
-    el = EventList()
-    e2 = Event(2)
-    e2.set_busy(1)
-    el.insert(e2)
-    el.insert(Event(4))
-    created = get_event(3, el)
-    assert created.busy(1) == 1
-    assert el.times() == [2, 3, 4]
-    assert not created.starting and not created.completing
+def test_back_to_back_tasks_share_one_event():
+    window = TimeWindow(2, 10)
+    instance = build_instance(
+        [make_plan(1, 2, [(1, 2, 2, 10, {1}, [])]), make_plan(2, 1, [(1, 2, 2, 10, {1}, [])])],
+        window=window,
+    )
+    s_w, busy = _load(instance, [1, 2])
+    assert busy == {1: ([2, 4], [4, 6])}
+    events = _view(s_w, instance)
+    assert events.times() == [2, 4, 6]
+    assert events.at(4).completing == {(1, 1)} and events.at(4).starting == {(2, 1)}
 
 
-def test_get_event_on_empty_list():
-    el = EventList()
-    created = get_event(0, el)
-    assert created.time == 0
-    assert created.usage == set()
-    assert el.times() == [0]
+def test_view_event_inside_interval_keeps_usage():
+    window = TimeWindow(2, 10)
+    instance = build_instance(
+        [make_plan(1, 2, [(1, 4, 2, 10, {1}, [])]), make_plan(2, 1, [(1, 1, 3, 10, {2}, [])])],
+        window=window,
+    )
+    s_w, busy = _load(instance, [1, 2])
+    assert busy == {1: ([2], [6]), 2: ([3], [4])}
+    events = _view(s_w, instance)
+    assert events.times() == [2, 3, 4, 6]
+    assert events.at(3).busy(1) and events.at(3).busy(2)
+    assert events.at(4).busy(1) and not events.at(4).busy(2)
+    assert not events.at(3).completing
+
+
+def test_first_placement_on_empty_state():
+    window = TimeWindow(0, 10)
+    instance = build_instance([make_plan(1, 1, [(1, 2, 0, 10, {1}, [])])], window=window)
+    empty = _view(Schedule(), instance)
+    assert empty.times() == [0] and empty.at(0).usage == set()
+    s_w, busy = _load(instance, [1])
+    assert busy == {1: ([0], [2])}
+    events = _view(s_w, instance)
+    assert events.times() == [0, 2]
+    assert events.at(0).usage == {1} and events.at(0).starting == {(1, 1)}
 
 
 # -------------------------------------------------------------- task insertion
@@ -142,21 +156,24 @@ def test_get_event_on_empty_list():
 def test_schedule_task_failure_leaves_no_trace():
     window = TimeWindow(0, 10)
     plan = make_plan(1, 1, [(1, 2, 12, 15, {1}, [])])  # entirely after the window
-    s_w, el = _fresh_state(window)
-    before = _snapshot(el)
-    assert not schedule_task(plan.tasks[0], s_w, el, window, plan=plan)
-    assert _snapshot(el) == before
+    s_w, busy = _fresh_state()
+    assert not schedule_task(plan.tasks[0], s_w, busy, window, plan=plan)
+    assert busy == {}
     assert s_w == Schedule()
 
 
 def test_schedule_task_scans_past_conflicts(example2):
     # J5.2 needs resources 1 and 3 at once; first free slot is t=9
-    s_w, el = _load(example2, [1, 2, 3, 4])
+    s_w, busy = _load(example2, [1, 2, 3, 4])
     plan = example2.plan(5)
-    assert schedule_task(plan.task(1), s_w, el, example2.window, plan=plan)
-    assert schedule_task(plan.task(2), s_w, el, example2.window, plan=plan)
+    assert schedule_task(plan.task(1), s_w, busy, example2.window, plan=plan)
+    assert schedule_task(plan.task(2), s_w, busy, example2.window, plan=plan)
     assert s_w.starts[(5, 2)] == 9
-    assert el.at(10) is not None and (5, 2) in el.at(10).completing
+    for rho in (1, 3):
+        starts, ends = busy[rho]
+        assert ends[starts.index(9)] == 10
+    events = _view(s_w, example2)
+    assert events.at(10) is not None and (5, 2) in events.at(10).completing
 
 
 def test_abandoned_candidate_event_is_pruned():
@@ -164,11 +181,11 @@ def test_abandoned_candidate_event_is_pruned():
     blocker = make_plan(1, 2, [(1, 6, 0, 20, {1}, [])])
     mover = make_plan(2, 1, [(1, 2, 3, 20, {1}, [])])  # lower bound 3 sits inside [0,6)
     instance = build_instance([blocker, mover], window=window)
-    s_w, el = _load(instance, [1])
-    assert schedule_plan(instance.plan(2), s_w, el, window)
+    s_w, busy = _load(instance, [1])
+    assert schedule_plan(instance.plan(2), s_w, busy, window)
     assert s_w.starts[(2, 1)] == 6
-    assert 3 not in el.times()  # the candidate event at t=3 was dropped again
-    assert el.times() == [0, 6, 8]
+    assert busy == {1: ([0, 6], [6, 8])}  # nothing was written at the candidate t=3
+    assert _view(s_w, instance).times() == [0, 6, 8]
 
 
 # ------------------------------------------------- the worked example, golden
@@ -203,20 +220,20 @@ TABLE_AFTER_PLAN_5 = [
 
 
 def test_insertion_progression_matches_worked_tables(example2):
-    s_w, el = _load(example2, [1, 2])
+    s_w, busy = _load(example2, [1, 2])
     assert s_w.starts == {(1, 1): 2, (1, 2): 7, (2, 1): 4, (2, 2): 6}
 
-    assert schedule_plan(example2.plan(3), s_w, el, example2.window)
+    assert schedule_plan(example2.plan(3), s_w, busy, example2.window)
     assert s_w.starts[(3, 1)] == 2
-    assert _snapshot(el) == TABLE_AFTER_PLAN_3
+    assert _snapshot(_view(s_w, example2)) == TABLE_AFTER_PLAN_3
 
-    assert schedule_plan(example2.plan(4), s_w, el, example2.window)
+    assert schedule_plan(example2.plan(4), s_w, busy, example2.window)
     assert s_w.starts[(4, 1)] == 2 and s_w.starts[(4, 2)] == 6
-    assert _snapshot(el) == TABLE_AFTER_PLAN_4
+    assert _snapshot(_view(s_w, example2)) == TABLE_AFTER_PLAN_4
 
-    assert schedule_plan(example2.plan(5), s_w, el, example2.window)
+    assert schedule_plan(example2.plan(5), s_w, busy, example2.window)
     assert s_w.starts[(5, 1)] == 6 and s_w.starts[(5, 2)] == 9
-    assert _snapshot(el) == TABLE_AFTER_PLAN_5
+    assert _snapshot(_view(s_w, example2)) == TABLE_AFTER_PLAN_5
 
 
 def test_build_schedule_full_example(example2):
@@ -229,8 +246,8 @@ def test_build_schedule_full_example(example2):
 
 
 def test_schedule_plan_example1(example1):
-    s_w, el = _load(example1, [1])
-    assert schedule_plan(example1.plan(2), s_w, el, example1.window)
+    s_w, busy = _load(example1, [1])
+    assert schedule_plan(example1.plan(2), s_w, busy, example1.window)
     assert s_w.starts[(2, 1)] == 3
     assert s_w.starts[(2, 2)] == 5
 
@@ -247,38 +264,38 @@ def test_schedule_plan_rolls_back_partial_placement():
         ],
         window=window,
     )
-    s_w, el = _load(instance, [1])
+    s_w, busy = _load(instance, [1])
     before_schedule = copy.deepcopy(s_w)
-    before_events = copy.deepcopy(el)
-    assert not schedule_plan(instance.plan(2), s_w, el, window)
+    before_busy = copy.deepcopy(busy)
+    assert not schedule_plan(instance.plan(2), s_w, busy, window)
     assert s_w == before_schedule
-    assert el == before_events
+    assert busy == before_busy
 
 
 def test_rollback_removes_committed_plan(example2):
-    s_w, el = _load(example2, [1, 2])
+    s_w, busy = _load(example2, [1, 2])
     before_schedule = copy.deepcopy(s_w)
-    before_events = copy.deepcopy(el)
-    assert schedule_plan(example2.plan(3), s_w, el, example2.window)
-    rollback_plan(example2.plan(3), s_w, el)
+    before_busy = copy.deepcopy(busy)
+    assert schedule_plan(example2.plan(3), s_w, busy, example2.window)
+    rollback_plan(example2.plan(3), s_w, busy)
     assert s_w == before_schedule
-    assert el == before_events
+    assert busy == before_busy
 
 
 # --------------------------------------------------------------- idle metric
 
 def test_idle_time_sums_on_shared_priority_group(idle_example):
     window = idle_example.window
-    s_w, el = _load(idle_example, [1, 2])
-    trial_s, trial_el = copy.deepcopy(s_w), copy.deepcopy(el)
-    assert schedule_plan(idle_example.plan(3), trial_s, trial_el, window)
+    s_w, busy = _load(idle_example, [1, 2])
+    trial_s, trial_busy = copy.deepcopy(s_w), copy.deepcopy(busy)
+    assert schedule_plan(idle_example.plan(3), trial_s, trial_busy, window)
     assert trial_s.starts[(3, 1)] == 4
-    assert idle_time_sum(idle_example.plan(3), trial_s, trial_el, window) == 2
+    assert idle_time_sum(idle_example.plan(3), trial_s, trial_busy, window) == 2
 
-    trial_s, trial_el = copy.deepcopy(s_w), copy.deepcopy(el)
-    assert schedule_plan(idle_example.plan(4), trial_s, trial_el, window)
+    trial_s, trial_busy = copy.deepcopy(s_w), copy.deepcopy(busy)
+    assert schedule_plan(idle_example.plan(4), trial_s, trial_busy, window)
     assert trial_s.starts == {**s_w.starts, (4, 1): 3, (4, 2): 4}
-    assert idle_time_sum(idle_example.plan(4), trial_s, trial_el, window) == 1
+    assert idle_time_sum(idle_example.plan(4), trial_s, trial_busy, window) == 1
 
 
 def test_idle_zero_when_start_meets_completion():
@@ -290,19 +307,19 @@ def test_idle_zero_when_start_meets_completion():
         ],
         window=window,
     )
-    s_w, el = _load(instance, [1])
-    assert schedule_plan(instance.plan(2), s_w, el, window)
+    s_w, busy = _load(instance, [1])
+    assert schedule_plan(instance.plan(2), s_w, busy, window)
     assert s_w.starts[(2, 1)] == 3  # back to back on resource 1
-    assert idle_time_sum(instance.plan(2), s_w, el, window) == 0
+    assert idle_time_sum(instance.plan(2), s_w, busy, window) == 0
 
 
 # ----------------------------------------------------------- plan-set commits
 
 def test_plan_set_commits_lowest_idle_first(idle_example):
     window = idle_example.window
-    s_w, el = _load(idle_example, [1, 2])
+    s_w, busy = _load(idle_example, [1, 2])
     unscheduled = schedule_plan_set(
-        [idle_example.plan(3), idle_example.plan(4)], s_w, el, window
+        [idle_example.plan(3), idle_example.plan(4)], s_w, busy, window
     )
     assert unscheduled == set()
     assert s_w.scheduled_plans == [1, 2, 4, 3]  # 4 first: idle 1 beats idle 2
@@ -313,10 +330,9 @@ def test_plan_set_single_infeasible_plan():
     instance = build_instance(
         [make_plan(1, 1, [(1, 5, 0, 3, {1}, [])])], window=window  # cannot fit
     )
-    s_w, el = _fresh_state(window)
-    before = copy.deepcopy(el)
-    assert schedule_plan_set([instance.plan(1)], s_w, el, window) == {1}
-    assert el == before
+    s_w, busy = _fresh_state()
+    assert schedule_plan_set([instance.plan(1)], s_w, busy, window) == {1}
+    assert busy == {}
     assert s_w.starts == {}
 
 
@@ -329,8 +345,8 @@ def test_plan_set_tie_goes_to_last_examined():
         ],
         window=window,
     )
-    s_w, el = _fresh_state(window)
-    assert schedule_plan_set([instance.plan(1), instance.plan(2)], s_w, el, window) == set()
+    s_w, busy = _fresh_state()
+    assert schedule_plan_set([instance.plan(1), instance.plan(2)], s_w, busy, window) == set()
     assert s_w.scheduled_plans == [2, 1]  # equal idle: the later trial wins
     assert s_w.starts == {(1, 1): 0, (2, 1): 0}
 

@@ -114,13 +114,6 @@ def test_build_instance_rejects_unknown_dag_plan():
         build_instance([plan], plan_dag={(1, 9)}, window=TimeWindow(0, 10))
 
 
-def test_event_start_completion_disjoint():
-    event = Event(3)
-    event.add_start((1, 1))
-    with pytest.raises(AssertionError):
-        event.add_completion((1, 1))
-
-
 def test_event_list_order_queries():
     el = EventList()
     for t in (4, 2, 9):
@@ -137,5 +130,3 @@ def test_event_list_order_queries():
     assert el.first().time == 2 and el.last().time == 9
     with pytest.raises(ValueError):
         el.insert(Event(4))
-    el.remove(4)
-    assert el.times() == [2, 9]

@@ -4,8 +4,6 @@ import copy
 import random
 
 from plansched import (
-    Event,
-    EventList,
     Schedule,
     build_schedule,
     objective,
@@ -35,16 +33,14 @@ def test_rollback_is_bit_exact_on_every_failure():
     failures = 0
     for _ in range(150):
         instance = random_instance(rng, impossible_prob=0.35)
-        el = EventList()
-        el.insert(Event(instance.window.start))
-        s_w = Schedule()
+        s_w, busy = Schedule(), {}
         last_objective = 0
         for plan in sort_plans(instance):
-            snapshot_s, snapshot_el = copy.deepcopy(s_w), copy.deepcopy(el)
-            if not schedule_plan(plan, s_w, el, instance.window):
+            snapshot_s, snapshot_busy = copy.deepcopy(s_w), copy.deepcopy(busy)
+            if not schedule_plan(plan, s_w, busy, instance.window):
                 failures += 1
                 assert s_w == snapshot_s
-                assert el == snapshot_el
+                assert busy == snapshot_busy
             value = objective(instance, s_w)
             assert value >= last_objective  # plans are only ever added
             last_objective = value
@@ -71,15 +67,13 @@ def test_every_placement_is_the_earliest_feasible_instant():
     for _ in range(150):
         instance = random_instance(rng, max_plans=6)
         window = instance.window
-        el = EventList()
-        el.insert(Event(window.start))
-        s_w = Schedule()
+        s_w, busy = Schedule(), {}
         for plan in sort_plans(instance):
             for task in plan.tasks:
                 lower = earliest_start(task, plan, s_w, window)
                 latest = min(task.due, window.end) - task.processing_time
                 expected = _brute_force_start(instance, task, s_w, lower, latest)
-                placed = schedule_task(task, s_w, el, window, plan=plan)
+                placed = schedule_task(task, s_w, busy, window, plan=plan)
                 assert placed == (expected is not None), (instance, task)
                 if not placed:
                     failed += 1
@@ -152,6 +146,26 @@ def test_event_usage_matches_task_intervals():
         }
         last = result.events.last()
         assert last is None or not last.usage
+
+
+def test_event_view_matches_start_times():
+    rng = random.Random(base_seed() + 8)
+    for _ in range(150):
+        instance = random_instance(rng)
+        result = build_schedule(instance)
+        spans = [
+            (start, start + instance.task(tid).processing_time, instance.task(tid).resources)
+            for tid, start in result.schedule.starts.items()
+        ]
+        events = list(result.events)
+        assert [e.time for e in events] == sorted({instance.window.start} | {t for s, e, _ in spans for t in (s, e)})
+        for event, following in zip(events, events[1:] + [None]):
+            assert not event.starting & event.completing, event
+            until = following.time if following is not None else float("inf")
+            overlapping = [(s, e, res) for s, e, res in spans if s < until and e > event.time]
+            # no task starts or completes strictly inside [t, next event)
+            assert all(s <= event.time and until <= e for s, e, _ in overlapping), event
+            assert event.usage == set().union(*(res for _, _, res in overlapping)), event
 
 
 def test_json_round_trips_are_lossless():
