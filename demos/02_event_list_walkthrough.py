@@ -10,9 +10,10 @@ This walkthrough uses the bundled five-plan example: plans 1 and 2 go in
 first, then 3, 4 and 5 squeeze into the gaps.
 """
 
-from plansched import EventList, Schedule
+from plansched import Schedule
 from plansched.data import load_bundled
 from plansched.engine import schedule_plan
+from plansched.model import event_list
 
 instance = load_bundled("example2.json")
 window = instance.window
@@ -26,13 +27,13 @@ def show(events, resources=(1, 2, 3)):
     for event in events:
         starting = ",".join(f"J{p}.{i}" for p, i in sorted(event.starting)) or "-"
         completing = ",".join(f"J{p}.{i}" for p, i in sorted(event.completing)) or "-"
-        bits = "  ".join(str(int(event.busy(r))) for r in resources)
+        bits = "  ".join(str(int(r in event.usage)) for r in resources)
         print(f"  {event.time:>3} {starting:<24} {completing:<24} {bits}")
 
 
 for plan in instance.plans:
     ok = schedule_plan(plan, working, busy, window)
     print(f"\nafter inserting plan {plan.id} ({'placed' if ok else 'rejected'}):")
-    show(EventList.from_schedule(working, instance))
+    show(event_list(working, instance))
 
 print("\nfinal start times:", {f"J{p}.{i}": s for (p, i), s in sorted(working.starts.items())})

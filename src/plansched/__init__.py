@@ -19,8 +19,6 @@ from .model import (
     BadWindow,
     CyclicPlanDag,
     CyclicTaskGraph,
-    Event,
-    EventList,
     Instance,
     InstanceError,
     Plan,
@@ -69,8 +67,6 @@ __all__ = [
     "CyclicPlanDag",
     "CyclicTaskGraph",
     "EngineConfig",
-    "Event",
-    "EventList",
     "GLOBAL_WINDOW",
     "INTRA_PLAN_PRECEDENCE",
     "Instance",

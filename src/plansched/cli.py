@@ -15,7 +15,7 @@ from .gantt import render_gantt
 from .model import SchedulingError
 from .oracle import exact_max_weight
 from .scenarios import SCENARIOS, BadScenario, generate_scenario
-from .serialize import dumps_schedule, parse_instance, parse_schedule
+from .serialize import emit_schedule, parse_instance, parse_schedule
 from .validate import validate_schedule
 
 
@@ -61,9 +61,7 @@ def _cmd_schedule(args) -> int:
         f"objective {report.objective}"
     )
     if args.out:
-        events = result.events if args.debug_events else None
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dumps_schedule(result.schedule, instance, events))
+        emit_schedule(result.schedule, instance, args.out, events=result.events if args.debug_events else None)
     if args.gantt:
         with open(args.gantt, "w", encoding="utf-8") as fh:
             fh.write(render_gantt(result.schedule, instance, args.gantt_format))

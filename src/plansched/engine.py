@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .model import (
-    EventList,
+    Event,
     Instance,
     Plan,
     PredecessorUnscheduled,
@@ -40,6 +40,7 @@ from .model import (
     Task,
     TimeWindow,
     completion_time,
+    event_list,
 )
 from .ordering import sort_plans
 
@@ -72,9 +73,9 @@ class ScheduleResult:
     instance: Instance = field(repr=False)
 
     @cached_property
-    def events(self) -> EventList:
+    def events(self) -> tuple[Event, ...]:
         """The event list of the schedule, built on first access."""
-        return EventList.from_schedule(self.schedule, self.instance)
+        return event_list(self.schedule, self.instance)
 
     @property
     def scheduled_plans(self) -> list[int]:
@@ -93,7 +94,7 @@ def earliest_start(task: Task, plan: Plan, schedule: Schedule, window: TimeWindo
     """
     bound = max(window.start, task.release)
     for j, lag in task.predecessors:
-        pred_start = schedule.start_of((task.plan_id, j))
+        pred_start = schedule.starts.get((task.plan_id, j))
         if pred_start is None:
             raise PredecessorUnscheduled(f"task {task.id}: predecessor {j} has no start time")
         bound = max(bound, completion_time(plan.task(j), pred_start) + lag)
@@ -203,7 +204,7 @@ def idle_time_sum(plan: Plan, s_w: Schedule, busy: Timelines, window: TimeWindow
     """
     total = 0
     for task in plan.tasks:
-        start = s_w.start_of(task.id)
+        start = s_w.starts.get(task.id)
         if start is None:
             raise PredecessorUnscheduled(f"task {task.id} is not placed in the schedule")
         total += start - _latest_release_on(busy, task.resources, start, window.start)

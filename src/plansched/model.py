@@ -4,13 +4,13 @@ Immutable inputs (``TimeWindow``, ``Task``, ``Plan``, ``Instance``) validate the
 structural invariants at construction time.  ``Instance`` is the only place
 that reads the plan DAG: one pass rejects cycles and records each plan's
 frontier and DAG neighbours, which the ordering and the engine look up.
-``Schedule`` is the mutable result of a single scheduler run; an
-``EventList`` is derived from it.
+``Schedule`` is the mutable result of a single scheduler run;
+:func:`event_list` derives the paper's event list, a tuple of ``Event``s,
+from its start times.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
 # A task is identified by (plan id, task index within the plan).
@@ -283,88 +283,25 @@ class Event:
     completing: frozenset[TaskId] = frozenset()
     usage: frozenset[int] = frozenset()
 
-    def busy(self, rho: int) -> bool:
-        return rho in self.usage
 
-
-@dataclass
-class EventList:
-    """Events ordered by time, at most one per instant, with order queries.
-
-    The paper describes a schedule by this list; :meth:`from_schedule`
-    derives it from start times.
-    """
-
-    _times: list[int] = field(default_factory=list)
-    _events: dict[int, Event] = field(default_factory=dict)
-
-    @classmethod
-    def from_schedule(cls, schedule: Schedule, instance: Instance) -> EventList:
-        """The event list of ``schedule``: one event at the window start and at
-        every start and completion instant, swept once in time order."""
-        starting: dict[int, list[Task]] = {}
-        completing: dict[int, list[Task]] = {}
-        for task in instance.iter_tasks():
-            start = schedule.starts.get(task.id)
-            if start is not None:
-                starting.setdefault(start, []).append(task)
-                completing.setdefault(completion_time(task, start), []).append(task)
-        events = cls()
-        held: set[int] = set()  # resources are unary: a release and a take at t never clash
-        for t in sorted({instance.window.start, *starting, *completing}):
-            begins, ends = starting.get(t, ()), completing.get(t, ())
-            held.difference_update(*(task.resources for task in ends))
-            held.update(*(task.resources for task in begins))
-            events.insert(Event(t, frozenset(k.id for k in begins), frozenset(k.id for k in ends), frozenset(held)))
-        return events
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-    def __iter__(self):
-        return (self._events[t] for t in self._times)
-
-    def __bool__(self) -> bool:
-        return bool(self._times)
-
-    def times(self) -> list[int]:
-        return list(self._times)
-
-    def at(self, t: int) -> Event | None:
-        return self._events.get(t)
-
-    def first(self) -> Event | None:
-        return self._events[self._times[0]] if self._times else None
-
-    def last(self) -> Event | None:
-        return self._events[self._times[-1]] if self._times else None
-
-    def insert(self, event: Event) -> None:
-        if event.time in self._events:
-            raise ValueError(f"event already present at t={event.time}")
-        insort(self._times, event.time)
-        self._events[event.time] = event
-
-    def next_after(self, t: int) -> Event | None:
-        """First event strictly after ``t``."""
-        i = bisect_right(self._times, t)
-        return self._events[self._times[i]] if i < len(self._times) else None
-
-    def prev_before(self, t: int) -> Event | None:
-        """Last event strictly before ``t``."""
-        i = bisect_left(self._times, t)
-        return self._events[self._times[i - 1]] if i > 0 else None
-
-    def at_or_before(self, t: int) -> Event | None:
-        """Last event at or before ``t``."""
-        i = bisect_right(self._times, t)
-        return self._events[self._times[i - 1]] if i > 0 else None
-
-    def between(self, lo: int, hi: int) -> list[Event]:
-        """Events with ``lo <= time < hi`` in time order."""
-        i = bisect_left(self._times, lo)
-        j = bisect_left(self._times, hi)
-        return [self._events[t] for t in self._times[i:j]]
+def event_list(schedule: Schedule, instance: Instance) -> tuple[Event, ...]:
+    """The paper's event list of ``schedule``: one event at the window start and
+    at every start and completion instant, swept once in time order."""
+    starting: dict[int, list[Task]] = {}
+    completing: dict[int, list[Task]] = {}
+    for task in instance.iter_tasks():
+        start = schedule.starts.get(task.id)
+        if start is not None:
+            starting.setdefault(start, []).append(task)
+            completing.setdefault(completion_time(task, start), []).append(task)
+    events: list[Event] = []
+    held: set[int] = set()  # resources are unary: a release and a take at t never clash
+    for t in sorted({instance.window.start, *starting, *completing}):
+        begins, ends = starting.get(t, ()), completing.get(t, ())
+        held.difference_update(*(task.resources for task in ends))
+        held.update(*(task.resources for task in begins))
+        events.append(Event(t, frozenset(k.id for k in begins), frozenset(k.id for k in ends), frozenset(held)))
+    return tuple(events)
 
 
 @dataclass
@@ -380,6 +317,3 @@ class Schedule:
     starts: dict[TaskId, int] = field(default_factory=dict)
     scheduled_plans: list[int] = field(default_factory=list)
     discarded_plans: list[int] = field(default_factory=list)
-
-    def start_of(self, task_id: TaskId) -> int | None:
-        return self.starts.get(task_id)

@@ -35,7 +35,7 @@ import json
 from pathlib import Path
 
 from .model import (
-    EventList,
+    Event,
     Instance,
     Plan,
     Schedule,
@@ -170,7 +170,7 @@ def emit_instance(instance: Instance, path) -> None:
     Path(path).write_text(dumps_instance(instance), encoding="utf-8")
 
 
-def schedule_to_dict(schedule: Schedule, instance: Instance, events: EventList | None = None) -> dict:
+def schedule_to_dict(schedule: Schedule, instance: Instance, events: tuple[Event, ...] | None = None) -> dict:
     task_of = {task.id: task for task in instance.iter_tasks()}
     doc = {
         "starts": [
@@ -210,18 +210,25 @@ def schedule_from_dict(doc: dict) -> Schedule:
         if key in starts:
             raise ParseError(f"{where}: duplicate start for plan {key[0]} task {key[1]}")
         starts[key] = _as_int(_require(entry, "start", where), f"{where}.start")
-    return Schedule(
-        starts=starts,
-        scheduled_plans=[_as_int(v, "scheduled[]") for v in _as_list(doc.get("scheduled", []), "scheduled")],
-        discarded_plans=[_as_int(v, "discarded[]") for v in _as_list(doc.get("discarded", []), "discarded")],
-    )
+    return Schedule(starts, _plan_ids(doc, "scheduled"), _plan_ids(doc, "discarded"))
 
 
-def dumps_schedule(schedule: Schedule, instance: Instance, events: EventList | None = None) -> str:
+def _plan_ids(doc: dict, key: str) -> list[int]:
+    """The plan ids listed under ``key``, in order; a repeated id is rejected."""
+    ids: dict[int, None] = {}
+    for i, value in enumerate(_as_list(doc.get(key, []), key)):
+        plan_id = _as_int(value, f"{key}[{i}]")
+        if plan_id in ids:
+            raise ParseError(f"{key}[{i}]: plan {plan_id} is listed twice")
+        ids[plan_id] = None
+    return list(ids)
+
+
+def dumps_schedule(schedule: Schedule, instance: Instance, events: tuple[Event, ...] | None = None) -> str:
     return json.dumps(schedule_to_dict(schedule, instance, events), indent=2) + "\n"
 
 
-def emit_schedule(schedule: Schedule, instance: Instance, path, *, events: EventList | None = None) -> None:
+def emit_schedule(schedule: Schedule, instance: Instance, path, *, events: tuple[Event, ...] | None = None) -> None:
     """Write a schedule document; ``events`` adds the debug event section."""
     Path(path).write_text(dumps_schedule(schedule, instance, events), encoding="utf-8")
 

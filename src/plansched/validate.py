@@ -65,16 +65,17 @@ def objective(instance: Instance, schedule: Schedule) -> int:
 def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationReport:
     """Check every constraint for ``schedule`` against ``instance``.
 
-    Raises :class:`UnknownTask` when the schedule names a task the instance
-    does not have; every other problem lands in the report.
+    Raises :class:`UnknownTask` when the schedule names a task or a plan the
+    instance does not have; every other problem lands in the report.
     """
-    known: dict[TaskId, tuple[int, int]] = {}
-    for plan in instance.plans:
-        for task in plan.tasks:
-            known[task.id] = (task.release, task.due)
+    known = {task.id for task in instance.iter_tasks()}
     for task_id in schedule.starts:
         if task_id not in known:
             raise UnknownTask(f"schedule references unknown task {task_id}")
+    scheduled, discarded = set(schedule.scheduled_plans), set(schedule.discarded_plans)
+    unknown = (scheduled | discarded) - {plan.id for plan in instance.plans}
+    if unknown:
+        raise UnknownTask(f"schedule lists unknown plans {sorted(unknown)}")
 
     report = ValidationReport()
     window = instance.window
@@ -166,11 +167,11 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
                     f"{len(placed)} of {plan.task_count} tasks placed; plans are all-or-nothing",
                 )
             )
-        if plan.id in schedule.scheduled_plans and plan.id not in covered:
+        if plan.id in scheduled and plan.id not in covered:
             report.violations.append(
                 Violation(PARTIAL_PLAN, plan.id, None, "marked scheduled without complete starts")
             )
-        if plan.id in schedule.discarded_plans and placed:
+        if plan.id in discarded and placed:
             report.violations.append(
                 Violation(PARTIAL_PLAN, plan.id, None, "marked discarded but has placed tasks")
             )

@@ -71,6 +71,19 @@ def test_validate_infeasible_exit_one(tmp_path, capsys):
     assert "violation" in out and "infeasible" in out
 
 
+@pytest.mark.parametrize("scheduled", [[1, 2, 999], [1, 2, 1, 2]], ids=["unknown", "repeated"])
+def test_validate_bad_plan_list_exit_two(tmp_path, capsys, scheduled):
+    instance = example1_instance()
+    instance_path = tmp_path / "example1.json"
+    instance_path.write_text(dumps_instance(instance))
+    doc = json.loads(dumps_schedule(Schedule(starts={(1, 1): 2, (2, 1): 3, (2, 2): 5}), instance))
+    doc["scheduled"] = scheduled
+    schedule_path = tmp_path / "bad.json"
+    schedule_path.write_text(json.dumps(doc))
+    assert main(["validate", str(instance_path), str(schedule_path)]) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_missing_file_exit_two(capsys):
     assert main(["schedule", "missing.json"]) == 2
     assert "error" in capsys.readouterr().err

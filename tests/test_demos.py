@@ -1,4 +1,8 @@
-"""Every demo script runs to completion against the package in ``src``."""
+"""Every demo script runs to completion against the package in ``src``.
+
+Each demo but the timing one must also print exactly the stdout pinned in
+``tests/golden/demos/<name>.txt``.
+"""
 
 import os
 import subprocess
@@ -9,6 +13,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PINNED = ROOT / "tests" / "golden" / "demos"
+UNPINNED = {"03_benchmark"}  # prints wall-clock timings
 
 
 def test_demos_exist():
@@ -22,3 +28,5 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+    if demo.stem not in UNPINNED:
+        assert proc.stdout == (PINNED / f"{demo.stem}.txt").read_text()

@@ -4,7 +4,6 @@ import pytest
 
 from plansched import (
     EngineConfig,
-    EventList,
     PredecessorUnscheduled,
     Schedule,
     TimeWindow,
@@ -20,6 +19,7 @@ from plansched.engine import (
     schedule_plan_set,
     schedule_task,
 )
+from plansched.model import event_list
 from conftest import make_plan
 
 
@@ -30,14 +30,14 @@ def _fresh_state():
 
 def _snapshot(events, resources=(1, 2, 3)):
     return [
-        (e.time, sorted(e.starting), sorted(e.completing), tuple(e.busy(r) for r in resources))
+        (e.time, sorted(e.starting), sorted(e.completing), tuple(r in e.usage for r in resources))
         for e in events
     ]
 
 
 def _view(s_w, instance):
-    """The event list derived from the working schedule."""
-    return EventList.from_schedule(s_w, instance)
+    """The event list derived from the working schedule, keyed by time."""
+    return {e.time: e for e in event_list(s_w, instance)}
 
 
 def _load(instance, plan_ids):
@@ -120,8 +120,8 @@ def test_back_to_back_tasks_share_one_event():
     s_w, busy = _load(instance, [1, 2])
     assert busy == {1: ([2, 4], [4, 6])}
     events = _view(s_w, instance)
-    assert events.times() == [2, 4, 6]
-    assert events.at(4).completing == {(1, 1)} and events.at(4).starting == {(2, 1)}
+    assert list(events) == [2, 4, 6]
+    assert events[4].completing == {(1, 1)} and events[4].starting == {(2, 1)}
 
 
 def test_view_event_inside_interval_keeps_usage():
@@ -133,22 +133,22 @@ def test_view_event_inside_interval_keeps_usage():
     s_w, busy = _load(instance, [1, 2])
     assert busy == {1: ([2], [6]), 2: ([3], [4])}
     events = _view(s_w, instance)
-    assert events.times() == [2, 3, 4, 6]
-    assert events.at(3).busy(1) and events.at(3).busy(2)
-    assert events.at(4).busy(1) and not events.at(4).busy(2)
-    assert not events.at(3).completing
+    assert list(events) == [2, 3, 4, 6]
+    assert 1 in events[3].usage and 2 in events[3].usage
+    assert 1 in events[4].usage and 2 not in events[4].usage
+    assert not events[3].completing
 
 
 def test_first_placement_on_empty_state():
     window = TimeWindow(0, 10)
     instance = build_instance([make_plan(1, 1, [(1, 2, 0, 10, {1}, [])])], window=window)
     empty = _view(Schedule(), instance)
-    assert empty.times() == [0] and empty.at(0).usage == set()
+    assert list(empty) == [0] and empty[0].usage == set()
     s_w, busy = _load(instance, [1])
     assert busy == {1: ([0], [2])}
     events = _view(s_w, instance)
-    assert events.times() == [0, 2]
-    assert events.at(0).usage == {1} and events.at(0).starting == {(1, 1)}
+    assert list(events) == [0, 2]
+    assert events[0].usage == {1} and events[0].starting == {(1, 1)}
 
 
 # -------------------------------------------------------------- task insertion
@@ -173,7 +173,7 @@ def test_schedule_task_scans_past_conflicts(example2):
         starts, ends = busy[rho]
         assert ends[starts.index(9)] == 10
     events = _view(s_w, example2)
-    assert events.at(10) is not None and (5, 2) in events.at(10).completing
+    assert 10 in events and (5, 2) in events[10].completing
 
 
 def test_abandoned_candidate_event_is_pruned():
@@ -185,7 +185,7 @@ def test_abandoned_candidate_event_is_pruned():
     assert schedule_plan(instance.plan(2), s_w, busy, window)
     assert s_w.starts[(2, 1)] == 6
     assert busy == {1: ([0, 6], [6, 8])}  # nothing was written at the candidate t=3
-    assert _view(s_w, instance).times() == [0, 6, 8]
+    assert list(_view(s_w, instance)) == [0, 6, 8]
 
 
 # ------------------------------------------------- the worked example, golden
@@ -225,22 +225,22 @@ def test_insertion_progression_matches_worked_tables(example2):
 
     assert schedule_plan(example2.plan(3), s_w, busy, example2.window)
     assert s_w.starts[(3, 1)] == 2
-    assert _snapshot(_view(s_w, example2)) == TABLE_AFTER_PLAN_3
+    assert _snapshot(event_list(s_w, example2)) == TABLE_AFTER_PLAN_3
 
     assert schedule_plan(example2.plan(4), s_w, busy, example2.window)
     assert s_w.starts[(4, 1)] == 2 and s_w.starts[(4, 2)] == 6
-    assert _snapshot(_view(s_w, example2)) == TABLE_AFTER_PLAN_4
+    assert _snapshot(event_list(s_w, example2)) == TABLE_AFTER_PLAN_4
 
     assert schedule_plan(example2.plan(5), s_w, busy, example2.window)
     assert s_w.starts[(5, 1)] == 6 and s_w.starts[(5, 2)] == 9
-    assert _snapshot(_view(s_w, example2)) == TABLE_AFTER_PLAN_5
+    assert _snapshot(event_list(s_w, example2)) == TABLE_AFTER_PLAN_5
 
 
 def test_build_schedule_full_example(example2):
     result = build_schedule(example2)
     assert result.scheduled_plans == [1, 2, 3, 4, 5]
     assert result.discarded_plans == []
-    assert result.events.times() == [2, 4, 5, 6, 7, 9, 10]
+    assert [e.time for e in result.events] == [2, 4, 5, 6, 7, 9, 10]
     assert _snapshot(result.events) == TABLE_AFTER_PLAN_5
     assert validate_schedule(example2, result.schedule).feasible
 
@@ -358,7 +358,7 @@ def test_build_schedule_empty_instance():
     result = build_schedule(instance)
     assert result.scheduled_plans == [] and result.discarded_plans == []
     assert result.schedule.starts == {}
-    assert result.events.times() == [0]  # only the window sentinel
+    assert [e.time for e in result.events] == [0]  # only the window sentinel
 
 
 def test_build_schedule_event_count_bound(example2):

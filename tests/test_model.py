@@ -4,8 +4,6 @@ from plansched import (
     BadWindow,
     CyclicPlanDag,
     CyclicTaskGraph,
-    Event,
-    EventList,
     InstanceError,
     Plan,
     Task,
@@ -112,21 +110,3 @@ def test_build_instance_rejects_unknown_dag_plan():
     plan = make_plan(1, 1, [(1, 1, 0, 5, {1}, [])])
     with pytest.raises(InstanceError):
         build_instance([plan], plan_dag={(1, 9)}, window=TimeWindow(0, 10))
-
-
-def test_event_list_order_queries():
-    el = EventList()
-    for t in (4, 2, 9):
-        el.insert(Event(t))
-    assert el.times() == [2, 4, 9]
-    assert el.at(4).time == 4
-    assert el.at(3) is None
-    assert el.next_after(4).time == 9
-    assert el.next_after(9) is None
-    assert el.prev_before(4).time == 2
-    assert el.prev_before(2) is None
-    assert el.at_or_before(3).time == 2
-    assert [e.time for e in el.between(2, 9)] == [2, 4]
-    assert el.first().time == 2 and el.last().time == 9
-    with pytest.raises(ValueError):
-        el.insert(Event(4))

@@ -137,15 +137,14 @@ def test_event_usage_matches_task_intervals():
                 completion_events[tid] = event.time
             for rho in instance.resources:
                 expected = int(any(s <= event.time < e and rho in res for s, e, res in intervals))
-                assert event.busy(rho) == expected, (event, rho)
+                assert (rho in event.usage) == expected, (event, rho)
         # every placed task appears in exactly one starting and one completing set
         assert start_events == dict(result.schedule.starts)
         assert completion_events == {
             tid: start + instance.task(tid).processing_time
             for tid, start in result.schedule.starts.items()
         }
-        last = result.events.last()
-        assert last is None or not last.usage
+        assert not result.events[-1].usage  # the window-start event always exists
 
 
 def test_event_view_matches_start_times():

@@ -96,6 +96,15 @@ def test_duplicate_start_rejected():
     assert "plan 1 task 1" in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["scheduled", "discarded"])
+def test_duplicate_plan_id_rejected(key):
+    doc = {"starts": [], key: [1, 2, 1, 2]}
+    with pytest.raises(ParseError) as err:
+        schedule_from_dict(doc)
+    assert f"{key}[2]" in str(err.value)
+    assert "plan 1" in str(err.value)
+
+
 @pytest.mark.parametrize(
     "resources",
     [

@@ -63,6 +63,18 @@ def test_unknown_task_raises(example1):
         validate_schedule(example1, Schedule(starts={(9, 9): 0}))
 
 
+@pytest.mark.parametrize(
+    "lists",
+    [{"scheduled_plans": [1, 2, 999]}, {"scheduled_plans": [1, 2], "discarded_plans": [999]}],
+    ids=["scheduled", "discarded"],
+)
+def test_unknown_plan_raises(example1, lists):
+    schedule = Schedule(starts={(1, 1): 2, (2, 1): 3, (2, 2): 5}, **lists)
+    with pytest.raises(UnknownTask) as err:
+        validate_schedule(example1, schedule)
+    assert "999" in str(err.value)
+
+
 def _tight_instance():
     # two tasks back to back on one resource, zero slack anywhere
     return build_instance(
