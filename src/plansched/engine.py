@@ -8,17 +8,19 @@ parallel ends.  Finding a start, writing it, taking it out again and measuring
 the idle time a task leaves are bisects on the task's own resources; no other
 resource is read.
 
-A plan is all-or-nothing: when one of its tasks cannot be placed, everything
-the plan already put into the working state is taken out again, bit-exactly.
-Plans are inserted in the order of :func:`plansched.ordering.sort_plans`, a
-priority merge of the plan-DAG frontiers that the instance records when it is
-built (``Instance.frontier_of``): a plan comes as soon as its DAG
-predecessors are in and no ready plan has a better priority.  Consecutive
-equal-priority plans of one frontier form a group, and every group, a single
-plan included, goes through :func:`schedule_plan_set`: it commits the members
-in the order that keeps resources busiest (smallest idle-time sum first); each
-candidate is placed, measured and rolled back by the same exact undo, so the
-working state is the engine's only state.
+A task that cannot be placed writes nothing.  A plan is all-or-nothing: when
+one of its tasks fails, :func:`schedule_plan` takes out everything the plan
+already put into the working state, bit-exactly.  Plans are inserted in the
+order of :func:`plansched.ordering.sort_plans`, a priority merge of the
+plan-DAG frontiers that the instance records when it is built
+(``Instance.frontier_of``): a plan comes as soon as its DAG predecessors are
+in and no ready plan has a better priority.  Consecutive equal-priority plans
+of one frontier form a group, and every group, a single plan included, goes
+through :func:`schedule_plan_set`: it commits the members in the order that
+keeps resources busiest (smallest idle-time sum first).  A candidate with
+rivals is placed, measured and rolled back by the same exact undo, so the
+working state is the engine's only state; a plan left alone in its group is
+committed by its own placement.
 
 The paper's event list is not maintained during the build: it is derived once
 from the final start times when ``ScheduleResult.events`` is first read.
@@ -109,23 +111,20 @@ def schedule_task(
     *,
     plan: Plan,
 ) -> bool:
-    """Place ``task`` at its earliest feasible instant, or fail cleanly.
+    """Place ``task`` at its earliest feasible instant, or return False.
 
     The start is the first instant from the task's temporal lower bound
     (:func:`earliest_start`) at which every needed resource is free for the
     whole duration, provided the task then completes by its due date and the
     window end.  On success the start is recorded and the task's interval is
     added to the timeline of each of its resources; the function returns True.
-
-    On failure nothing is written, and every task of ``plan`` already placed
-    is removed as well (all-or-nothing plans), restoring the state from before
-    the plan exactly.
+    On failure nothing is written; the tasks of ``plan`` placed before this
+    one stay, and undoing them is :func:`schedule_plan`'s job.
     """
     lower = earliest_start(task, plan, s_w, window)
     latest = min(task.due, window.end) - task.processing_time
     start = _earliest_fit(task, lower, latest, busy)
     if start is None:
-        rollback_plan(plan, s_w, busy)
         return False
 
     s_w.starts[task.id] = start
@@ -187,9 +186,13 @@ def rollback_plan(plan: Plan, s_w: Schedule, busy: Timelines) -> None:
 
 
 def schedule_plan(plan: Plan, s_w: Schedule, busy: Timelines, window: TimeWindow) -> bool:
-    """Insert all tasks of ``plan`` in order; False (and no state change) if any fails."""
+    """Insert all tasks of ``plan`` in order; False (and no state change) if any fails.
+
+    On the first failure, :func:`rollback_plan` takes out the tasks already placed.
+    """
     for task in plan.tasks:
         if not schedule_task(task, s_w, busy, window, plan=plan):
+            rollback_plan(plan, s_w, busy)
             return False
     s_w.scheduled_plans.append(plan.id)
     return True
@@ -238,38 +241,34 @@ def _latest_release_on(busy: Timelines, resources, start: int, w_s: int) -> int:
 def schedule_plan_set(plans: list[Plan], s_w: Schedule, busy: Timelines, window: TimeWindow) -> set[int]:
     """Commit a group of equal-priority plans, lowest idle-time first.
 
-    While two or more plans remain, each round trial-places every remaining
-    plan in the working state, measures its idle-time sum and rolls it back
-    again, then commits the plan with the smallest sum (on ties the last
-    examined wins).  Plans whose trial fails are dropped from the group for
-    good: more commitments only make placement harder.  The last remaining
-    plan has no rival to be measured against and is committed without a
-    trial, so a group of one is a plain :func:`schedule_plan`.  Returns the
-    ids of the plans that could not be scheduled.
+    Each round places every pending plan in the working state.  A plan that
+    fails leaves the group for good: more commitments only make placement
+    harder.  A plan that places while it is the only one pending has no rival
+    and stays committed by that placement.  Any other plan is measured by its
+    idle-time sum and rolled back, and after the round the plan with the
+    smallest sum (on ties the last examined) is placed again and committed.
+    Returns the ids of the plans that could not be scheduled.
     """
     pending = list(plans)
     unscheduled: set[int] = set()
-    while len(pending) > 1:
+    while pending:
         best: Plan | None = None
         best_idle: int | None = None
         for plan in list(pending):
-            if schedule_plan(plan, s_w, busy, window):
+            if not schedule_plan(plan, s_w, busy, window):
+                pending.remove(plan)
+                unscheduled.add(plan.id)
+            elif len(pending) == 1:
+                pending.remove(plan)
+            else:
                 idle = idle_time_sum(plan, s_w, busy, window)
                 rollback_plan(plan, s_w, busy)
                 if best_idle is None or idle <= best_idle:
                     best_idle = idle
                     best = plan
-            else:
-                pending.remove(plan)
-                unscheduled.add(plan.id)
-        if best is None:
-            break
-        if not schedule_plan(best, s_w, busy, window):
-            unscheduled.add(best.id)  # cannot happen: the trial's rollback restored the state
-        pending.remove(best)
-    for plan in pending:
-        if not schedule_plan(plan, s_w, busy, window):
-            unscheduled.add(plan.id)
+        if best is not None:
+            schedule_plan(best, s_w, busy, window)
+            pending.remove(best)
     return unscheduled
 
 

@@ -118,14 +118,14 @@ class Plan:
         tasks = tuple(self.tasks)
         if not tasks:
             raise InstanceError(f"plan {self.id} has no tasks")
-        indices = [t.index for t in tasks]
-        if len(set(indices)) != len(indices):
+        indices = {t.index for t in tasks}
+        if len(indices) != len(tasks):
             raise InstanceError(f"plan {self.id} has duplicate task indices")
         for t in tasks:
             if t.plan_id != self.id:
                 raise InstanceError(f"plan {self.id} contains task tagged for plan {t.plan_id}")
             for j, _ in t.predecessors:
-                if j not in set(indices):
+                if j not in indices:
                     raise InstanceError(f"plan {self.id}: task {t.index} names unknown predecessor {j}")
         object.__setattr__(self, "tasks", _topo_order_tasks(self.id, tasks))
 
@@ -141,20 +141,23 @@ class Plan:
 
 
 def _topo_order_tasks(plan_id: int, tasks: tuple[Task, ...]) -> tuple[Task, ...]:
-    """Stable Kahn ordering of a plan's tasks; raises on precedence cycles."""
-    by_index = {t.index: t for t in tasks}
-    remaining_preds = {t.index: {j for j, _ in t.predecessors} for t in tasks}
+    """Stable topological order of a plan's tasks; raises on precedence cycles.
+
+    Repeatedly takes the first pending task, in input order, whose
+    predecessors are all taken.
+    """
     order: list[Task] = []
-    pending = [t.index for t in tasks]
+    taken: set[int] = set()
+    pending = list(tasks)
     while pending:
-        ready = [i for i in pending if not remaining_preds[i]]
-        if not ready:
+        for i, task in enumerate(pending):
+            if all(j in taken for j, _ in task.predecessors):
+                break
+        else:
             raise CyclicTaskGraph(f"plan {plan_id}: task precedence graph has a cycle")
-        chosen = ready[0]
-        pending.remove(chosen)
-        order.append(by_index[chosen])
-        for deps in remaining_preds.values():
-            deps.discard(chosen)
+        del pending[i]
+        taken.add(task.index)
+        order.append(task)
     return tuple(order)
 
 

@@ -52,7 +52,6 @@ class _Search:
         self.best_weight = -1
         self.best_plans: list[int] = []
         self.best_starts: dict = {}
-        self.infeasible_sets: set[frozenset[int]] = set()
 
     def out_of_budget(self) -> bool:
         if self.limit_hit:
@@ -78,18 +77,14 @@ class _Search:
         plan = self.plans[idx]
         if not self.strict_precedence or self._predecessors_chosen(plan, chosen):
             attempt = chosen + [plan]
-            key = frozenset(p.id for p in attempt)
-            if key not in self.infeasible_sets:
-                starts = self._feasible_assignment(attempt)
-                if starts is not None:
-                    new_weight = weight + plan.priority
-                    if new_weight > self.best_weight:
-                        self.best_weight = new_weight
-                        self.best_plans = sorted(key)
-                        self.best_starts = starts
-                    self.choose(idx + 1, attempt)
-                else:
-                    self.infeasible_sets.add(key)
+            starts = self._feasible_assignment(attempt)
+            if starts is not None:
+                new_weight = weight + plan.priority
+                if new_weight > self.best_weight:
+                    self.best_weight = new_weight
+                    self.best_plans = sorted(p.id for p in attempt)
+                    self.best_starts = starts
+                self.choose(idx + 1, attempt)
         self.choose(idx + 1, chosen)
 
     def _predecessors_chosen(self, plan: Plan, chosen: list[Plan]) -> bool:

@@ -125,6 +125,7 @@ def instance_from_dict(doc: dict) -> Instance:
         tasks = []
         for j, task_doc in enumerate(_as_list(_require(plan_doc, "tasks", where), f"{where}.tasks")):
             twhere = f"{where}.tasks[{j}]"
+            index = _as_int(_require(task_doc, "index", twhere), f"{twhere}.index")
             preds = []
             for k, pred in enumerate(_as_list(task_doc.get("predecessors", []), f"{twhere}.predecessors")):
                 pwhere = f"{twhere}.predecessors[{k}]"
@@ -137,7 +138,7 @@ def instance_from_dict(doc: dict) -> Instance:
             tasks.append(
                 Task(
                     plan_id=plan_id,
-                    index=_as_int(_require(task_doc, "index", twhere), f"{twhere}.index"),
+                    index=index,
                     processing_time=_as_int(_require(task_doc, "p", twhere), f"{twhere}.p"),
                     release=_as_int(_require(task_doc, "r", twhere), f"{twhere}.r"),
                     due=_as_int(_require(task_doc, "d", twhere), f"{twhere}.d"),
@@ -156,14 +157,17 @@ def dumps_instance(instance: Instance) -> str:
     return json.dumps(instance_to_dict(instance), indent=2) + "\n"
 
 
-def parse_instance(path) -> Instance:
-    """Load an instance document from ``path``."""
-    text = Path(path).read_text(encoding="utf-8")
+def _read_json(path):
+    """The JSON document in ``path``; a syntax error names the line and column."""
     try:
-        doc = json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return instance_from_dict(doc)
+
+
+def parse_instance(path) -> Instance:
+    """Load an instance document from ``path``."""
+    return instance_from_dict(_read_json(path))
 
 
 def emit_instance(instance: Instance, path) -> None:
@@ -234,9 +238,5 @@ def emit_schedule(schedule: Schedule, instance: Instance, path, *, events: tuple
 
 
 def parse_schedule(path) -> Schedule:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return schedule_from_dict(doc)
+    """Load a schedule document from ``path``."""
+    return schedule_from_dict(_read_json(path))

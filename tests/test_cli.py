@@ -96,6 +96,14 @@ def test_malformed_file_exit_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_task_not_an_object_exit_two(tmp_path, capsys):
+    path = tmp_path / "bad_task.json"
+    doc = {"window": {"start": 0, "end": 5}, "resources": [], "plans": [{"id": 1, "priority": 1, "tasks": [5]}]}
+    path.write_text(json.dumps(doc))
+    assert main(["schedule", str(path)]) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_bench_single_scenario(capsys):
     assert main(["bench", "--scenario", "1", "--repeat", "2"]) == 0
     out = capsys.readouterr().out

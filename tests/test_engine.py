@@ -11,6 +11,7 @@ from plansched import (
     build_schedule,
     validate_schedule,
 )
+from plansched import engine
 from plansched.engine import (
     earliest_start,
     idle_time_sum,
@@ -349,6 +350,31 @@ def test_plan_set_tie_goes_to_last_examined():
     assert schedule_plan_set([instance.plan(1), instance.plan(2)], s_w, busy, window) == set()
     assert s_w.scheduled_plans == [2, 1]  # equal idle: the later trial wins
     assert s_w.starts == {(1, 1): 0, (2, 1): 0}
+
+
+def test_lone_survivor_is_placed_once(monkeypatch):
+    # plan 1 cannot fit, so plan 2 is alone and is committed by its one placement
+    window = TimeWindow(0, 10)
+    instance = build_instance(
+        [
+            make_plan(1, 1, [(1, 5, 0, 3, {1}, [])]),
+            make_plan(2, 1, [(1, 2, 0, 10, {1}, [])]),
+        ],
+        window=window,
+    )
+    calls = []
+
+    def spy(plan, *args):
+        calls.append(plan.id)
+        return schedule_plan(plan, *args)
+
+    monkeypatch.setattr(engine, "schedule_plan", spy)
+    s_w, busy = _fresh_state()
+    assert schedule_plan_set([instance.plan(1), instance.plan(2)], s_w, busy, window) == {1}
+    assert calls == [1, 2]
+    assert s_w.scheduled_plans == [2]
+    assert s_w.starts == {(2, 1): 0}
+    assert busy == {1: ([0], [2])}
 
 
 # -------------------------------------------------------------- build_schedule

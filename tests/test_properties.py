@@ -10,7 +10,7 @@ from plansched import (
     sort_plans,
     validate_schedule,
 )
-from plansched.engine import earliest_start, schedule_plan, schedule_task
+from plansched.engine import earliest_start, rollback_plan, schedule_plan, schedule_task
 from plansched.serialize import instance_from_dict, instance_to_dict, schedule_from_dict, schedule_to_dict
 from conftest import base_seed, random_instance
 
@@ -77,6 +77,7 @@ def test_every_placement_is_the_earliest_feasible_instant():
                 assert placed == (expected is not None), (instance, task)
                 if not placed:
                     failed += 1
+                    rollback_plan(plan, s_w, busy)
                     break
                 assert s_w.starts[task.id] == expected, (instance, task)
                 delayed += expected > lower

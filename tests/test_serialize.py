@@ -65,12 +65,24 @@ def test_schedule_document_event_section(example2):
     assert doc["events"][0]["usage"] == {"1": 1, "2": 1, "3": 1}
 
 
-def test_malformed_json_reports_position(tmp_path):
+@pytest.mark.parametrize("parse", [parse_instance, parse_schedule], ids=["instance", "schedule"])
+def test_malformed_json_reports_position(tmp_path, parse):
     path = tmp_path / "broken.json"
     path.write_text('{"window": {', encoding="utf-8")
     with pytest.raises(ParseError) as err:
-        parse_instance(path)
+        parse(path)
     assert "line" in str(err.value)
+
+
+def test_task_entry_must_be_an_object():
+    doc = {
+        "window": {"start": 0, "end": 5},
+        "resources": [],
+        "plans": [{"id": 1, "priority": 1, "tasks": [5]}],
+    }
+    with pytest.raises(ParseError) as err:
+        instance_from_dict(doc)
+    assert "plans[0].tasks[0]" in str(err.value)
 
 
 def test_missing_field_reports_path():
