@@ -20,7 +20,14 @@ through :func:`schedule_plan_set`: it commits the members in the order that
 keeps resources busiest (smallest idle-time sum first).  A candidate with
 rivals is placed, measured and rolled back by the same exact undo, so the
 working state is the engine's only state; a plan left alone in its group is
-committed by its own placement.
+committed by its own placement.  A trial is re-run after a commit only when
+the commit can have changed it: a trial reads only its plan's tasks and the
+timelines of their resources, commits only add intervals, and an interval
+``[a, b)`` leaves a task's start and latest release ``lr`` as they were unless
+it overlaps ``[lr, e)``, where ``e`` is the task's completion.  Ending at or
+before ``lr``, it frees no earlier start and moves no release; starting at or
+after ``e``, it lies after the task.  So a group costs trials in proportion
+to what its commits touch, not to the square of its size.
 
 The paper's event list is not maintained during the build: it is derived once
 from the final start times when ``ScheduleResult.events`` is first read.
@@ -198,19 +205,28 @@ def schedule_plan(plan: Plan, s_w: Schedule, busy: Timelines, window: TimeWindow
     return True
 
 
-def idle_time_sum(plan: Plan, s_w: Schedule, busy: Timelines, window: TimeWindow) -> int:
+def idle_time_sum(
+    plan: Plan, s_w: Schedule, busy: Timelines, window: TimeWindow, spans: list | None = None
+) -> int:
     """Total idle time the placed ``plan`` leaves behind it.
 
     For each task: the gap between its start and the latest completion on one
     of its own resources, or the window start when none was used before.
-    Requires the plan to be placed in ``s_w``/``busy`` already.
+    Requires the plan to be placed in ``s_w``/``busy`` already.  When
+    ``spans`` is a list, one ``(resources, lr, e)`` per task is appended to
+    it: ``[lr, e)``, from the task's latest release to its completion, is the
+    stretch of each of its resources' timelines that its placement and
+    measurement depend on.
     """
     total = 0
     for task in plan.tasks:
         start = s_w.starts.get(task.id)
         if start is None:
             raise PredecessorUnscheduled(f"task {task.id} is not placed in the schedule")
-        total += start - _latest_release_on(busy, task.resources, start, window.start)
+        release = _latest_release_on(busy, task.resources, start, window.start)
+        total += start - release
+        if spans is not None:
+            spans.append((task.resources, release, completion_time(task, start)))
     return total
 
 
@@ -241,35 +257,86 @@ def _latest_release_on(busy: Timelines, resources, start: int, w_s: int) -> int:
 def schedule_plan_set(plans: list[Plan], s_w: Schedule, busy: Timelines, window: TimeWindow) -> set[int]:
     """Commit a group of equal-priority plans, lowest idle-time first.
 
-    Each round places every pending plan in the working state.  A plan that
-    fails leaves the group for good: more commitments only make placement
+    Each round goes over the pending plans in order.  A plan that fails
+    placement leaves the group for good: more commitments only make placement
     harder.  A plan that places while it is the only one pending has no rival
     and stays committed by that placement.  Any other plan is measured by its
     idle-time sum and rolled back, and after the round the plan with the
     smallest sum (on ties the last examined) is placed again and committed.
+
+    A trial is re-run only when a commit can have changed it.  A round that
+    starts with three or more pending plans keeps each trial's idle sum and,
+    per task, the span ``[lr, e)`` from the task's latest release to its
+    completion on each of its resources (:func:`idle_time_sum`).  A trial
+    reads nothing but the plan's own tasks and the timelines of their
+    resources, and a commit only adds intervals.  An added interval
+    ``[a, b)`` on one of a task's resources changes neither the task's start
+    nor its latest release unless ``a < e and b > lr``: ending at or before
+    ``lr``, it frees no earlier start and does not move the release; starting
+    at or after ``e``, it lies after the trial.  So after a commit exactly the
+    kept trials with such an overlap are dropped, and the next round re-runs
+    only the plans without a kept trial; a kept trial is read as if it had
+    been re-run, in ``pending`` order.  With two pending plans no kept trial
+    could be read again (the plan left after the commit is placed alone), so
+    none is kept.
     Returns the ids of the plans that could not be scheduled.
     """
     pending = list(plans)
     unscheduled: set[int] = set()
+    trials: dict[int, tuple[int, list]] = {}  # plan id -> (idle sum, spans)
     while pending:
+        keep = len(pending) > 2
         best: Plan | None = None
         best_idle: int | None = None
         for plan in list(pending):
-            if not schedule_plan(plan, s_w, busy, window):
+            trial = trials.get(plan.id) if trials else None
+            if trial is not None:
+                idle = trial[0]
+            elif not schedule_plan(plan, s_w, busy, window):
                 pending.remove(plan)
                 unscheduled.add(plan.id)
+                continue
             elif len(pending) == 1:
                 pending.remove(plan)
+                continue
             else:
-                idle = idle_time_sum(plan, s_w, busy, window)
+                spans = [] if keep else None
+                idle = idle_time_sum(plan, s_w, busy, window, spans)
                 rollback_plan(plan, s_w, busy)
-                if best_idle is None or idle <= best_idle:
-                    best_idle = idle
-                    best = plan
+                if keep:
+                    trials[plan.id] = (idle, spans)
+            if best_idle is None or idle <= best_idle:
+                best_idle = idle
+                best = plan
         if best is not None:
             schedule_plan(best, s_w, busy, window)
             pending.remove(best)
+            if len(pending) < 2:
+                trials.clear()  # a lone plan is placed without a trial
+            elif trials:
+                trials.pop(best.id, None)
+                _drop_overlapped(trials, best, s_w)
     return unscheduled
+
+
+def _drop_overlapped(trials: dict[int, tuple[int, list]], plan: Plan, s_w: Schedule) -> None:
+    """Drop the kept trials with a span that an interval of the committed ``plan`` overlaps."""
+    placed = []
+    for task in plan.tasks:
+        a = s_w.starts[task.id]
+        placed.append((task.resources, a, completion_time(task, a)))
+    stale = [plan_id for plan_id, (_, spans) in trials.items() if _overlaps(spans, placed)]
+    for plan_id in stale:
+        del trials[plan_id]
+
+
+def _overlaps(spans: list, placed: list) -> bool:
+    """True when some ``[a, b)`` of ``placed`` meets some ``[lr, e)`` of ``spans`` on a shared resource."""
+    for resources, lr, e in spans:
+        for placed_on, a, b in placed:
+            if a < e and b > lr and not resources.isdisjoint(placed_on):
+                return True
+    return False
 
 
 def build_schedule(instance: Instance, config: EngineConfig | None = None) -> ScheduleResult:
@@ -292,6 +359,7 @@ def build_schedule(instance: Instance, config: EngineConfig | None = None) -> Sc
     s_w = Schedule()
 
     frontier_of = instance.frontier_of
+    discarded: set[int] = set()  # the ids in s_w.discarded_plans
     queue = deque(sort_plans(instance, descending=config.priority_descending))
     while queue:
         plan = queue.popleft()
@@ -303,15 +371,17 @@ def build_schedule(instance: Instance, config: EngineConfig | None = None) -> Sc
         ):
             group.append(queue.popleft())
         if config.strict_plan_precedence:
-            discarded = set(s_w.discarded_plans)
             kept = []
             for member in group:
                 if discarded.isdisjoint(instance.predecessors_of_plan(member.id)):
                     kept.append(member)
                 else:
                     s_w.discarded_plans.append(member.id)
+                    discarded.add(member.id)
             group = kept
         unscheduled = schedule_plan_set(group, s_w, busy, window)
-        # group order keeps the discard list deterministic
-        s_w.discarded_plans.extend(member.id for member in group if member.id in unscheduled)
+        if unscheduled:
+            # group order keeps the discard list deterministic
+            s_w.discarded_plans.extend(member.id for member in group if member.id in unscheduled)
+            discarded |= unscheduled
     return ScheduleResult(schedule=s_w, instance=instance)

@@ -87,6 +87,7 @@ def base_seed() -> int:
 def random_instance(
     rng: random.Random,
     *,
+    min_plans: int = 1,
     max_plans: int = 4,
     max_tasks: int = 3,
     horizon: int = 20,
@@ -96,14 +97,16 @@ def random_instance(
     edge_prob: float = 0.25,
     impossible_prob: float = 0.15,
     disjoint_resources: bool = False,
+    priorities: tuple[int, int] = (1, 6),
 ) -> Instance:
     """A small random instance; with ``impossible_prob`` a task gets a window
     too tight for its duration, which forces plan failures downstream.
 
     ``disjoint_resources=True`` gives every task its own private resource, so
-    no two tasks in the instance ever compete.
+    no two tasks in the instance ever compete.  Plan priorities are drawn
+    uniformly from the inclusive range ``priorities``.
     """
-    n_plans = rng.randint(1, max_plans)
+    n_plans = rng.randint(min_plans, max_plans)
     plans = []
     next_private = 1000
     for plan_id in range(1, n_plans + 1):
@@ -127,7 +130,7 @@ def random_instance(
             if index > 1 and rng.random() < 0.5:
                 preds.append((rng.randint(1, index - 1), rng.randint(0, max_lag)))
             rows.append((index, p, release, due, resources, preds))
-        plans.append(make_plan(plan_id, rng.randint(1, 6), rows))
+        plans.append(make_plan(plan_id, rng.randint(*priorities), rows))
     edges = set()
     for a in range(1, n_plans + 1):
         for b in range(a + 1, n_plans + 1):

@@ -1,4 +1,5 @@
 import copy
+import random
 
 import pytest
 
@@ -362,6 +363,17 @@ def test_lone_survivor_is_placed_once(monkeypatch):
         ],
         window=window,
     )
+    calls = _spy_placements(monkeypatch)
+    s_w, busy = _fresh_state()
+    assert schedule_plan_set([instance.plan(1), instance.plan(2)], s_w, busy, window) == {1}
+    assert calls == [1, 2]
+    assert s_w.scheduled_plans == [2]
+    assert s_w.starts == {(2, 1): 0}
+    assert busy == {1: ([0], [2])}
+
+
+def _spy_placements(monkeypatch):
+    """Record the plan id of every ``schedule_plan`` call the engine makes."""
     calls = []
 
     def spy(plan, *args):
@@ -369,12 +381,90 @@ def test_lone_survivor_is_placed_once(monkeypatch):
         return schedule_plan(plan, *args)
 
     monkeypatch.setattr(engine, "schedule_plan", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "release3, expected_calls, scheduled",
+    [
+        # idle sums 4, 3, 1: plan 3 commits [1, 3) on resource 3, away from the others
+        (1, [1, 2, 3, 3, 2, 1], [3, 2, 1]),
+        # idle sums 4, 3, 0: plan 3 commits [0, 2) on resource 1, inside plan 1's
+        # span [0, 6), so plan 1 alone is re-run; its idle falls to 2, below plan 2's
+        (0, [1, 2, 3, 3, 1, 1, 2], [3, 1, 2]),
+    ],
+    ids=["disjoint", "overlaps-plan-1"],
+)
+def test_commit_retrials_only_the_plans_it_overlaps(monkeypatch, release3, expected_calls, scheduled):
+    window = TimeWindow(0, 10)
+    resource3 = 3 if release3 else 1
+    instance = build_instance(
+        [
+            make_plan(1, 1, [(1, 2, 4, 10, {1}, [])]),
+            make_plan(2, 1, [(1, 2, 3, 10, {2}, [])]),
+            make_plan(3, 1, [(1, 2, release3, 10, {resource3}, [])]),
+        ],
+        window=window,
+    )
+    calls = _spy_placements(monkeypatch)
     s_w, busy = _fresh_state()
-    assert schedule_plan_set([instance.plan(1), instance.plan(2)], s_w, busy, window) == {1}
-    assert calls == [1, 2]
-    assert s_w.scheduled_plans == [2]
-    assert s_w.starts == {(2, 1): 0}
-    assert busy == {1: ([0], [2])}
+    assert schedule_plan_set(list(instance.plans), s_w, busy, window) == set()
+    assert calls == expected_calls
+    assert s_w.scheduled_plans == scheduled
+    assert s_w.starts == {(1, 1): 4, (2, 1): 3, (3, 1): release3}
+
+
+@pytest.mark.parametrize(
+    "commit_release, expected_calls, plan1_idle",
+    [
+        (1, [1, 2, 3, 2, 1, 3], 3),  # commit [1, 4) ends at plan 1's lr = 4: kept
+        (2, [1, 2, 3, 2, 1, 1, 3], 2),  # commit [2, 5) ends at lr + 1: re-trialled
+    ],
+    ids=["ends-at-lr", "ends-past-lr"],
+)
+def test_commit_ending_at_latest_release_keeps_the_trial(monkeypatch, commit_release, expected_calls, plan1_idle):
+    # plan 1 needs resources 1 and 2; plan 4, already placed, holds resource 2 over
+    # [2, 4), so plan 1 starts at 7 with latest release 4 and completes at 9
+    window = TimeWindow(0, 20)
+    instance = build_instance(
+        [
+            make_plan(1, 1, [(1, 2, 7, 20, {1, 2}, [])]),
+            make_plan(2, 1, [(1, 3, commit_release, 20, {1}, [])]),
+            make_plan(3, 1, [(1, 2, 5, 20, {3}, [])]),
+            make_plan(4, 2, [(1, 2, 2, 20, {2}, [])]),
+        ],
+        window=window,
+    )
+    s_w, busy = _fresh_state()
+    assert schedule_plan(instance.plan(4), s_w, busy, window)
+    calls = _spy_placements(monkeypatch)
+    group = [instance.plan(1), instance.plan(2), instance.plan(3)]
+    assert schedule_plan_set(group, s_w, busy, window) == set()
+    assert calls == expected_calls
+    assert s_w.scheduled_plans == [4, 2, 1, 3]
+    assert s_w.starts[(1, 1)] == 7
+    # plan 1's idle sum at the end: unchanged by the commit, or lowered by it
+    assert idle_time_sum(instance.plan(1), s_w, busy, window) == plan1_idle
+
+
+def test_group_trials_grow_with_what_commits_touch(monkeypatch):
+    # 64 equal-priority plans on 16 resources, all of which fit: re-running
+    # every pending trial after each commit takes 2,143 placements here;
+    # keeping the trials no commit touches takes 481
+    rng = random.Random("one-priority-64")
+    plans = []
+    for plan_id in range(1, 65):
+        release = rng.randint(0, 600)
+        resources = rng.sample(range(1, 17), 3)
+        rows = []
+        for index in range(1, rng.randint(1, 3) + 1):
+            p = rng.randint(1, 10)
+            rows.append((index, p, release, 1000, {resources[index - 1]}, [(index - 1, 0)] if index > 1 else []))
+        plans.append(make_plan(plan_id, 1, rows))
+    instance = build_instance(plans, window=TimeWindow(0, 1000))
+    calls = _spy_placements(monkeypatch)
+    assert build_schedule(instance).discarded_plans == []
+    assert len(calls) <= 600, len(calls)
 
 
 # -------------------------------------------------------------- build_schedule

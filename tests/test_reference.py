@@ -2,7 +2,7 @@
 
 import random
 
-from plansched import EngineConfig, build_schedule
+from plansched import EngineConfig, build_schedule, engine
 from conftest import base_seed, random_instance
 from reference import reference_build
 
@@ -13,20 +13,51 @@ CONFIGS = (
 )
 
 
+def _assert_matches_reference(instance) -> int:
+    """Build under every config, compare with the reference; count builds with discards."""
+    discards = 0
+    for config in CONFIGS:
+        schedule = build_schedule(instance, config).schedule
+        starts, scheduled, discarded = reference_build(
+            instance, config.priority_descending, config.strict_plan_precedence
+        )
+        assert schedule.starts == starts, (instance, config)
+        assert schedule.scheduled_plans == scheduled, (instance, config)
+        assert schedule.discarded_plans == discarded, (instance, config)
+        discards += bool(discarded)
+    return discards
+
+
 def test_engine_matches_reference_model():
     rng = random.Random(base_seed() + 30)
     groups = discards = 0
     for _ in range(1000):
         instance = random_instance(rng, max_plans=8, horizon=30)
-        for config in CONFIGS:
-            schedule = build_schedule(instance, config).schedule
-            starts, scheduled, discarded = reference_build(
-                instance, config.priority_descending, config.strict_plan_precedence
-            )
-            assert schedule.starts == starts, (instance, config)
-            assert schedule.scheduled_plans == scheduled, (instance, config)
-            assert schedule.discarded_plans == discarded, (instance, config)
-            discards += bool(discarded)
+        discards += _assert_matches_reference(instance)
         priorities = [p.priority for p in instance.plans]
         groups += len(priorities) > len(set(priorities))
     assert groups > 300 and discards > 300  # equal priorities and failures both occur
+
+
+def test_engine_matches_reference_model_on_large_groups(monkeypatch):
+    # 10-16 plans on 1-2 priority levels and a sparse plan DAG: groups large
+    # enough that kept trials are both read again and dropped after commits
+    rng = random.Random(base_seed() + 31)
+    kept = dropped = discards = 0
+    drop_overlapped = engine._drop_overlapped
+
+    def spy(trials, plan, s_w):
+        nonlocal kept, dropped
+        before = len(trials)
+        drop_overlapped(trials, plan, s_w)
+        kept += len(trials)
+        dropped += before - len(trials)
+
+    monkeypatch.setattr(engine, "_drop_overlapped", spy)
+    for _ in range(300):
+        instance = random_instance(
+            rng, min_plans=10, max_plans=16, horizon=60, n_resources=8, edge_prob=0.05, priorities=(1, 2)
+        )
+        discards += _assert_matches_reference(instance)
+    # a trial kept past a commit is read in the next round; a dropped one is re-run
+    assert kept > 1000 and dropped > 1000 and discards > 300
