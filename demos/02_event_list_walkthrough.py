@@ -18,7 +18,8 @@ from plansched.model import event_list
 instance = load_bundled("example2.json")
 window = instance.window
 
-busy = {}  # resource -> (sorted interval starts, their ends)
+# resource -> (sorted interval starts, their ends); every resource starts empty
+busy = {rho: ([], []) for rho in instance.resources}
 working = Schedule()
 
 

@@ -2,15 +2,17 @@
 
 Tasks are inserted one at a time at the earliest instant where their temporal
 constraints hold and every resource they need is free for their whole
-duration.  Resources are unary, so the working state keeps, per resource, the
-disjoint busy intervals of the tasks placed on it: their sorted starts and the
-parallel ends.  Finding a start, writing it, taking it out again and measuring
-the idle time a task leaves are bisects on the task's own resources; no other
-resource is read.
+duration.  Resources are unary, so the working state is the start times plus
+one timeline per resource of the instance, seeded empty: the disjoint busy
+intervals of the tasks placed on it, as sorted starts and the parallel ends.
+Finding a start, writing it, taking it out again and measuring the idle time a
+task leaves are bisects on the task's own resources; no other resource is read.
 
 A task that cannot be placed writes nothing.  A plan is all-or-nothing: when
 one of its tasks fails, :func:`schedule_plan` takes out everything the plan
-already put into the working state, bit-exactly.  Plans are inserted in the
+already put into the working state, bit-exactly.  Placing and removing a plan
+touch only start times and timelines; a plan is recorded as scheduled only
+when :func:`schedule_plan_set` commits it.  Plans are inserted in the
 order of :func:`plansched.ordering.sort_plans`, a priority merge of the
 plan-DAG frontiers that the instance records when it is built
 (``Instance.frontier_of``): a plan comes as soon as its DAG predecessors are
@@ -57,7 +59,8 @@ Timelines = dict[int, tuple[list[int], list[int]]]
 """Busy intervals per resource: sorted starts and the parallel ends.
 
 The intervals of one resource are disjoint because resources are unary, so
-the ends are sorted too.  A resource without intervals has no entry.
+the ends are sorted too.  Callers seed every resource of the instance with
+``([], [])``; a timeline stays in the map when it empties.
 """
 
 
@@ -137,10 +140,7 @@ def schedule_task(
     s_w.starts[task.id] = start
     end = completion_time(task, start)
     for rho in task.resources:
-        line = busy.get(rho)
-        if line is None:
-            line = busy[rho] = ([], [])
-        starts, ends = line
+        starts, ends = busy[rho]
         i = bisect_left(starts, start)
         starts.insert(i, start)
         ends.insert(i, end)
@@ -157,7 +157,7 @@ def _earliest_fit(task: Task, lower: int, latest: int, busy: Timelines) -> int |
     passes ``latest``.  None when no start fits.
     """
     p = task.processing_time
-    lines = [line for line in map(busy.get, task.resources) if line is not None]
+    lines = [busy[rho] for rho in task.resources]
     t = lower
     while t <= latest:
         moved = False
@@ -172,11 +172,10 @@ def _earliest_fit(task: Task, lower: int, latest: int, busy: Timelines) -> int |
 
 
 def rollback_plan(plan: Plan, s_w: Schedule, busy: Timelines) -> None:
-    """Remove every placed task of ``plan`` from the schedule and the timelines.
+    """Remove every placed task of ``plan`` from the start times and the timelines.
 
-    A timeline left without intervals is dropped, and a committed plan, which
-    is always the last one committed, comes off ``scheduled_plans``: the state
-    afterwards equals the state before the plan was attempted.
+    The state afterwards equals the state before the plan was placed;
+    ``scheduled_plans`` is not read or written.
     """
     for task in plan.tasks:
         start = s_w.starts.pop(task.id, None)
@@ -186,22 +185,19 @@ def rollback_plan(plan: Plan, s_w: Schedule, busy: Timelines) -> None:
             starts, ends = busy[rho]
             i = bisect_left(starts, start)
             del starts[i], ends[i]
-            if not starts:
-                del busy[rho]
-    if s_w.scheduled_plans and s_w.scheduled_plans[-1] == plan.id:
-        s_w.scheduled_plans.pop()
 
 
 def schedule_plan(plan: Plan, s_w: Schedule, busy: Timelines, window: TimeWindow) -> bool:
     """Insert all tasks of ``plan`` in order; False (and no state change) if any fails.
 
     On the first failure, :func:`rollback_plan` takes out the tasks already placed.
+    Only start times and timelines are written: recording the plan in
+    ``scheduled_plans`` is the committing caller's job.
     """
     for task in plan.tasks:
         if not schedule_task(task, s_w, busy, window, plan=plan):
             rollback_plan(plan, s_w, busy)
             return False
-    s_w.scheduled_plans.append(plan.id)
     return True
 
 
@@ -233,24 +229,19 @@ def idle_time_sum(
 def _latest_release_on(busy: Timelines, resources, start: int, w_s: int) -> int:
     """Latest instant <= start at which one of ``resources`` turned free.
 
-    That is an interval end ``e <= start`` after which the resource stays free,
-    because none of its intervals starts at ``e``, or ``e == start``, where the
-    candidate task's own interval begins.  Only the next interval can start at
-    ``e``, so a back-to-back run is walked backwards to its first gap.  Falls
-    back to the window start when the resources were never used.
+    The task starting at ``start`` is placed already, so on each of its
+    resources its own interval is the first one ending after ``start``, and
+    the latest end ``e <= start`` belongs to the interval just before it: the
+    resource is free from ``e`` until ``start`` (or ``e == start``, back to
+    back).  One bisect per resource finds it.  Falls back to the window start
+    when no interval ends by ``start``.
     """
     best = w_s
     for rho in resources:
-        line = busy.get(rho)
-        if line is None:
-            continue
-        starts, ends = line
-        j = bisect_right(ends, start) - 1
-        while j >= 0 and ends[j] > best:
-            if ends[j] == start or j + 1 == len(starts) or starts[j + 1] != ends[j]:
-                best = ends[j]
-                break
-            j -= 1
+        ends = busy[rho][1]
+        j = bisect_right(ends, start)
+        if j and ends[j - 1] > best:
+            best = ends[j - 1]
     return best
 
 
@@ -263,6 +254,8 @@ def schedule_plan_set(plans: list[Plan], s_w: Schedule, busy: Timelines, window:
     and stays committed by that placement.  Any other plan is measured by its
     idle-time sum and rolled back, and after the round the plan with the
     smallest sum (on ties the last examined) is placed again and committed.
+    These two commits are the only places where a plan is appended to
+    ``scheduled_plans``.
 
     A trial is re-run only when a commit can have changed it.  A round that
     starts with three or more pending plans keeps each trial's idle sum and,
@@ -298,6 +291,7 @@ def schedule_plan_set(plans: list[Plan], s_w: Schedule, busy: Timelines, window:
                 continue
             elif len(pending) == 1:
                 pending.remove(plan)
+                s_w.scheduled_plans.append(plan.id)
                 continue
             else:
                 spans = [] if keep else None
@@ -310,6 +304,7 @@ def schedule_plan_set(plans: list[Plan], s_w: Schedule, busy: Timelines, window:
                 best = plan
         if best is not None:
             schedule_plan(best, s_w, busy, window)
+            s_w.scheduled_plans.append(best.id)
             pending.remove(best)
             if len(pending) < 2:
                 trials.clear()  # a lone plan is placed without a trial
@@ -355,7 +350,7 @@ def build_schedule(instance: Instance, config: EngineConfig | None = None) -> Sc
     """
     config = config or EngineConfig()
     window = instance.window
-    busy: Timelines = {}
+    busy: Timelines = {rho: ([], []) for rho in instance.resources}
     s_w = Schedule()
 
     frontier_of = instance.frontier_of

@@ -61,12 +61,13 @@ class TimeWindow:
             raise BadWindow(f"window start {self.start} exceeds end {self.end}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Task:
     """One atomic operation of a plan.
 
     ``predecessors`` holds ``(task_index, lag)`` pairs: this task may start no
     earlier than ``lag`` ticks after each named sibling task completes.
+    ``id`` is ``(plan_id, index)``, stored once when the task is made.
     """
 
     plan_id: int
@@ -76,8 +77,10 @@ class Task:
     due: int
     resources: frozenset[int]
     predecessors: tuple[tuple[int, int], ...] = ()
+    id: TaskId = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "id", (self.plan_id, self.index))
         object.__setattr__(self, "resources", frozenset(self.resources))
         object.__setattr__(self, "predecessors", tuple((int(j), int(lag)) for j, lag in self.predecessors))
         if self.processing_time < 1:
@@ -91,10 +94,6 @@ class Task:
                 raise BadWindow(f"task {self.id}: negative lag {lag} on predecessor {j}")
             if j == self.index:
                 raise CyclicTaskGraph(f"task {self.id} lists itself as predecessor")
-
-    @property
-    def id(self) -> TaskId:
-        return (self.plan_id, self.index)
 
 
 def completion_time(task: Task, start: int) -> int:

@@ -169,7 +169,7 @@ def test_criterion_property_suite():
         assert validate_schedule(instance, result.schedule).feasible
 
         # (b) rollback exactness after every forced failure
-        s_w, busy = Schedule(), {}
+        s_w, busy = Schedule(), {rho: ([], []) for rho in instance.resources}
         for plan in sort_plans(instance):
             snap_s, snap_busy = copy.deepcopy(s_w), copy.deepcopy(busy)
             if not schedule_plan(plan, s_w, busy, instance.window):

@@ -122,6 +122,8 @@ def test_bench_rejects_bad_scenario(capsys):
     assert main(["bench", "--scenario", "11"]) == 2
     assert main(["bench", "--scenario", "zero"]) == 2
     capsys.readouterr()
+    assert main(["bench", "--scenario", "1", "--repeat", "0"]) == 2
+    assert "--repeat" in capsys.readouterr().err
 
 
 def test_oracle_subcommand(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import copy
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -25,9 +27,9 @@ from plansched.model import event_list
 from conftest import make_plan
 
 
-def _fresh_state():
-    """An empty schedule and empty busy timelines."""
-    return Schedule(), {}
+def _fresh_state(resources):
+    """An empty schedule and one empty busy timeline per resource, as the engine seeds them."""
+    return Schedule(), {rho: ([], []) for rho in resources}
 
 
 def _snapshot(events, resources=(1, 2, 3)):
@@ -43,8 +45,8 @@ def _view(s_w, instance):
 
 
 def _load(instance, plan_ids):
-    """Schedule the given plans in order on a fresh state."""
-    s_w, busy = _fresh_state()
+    """Place the given plans in order on a fresh state (placing records no plan)."""
+    s_w, busy = _fresh_state(instance.resources)
     for pid in plan_ids:
         assert schedule_plan(instance.plan(pid), s_w, busy, instance.window)
     return s_w, busy
@@ -67,7 +69,7 @@ def _load(instance, plan_ids):
 )
 def test_schedule_task_bounds(window, blocker, row, expected):
     window = TimeWindow(*window)
-    s_w, busy = _fresh_state()
+    s_w, busy = _fresh_state([1])
     if blocker is not None:
         assert schedule_plan(make_plan(1, 9, [(1, blocker, 0, 100, {1}, [])]), s_w, busy, window)
     p, release, due = row
@@ -158,9 +160,9 @@ def test_first_placement_on_empty_state():
 def test_schedule_task_failure_leaves_no_trace():
     window = TimeWindow(0, 10)
     plan = make_plan(1, 1, [(1, 2, 12, 15, {1}, [])])  # entirely after the window
-    s_w, busy = _fresh_state()
+    s_w, busy = _fresh_state([1])
     assert not schedule_task(plan.tasks[0], s_w, busy, window, plan=plan)
-    assert busy == {}
+    assert busy == {1: ([], [])}
     assert s_w == Schedule()
 
 
@@ -284,6 +286,13 @@ def test_rollback_removes_committed_plan(example2):
     assert busy == before_busy
 
 
+def test_schedule_plan_records_no_plan(example2):
+    s_w, busy = _load(example2, [1, 2])
+    assert s_w.scheduled_plans == []
+    assert schedule_plan(example2.plan(3), s_w, busy, example2.window)
+    assert s_w.scheduled_plans == []
+
+
 # --------------------------------------------------------------- idle metric
 
 def test_idle_time_sums_on_shared_priority_group(idle_example):
@@ -300,19 +309,24 @@ def test_idle_time_sums_on_shared_priority_group(idle_example):
     assert idle_time_sum(idle_example.plan(4), trial_s, trial_busy, window) == 1
 
 
-def test_idle_zero_when_start_meets_completion():
+@pytest.mark.parametrize(
+    "blockers, release, start, idle",
+    [
+        ([3], 0, 3, 0),  # [0, 3), then the task back to back
+        ([2, 2], 6, 6, 2),  # back-to-back run [0, 2) + [2, 4) turns free at 4
+        ([2, 2], 0, 4, 0),  # the task closes the run at 4
+    ],
+    ids=["meets-completion", "after-back-to-back-run", "meets-back-to-back-run"],
+)
+def test_idle_zero_when_start_meets_completion(blockers, release, start, idle):
     window = TimeWindow(0, 10)
-    instance = build_instance(
-        [
-            make_plan(1, 2, [(1, 3, 0, 10, {1}, [])]),
-            make_plan(2, 1, [(1, 2, 0, 10, {1}, [])]),
-        ],
-        window=window,
-    )
-    s_w, busy = _load(instance, [1])
-    assert schedule_plan(instance.plan(2), s_w, busy, window)
-    assert s_w.starts[(2, 1)] == 3  # back to back on resource 1
-    assert idle_time_sum(instance.plan(2), s_w, busy, window) == 0
+    plans = [make_plan(k, 9, [(1, p, 0, 10, {1}, [])]) for k, p in enumerate(blockers, 1)]
+    mover = make_plan(len(plans) + 1, 1, [(1, 2, release, 10, {1}, [])])
+    instance = build_instance([*plans, mover], window=window)
+    s_w, busy = _load(instance, [plan.id for plan in plans])
+    assert schedule_plan(mover, s_w, busy, window)
+    assert s_w.starts[(mover.id, 1)] == start
+    assert idle_time_sum(mover, s_w, busy, window) == idle
 
 
 # ----------------------------------------------------------- plan-set commits
@@ -324,7 +338,7 @@ def test_plan_set_commits_lowest_idle_first(idle_example):
         [idle_example.plan(3), idle_example.plan(4)], s_w, busy, window
     )
     assert unscheduled == set()
-    assert s_w.scheduled_plans == [1, 2, 4, 3]  # 4 first: idle 1 beats idle 2
+    assert s_w.scheduled_plans == [4, 3]  # 4 first: idle 1 beats idle 2
 
 
 def test_plan_set_single_infeasible_plan():
@@ -332,9 +346,9 @@ def test_plan_set_single_infeasible_plan():
     instance = build_instance(
         [make_plan(1, 1, [(1, 5, 0, 3, {1}, [])])], window=window  # cannot fit
     )
-    s_w, busy = _fresh_state()
+    s_w, busy = _fresh_state(instance.resources)
     assert schedule_plan_set([instance.plan(1)], s_w, busy, window) == {1}
-    assert busy == {}
+    assert busy == {1: ([], [])}
     assert s_w.starts == {}
 
 
@@ -347,7 +361,7 @@ def test_plan_set_tie_goes_to_last_examined():
         ],
         window=window,
     )
-    s_w, busy = _fresh_state()
+    s_w, busy = _fresh_state(instance.resources)
     assert schedule_plan_set([instance.plan(1), instance.plan(2)], s_w, busy, window) == set()
     assert s_w.scheduled_plans == [2, 1]  # equal idle: the later trial wins
     assert s_w.starts == {(1, 1): 0, (2, 1): 0}
@@ -364,7 +378,7 @@ def test_lone_survivor_is_placed_once(monkeypatch):
         window=window,
     )
     calls = _spy_placements(monkeypatch)
-    s_w, busy = _fresh_state()
+    s_w, busy = _fresh_state(instance.resources)
     assert schedule_plan_set([instance.plan(1), instance.plan(2)], s_w, busy, window) == {1}
     assert calls == [1, 2]
     assert s_w.scheduled_plans == [2]
@@ -407,7 +421,7 @@ def test_commit_retrials_only_the_plans_it_overlaps(monkeypatch, release3, expec
         window=window,
     )
     calls = _spy_placements(monkeypatch)
-    s_w, busy = _fresh_state()
+    s_w, busy = _fresh_state(instance.resources)
     assert schedule_plan_set(list(instance.plans), s_w, busy, window) == set()
     assert calls == expected_calls
     assert s_w.scheduled_plans == scheduled
@@ -435,13 +449,13 @@ def test_commit_ending_at_latest_release_keeps_the_trial(monkeypatch, commit_rel
         ],
         window=window,
     )
-    s_w, busy = _fresh_state()
+    s_w, busy = _fresh_state(instance.resources)
     assert schedule_plan(instance.plan(4), s_w, busy, window)
     calls = _spy_placements(monkeypatch)
     group = [instance.plan(1), instance.plan(2), instance.plan(3)]
     assert schedule_plan_set(group, s_w, busy, window) == set()
     assert calls == expected_calls
-    assert s_w.scheduled_plans == [4, 2, 1, 3]
+    assert s_w.scheduled_plans == [2, 1, 3]
     assert s_w.starts[(1, 1)] == 7
     # plan 1's idle sum at the end: unchanged by the commit, or lowered by it
     assert idle_time_sum(instance.plan(1), s_w, busy, window) == plan1_idle
@@ -528,3 +542,18 @@ def test_priority_order_flag():
     assert descending.schedule.starts == {(2, 1): 0, (1, 1): 2}
     ascending = build_schedule(instance, EngineConfig(priority_descending=False))
     assert ascending.schedule.starts == {(1, 1): 0, (2, 1): 2}
+
+
+# ------------------------------------------------------------ traced names
+
+def test_traced_engine_names_exist():
+    # the benchmark's per-layer metrics wrap engine functions by name and read
+    # 0 for a name that is gone, so a rename must fail here first
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = [attr for module, attr, *_ in tracing.TARGETS if module == "engine"]
+    assert names
+    for name in names:
+        assert callable(getattr(engine, name, None)), name

@@ -66,6 +66,15 @@ def test_plan_rejects_cycles_and_bad_references():
         Plan(id=1, priority=1, tasks=(t, t))  # duplicate index
     with pytest.raises(InstanceError):
         Plan(id=1, priority=1, tasks=())
+    with pytest.raises(InstanceError):
+        Plan(id=2, priority=1, tasks=(t,))  # t is tagged for plan 1
+
+
+def test_plan_task_rejects_unknown_index():
+    plan = make_plan(1, 1, [(1, 1, 0, 5, {1}, [])])
+    assert plan.task(1) is plan.tasks[0]
+    with pytest.raises(UnknownTask):
+        plan.task(2)
 
 
 def test_build_instance_example1():
@@ -89,6 +98,7 @@ def test_build_instance_rejects_plan_dag_cycle():
         {(1, 2), (2, 1)},  # no root at all
         {(1, 2), (2, 3), (3, 2)},  # downstream of the root 1
         {(1, 2), (3, 4), (4, 3)},  # beside the acyclic component 1 -> 2
+        {(1, 1)},  # a plan preceding itself
     ):
         with pytest.raises(CyclicPlanDag):
             build_instance(plans, plan_dag=edges, window=TimeWindow(0, 10))
@@ -104,6 +114,17 @@ def test_build_instance_rejects_wide_availability():
     plan = make_plan(1, 1, [(1, 1, 0, 5, {1}, [])])
     with pytest.raises(InstanceError):
         build_instance([plan], resources={1: 2}, window=TimeWindow(0, 10))
+
+
+def test_build_instance_rejects_duplicate_plan_ids():
+    plans = [make_plan(1, 1, [(1, 1, 0, 5, {1}, [])]), make_plan(1, 2, [(1, 2, 0, 5, {2}, [])])]
+    with pytest.raises(InstanceError, match="duplicate plan ids"):
+        build_instance(plans, window=TimeWindow(0, 10))
+
+
+def test_build_instance_requires_window():
+    with pytest.raises(BadWindow):
+        build_instance([make_plan(1, 1, [(1, 1, 0, 5, {1}, [])])])
 
 
 def test_build_instance_rejects_unknown_dag_plan():

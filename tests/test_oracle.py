@@ -86,6 +86,13 @@ def test_node_limit_flags_result(example2):
     assert result.time_limit_hit
 
 
+def test_expired_time_limit_flags_result(example2):
+    result = exact_max_weight(example2, node_limit=None, time_limit=-1.0)
+    assert result.time_limit_hit
+    assert validate_schedule(example2, result.witness).feasible
+    assert objective(example2, result.witness) == result.optimum
+
+
 def test_grid_mode_agrees_with_candidate_mode():
     rng = random.Random(7)
     for _ in range(25):

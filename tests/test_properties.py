@@ -33,7 +33,7 @@ def test_rollback_is_bit_exact_on_every_failure():
     failures = 0
     for _ in range(150):
         instance = random_instance(rng, impossible_prob=0.35)
-        s_w, busy = Schedule(), {}
+        s_w, busy = Schedule(), {rho: ([], []) for rho in instance.resources}
         last_objective = 0
         for plan in sort_plans(instance):
             snapshot_s, snapshot_busy = copy.deepcopy(s_w), copy.deepcopy(busy)
@@ -67,7 +67,7 @@ def test_every_placement_is_the_earliest_feasible_instant():
     for _ in range(150):
         instance = random_instance(rng, max_plans=6)
         window = instance.window
-        s_w, busy = Schedule(), {}
+        s_w, busy = Schedule(), {rho: ([], []) for rho in instance.resources}
         for plan in sort_plans(instance):
             for task in plan.tasks:
                 lower = earliest_start(task, plan, s_w, window)

@@ -100,6 +100,13 @@ def test_non_integer_field_rejected():
     assert "window.end" in str(err.value)
 
 
+def test_plans_must_be_a_list():
+    doc = {"window": {"start": 0, "end": 5}, "resources": [], "plans": {}}
+    with pytest.raises(ParseError) as err:
+        instance_from_dict(doc)
+    assert "plans" in str(err.value)
+
+
 def test_duplicate_start_rejected():
     doc = {"starts": [{"plan": 1, "task": 1, "start": 2}, {"plan": 1, "task": 1, "start": 5}]}
     with pytest.raises(ParseError) as err:

@@ -129,6 +129,9 @@ def test_time_lag_separated_from_precedence():
 def test_partial_plan_detection(example1):
     report = validate_schedule(example1, Schedule(starts={(2, 1): 3}))
     assert _kinds(report) == {PARTIAL_PLAN}
+    # a placed successor of an unplaced task: partial, not a precedence breach
+    report = validate_schedule(example1, Schedule(starts={(2, 2): 5}))
+    assert _kinds(report) == {PARTIAL_PLAN}
     # declared sets must agree with the starts
     report = validate_schedule(example1, Schedule(starts={}, scheduled_plans=[1]))
     assert _kinds(report) == {PARTIAL_PLAN}
