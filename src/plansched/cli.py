@@ -13,7 +13,7 @@ import time
 from .engine import EngineConfig, build_schedule
 from .gantt import render_gantt
 from .model import SchedulingError
-from .oracle import exact_max_weight
+from .oracle import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, exact_max_weight
 from .scenarios import SCENARIOS, BadScenario, generate_scenario
 from .serialize import emit_schedule, parse_instance, parse_schedule
 from .validate import validate_schedule
@@ -42,8 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="exact optimum for a small instance file")
     p_oracle.add_argument("instance")
-    p_oracle.add_argument("--node-limit", type=int, default=None)
-    p_oracle.add_argument("--time-limit", type=float, default=None)
+    p_oracle.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
+    p_oracle.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT)
     p_oracle.add_argument("--grid", action="store_true", help="try every integer start instant")
     return parser
 

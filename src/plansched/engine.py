@@ -209,10 +209,10 @@ def idle_time_sum(
     For each task: the gap between its start and the latest completion on one
     of its own resources, or the window start when none was used before.
     Requires the plan to be placed in ``s_w``/``busy`` already.  When
-    ``spans`` is a list, one ``(resources, lr, e)`` per task is appended to
-    it: ``[lr, e)``, from the task's latest release to its completion, is the
-    stretch of each of its resources' timelines that its placement and
-    measurement depend on.
+    ``spans`` is a list, one ``(resources, lr, s, e)`` per task is appended
+    to it: ``[s, e)`` is the task's placed interval, and ``[lr, e)``, from
+    its latest release to its completion, is the stretch of each of its
+    resources' timelines that its placement and measurement depend on.
     """
     total = 0
     for task in plan.tasks:
@@ -222,7 +222,7 @@ def idle_time_sum(
         release = _latest_release_on(busy, task.resources, start, window.start)
         total += start - release
         if spans is not None:
-            spans.append((task.resources, release, completion_time(task, start)))
+            spans.append((task.resources, release, start, completion_time(task, start)))
     return total
 
 
@@ -259,19 +259,21 @@ def schedule_plan_set(plans: list[Plan], s_w: Schedule, busy: Timelines, window:
 
     A trial is re-run only when a commit can have changed it.  A round that
     starts with three or more pending plans keeps each trial's idle sum and,
-    per task, the span ``[lr, e)`` from the task's latest release to its
-    completion on each of its resources (:func:`idle_time_sum`).  A trial
-    reads nothing but the plan's own tasks and the timelines of their
-    resources, and a commit only adds intervals.  An added interval
-    ``[a, b)`` on one of a task's resources changes neither the task's start
-    nor its latest release unless ``a < e and b > lr``: ending at or before
-    ``lr``, it frees no earlier start and does not move the release; starting
-    at or after ``e``, it lies after the trial.  So after a commit exactly the
-    kept trials with such an overlap are dropped, and the next round re-runs
-    only the plans without a kept trial; a kept trial is read as if it had
-    been re-run, in ``pending`` order.  With two pending plans no kept trial
-    could be read again (the plan left after the commit is placed alone), so
-    none is kept.
+    per task, the span ``(resources, lr, s, e)``: the task's start ``s``, its
+    completion ``e`` and ``lr``, its latest release on its resources
+    (:func:`idle_time_sum`).  A trial reads nothing but the plan's own tasks
+    and the timelines of their resources, and a commit only adds intervals.
+    An added interval ``[a, b)`` on one of a task's resources changes neither
+    the task's start nor its latest release unless ``a < e and b > lr``:
+    ending at or before ``lr``, it frees no earlier start and does not move
+    the release; starting at or after ``e``, it lies after the trial.  The
+    committed plan's own kept trial is therefore still what its placement
+    writes, so the commit reads the intervals ``[s, e)`` it added from that
+    trial, and exactly the kept trials that one of them overlaps are dropped
+    (:func:`_overlaps`).  The next round re-runs only the plans without a
+    kept trial; a kept trial is read as if it had been re-run, in ``pending``
+    order.  With two pending plans no kept trial could be read again (the
+    plan left after the commit is placed alone), so none is kept.
     Returns the ids of the plans that could not be scheduled.
     """
     pending = list(plans)
@@ -309,26 +311,19 @@ def schedule_plan_set(plans: list[Plan], s_w: Schedule, busy: Timelines, window:
             if len(pending) < 2:
                 trials.clear()  # a lone plan is placed without a trial
             elif trials:
-                trials.pop(best.id, None)
-                _drop_overlapped(trials, best, s_w)
+                placed = trials.pop(best.id)[1]
+                trials = {plan_id: trial for plan_id, trial in trials.items() if not _overlaps(trial[1], placed)}
     return unscheduled
 
 
-def _drop_overlapped(trials: dict[int, tuple[int, list]], plan: Plan, s_w: Schedule) -> None:
-    """Drop the kept trials with a span that an interval of the committed ``plan`` overlaps."""
-    placed = []
-    for task in plan.tasks:
-        a = s_w.starts[task.id]
-        placed.append((task.resources, a, completion_time(task, a)))
-    stale = [plan_id for plan_id, (_, spans) in trials.items() if _overlaps(spans, placed)]
-    for plan_id in stale:
-        del trials[plan_id]
-
-
 def _overlaps(spans: list, placed: list) -> bool:
-    """True when some ``[a, b)`` of ``placed`` meets some ``[lr, e)`` of ``spans`` on a shared resource."""
-    for resources, lr, e in spans:
-        for placed_on, a, b in placed:
+    """True when an interval ``[s, e)`` of ``placed`` meets a ``[lr, e)`` of ``spans`` on a shared resource.
+
+    Both hold the ``(resources, lr, s, e)`` spans of :func:`idle_time_sum`:
+    ``spans`` those of a kept trial, ``placed`` those of the trial just committed.
+    """
+    for resources, lr, _, e in spans:
+        for placed_on, _, a, b in placed:
             if a < e and b > lr and not resources.isdisjoint(placed_on):
                 return True
     return False

@@ -42,7 +42,13 @@ class _Search:
         self.deadline = time.perf_counter() + time_limit if time_limit is not None else None
         self.grid = grid
         self.strict_precedence = strict_precedence
-        self.plans = sorted(instance.plans, key=lambda p: (-p.priority, p.id))
+        if strict_precedence:
+            # a plan is decided only after its DAG predecessors: every edge
+            # rises to a strictly higher frontier
+            frontier_of = instance.frontier_of
+            self.plans = sorted(instance.plans, key=lambda p: (frontier_of[p.id], -p.priority, p.id))
+        else:
+            self.plans = sorted(instance.plans, key=lambda p: (-p.priority, p.id))
         self.task_by_id = {task.id: task for plan in instance.plans for task in plan.tasks}
         self.suffix_weight = [0] * (len(self.plans) + 1)
         for i in range(len(self.plans) - 1, -1, -1):

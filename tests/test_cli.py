@@ -2,9 +2,20 @@ import json
 
 import pytest
 
-from plansched import Schedule, build_schedule, dumps_instance, dumps_schedule, emit_instance
+from plansched import (
+    Schedule,
+    TimeWindow,
+    build_instance,
+    build_schedule,
+    dumps_instance,
+    dumps_schedule,
+    emit_instance,
+    exact_max_weight,
+)
+from plansched import cli
 from plansched.cli import main
-from conftest import example1_instance, example2_instance
+from plansched.oracle import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT
+from conftest import example1_instance, example2_instance, make_plan
 
 
 @pytest.fixture
@@ -71,6 +82,23 @@ def test_validate_infeasible_exit_one(tmp_path, capsys):
     assert "violation" in out and "infeasible" in out
 
 
+def test_validate_warns_on_plan_ordering(tmp_path, capsys):
+    # feasible, but plan 2 starts before its DAG predecessor plan 1
+    instance = build_instance(
+        [make_plan(1, 1, [(1, 2, 0, 10, {1}, [])]), make_plan(2, 1, [(1, 2, 0, 10, {2}, [])])],
+        plan_dag={(1, 2)},
+        window=TimeWindow(0, 10),
+    )
+    instance_path = tmp_path / "instance.json"
+    instance_path.write_text(dumps_instance(instance))
+    schedule_path = tmp_path / "schedule.json"
+    schedule = Schedule(starts={(1, 1): 5, (2, 1): 0}, scheduled_plans=[1, 2])
+    schedule_path.write_text(dumps_schedule(schedule, instance))
+    assert main(["validate", str(instance_path), str(schedule_path)]) == 0
+    out = capsys.readouterr().out
+    assert "warning PlanOrdering: plan 2:" in out and "feasible, objective 2" in out
+
+
 @pytest.mark.parametrize("scheduled", [[1, 2, 999], [1, 2, 1, 2]], ids=["unknown", "repeated"])
 def test_validate_bad_plan_list_exit_two(tmp_path, capsys, scheduled):
     instance = example1_instance()
@@ -132,6 +160,22 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert main(["oracle", str(instance_path), "--node-limit", "100000"]) == 0
     out = capsys.readouterr().out
     assert "optimum 3" in out
+
+
+def test_oracle_subcommand_uses_library_limits(tmp_path, monkeypatch, capsys):
+    instance_path = tmp_path / "example1.json"
+    instance_path.write_text(dumps_instance(example1_instance()))
+    limits = []
+
+    def spy(instance, node_limit, time_limit, **kwargs):
+        limits.append((node_limit, time_limit))
+        return exact_max_weight(instance, node_limit, time_limit, **kwargs)
+
+    monkeypatch.setattr(cli, "exact_max_weight", spy)
+    assert main(["oracle", str(instance_path)]) == 0
+    assert main(["oracle", str(instance_path), "--node-limit", "7", "--time-limit", "2.5"]) == 0
+    assert limits == [(DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT), (7, 2.5)]
+    assert "optimum 3" in capsys.readouterr().out
 
 
 def test_usage_error_exit_two():

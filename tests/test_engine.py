@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import plansched
 from plansched import (
     EngineConfig,
     PredecessorUnscheduled,
@@ -306,7 +307,16 @@ def test_idle_time_sums_on_shared_priority_group(idle_example):
     trial_s, trial_busy = copy.deepcopy(s_w), copy.deepcopy(busy)
     assert schedule_plan(idle_example.plan(4), trial_s, trial_busy, window)
     assert trial_s.starts == {**s_w.starts, (4, 1): 3, (4, 2): 4}
-    assert idle_time_sum(idle_example.plan(4), trial_s, trial_busy, window) == 1
+    spans = []
+    assert idle_time_sum(idle_example.plan(4), trial_s, trial_busy, window, spans) == 1
+    # (resources, latest release, start, completion) per task
+    assert spans == [({4}, 2, 3, 4), ({2}, 4, 4, 7)]
+
+
+def test_idle_time_sum_requires_placed_plan(idle_example):
+    s_w, busy = _load(idle_example, [1, 2])
+    with pytest.raises(PredecessorUnscheduled):
+        idle_time_sum(idle_example.plan(3), s_w, busy, idle_example.window)
 
 
 @pytest.mark.parametrize(
@@ -547,13 +557,19 @@ def test_priority_order_flag():
 # ------------------------------------------------------------ traced names
 
 def test_traced_engine_names_exist():
-    # the benchmark's per-layer metrics wrap engine functions by name and read
-    # 0 for a name that is gone, so a rename must fail here first
+    # the benchmark's per-layer metrics wrap program functions by name and
+    # read 0 for a name that is gone, so a rename must fail here first; the
+    # four names below are already gone and their metrics read 0
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    names = [attr for module, attr, *_ in tracing.TARGETS if module == "engine"]
-    assert names
-    for name in names:
-        assert callable(getattr(engine, name, None)), name
+    names = ("model", "ordering", "engine", "serialize", "validate", "gantt", "oracle", "scenarios")
+    modules = {"": plansched, **{name: importlib.import_module(f"plansched.{name}") for name in names}}
+    tracer = tracing.Tracer(modules)
+    assert tracer.absent == [
+        "model.EventList.copy",
+        "model.Schedule.copy",
+        "model.EventList.next_after",
+        "ordering.topological_sort",
+    ]

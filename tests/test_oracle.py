@@ -1,6 +1,7 @@
 import random
 
 from plansched import (
+    EngineConfig,
     TimeWindow,
     build_instance,
     build_schedule,
@@ -79,6 +80,38 @@ def test_strict_plan_precedence_mode():
     )
     assert exact_max_weight(instance).optimum == 3
     assert exact_max_weight(instance, strict_plan_precedence=True).optimum == 0
+
+
+def test_strict_mode_decides_predecessors_first():
+    # the successor has the higher priority, yet both plans fit in strict mode
+    instance = build_instance(
+        [
+            make_plan(1, 1, [(1, 2, 0, 10, {1}, [])]),
+            make_plan(2, 5, [(1, 2, 0, 10, {2}, [])]),
+        ],
+        plan_dag={(1, 2)},
+        window=TimeWindow(0, 10),
+    )
+    strict = EngineConfig(strict_plan_precedence=True)
+    assert objective(instance, build_schedule(instance, strict).schedule) == 6
+    result = exact_max_weight(instance, strict_plan_precedence=True)
+    assert result.optimum == 6
+    assert result.witness.scheduled_plans == [1, 2]
+
+
+def test_strict_optimum_dominates_strict_engine():
+    rng = random.Random(5)
+    with_edges = 0
+    for _ in range(300):
+        instance = random_instance(rng, max_plans=4, max_tasks=2, horizon=14, edge_prob=0.5)
+        with_edges += bool(instance.plan_dag)
+        engine_objective = objective(
+            instance, build_schedule(instance, EngineConfig(strict_plan_precedence=True)).schedule
+        )
+        oracle = exact_max_weight(instance, strict_plan_precedence=True)
+        assert not oracle.time_limit_hit
+        assert engine_objective <= oracle.optimum, instance
+    assert with_edges > 150
 
 
 def test_node_limit_flags_result(example2):

@@ -44,16 +44,17 @@ def test_engine_matches_reference_model_on_large_groups(monkeypatch):
     # enough that kept trials are both read again and dropped after commits
     rng = random.Random(base_seed() + 31)
     kept = dropped = discards = 0
-    drop_overlapped = engine._drop_overlapped
+    overlaps = engine._overlaps
 
-    def spy(trials, plan, s_w):
+    def spy(spans, placed):
+        # called once per kept trial after each commit: True drops the trial
         nonlocal kept, dropped
-        before = len(trials)
-        drop_overlapped(trials, plan, s_w)
-        kept += len(trials)
-        dropped += before - len(trials)
+        hit = overlaps(spans, placed)
+        dropped += hit
+        kept += not hit
+        return hit
 
-    monkeypatch.setattr(engine, "_drop_overlapped", spy)
+    monkeypatch.setattr(engine, "_overlaps", spy)
     for _ in range(300):
         instance = random_instance(
             rng, min_plans=10, max_plans=16, horizon=60, n_resources=8, edge_prob=0.05, priorities=(1, 2)
