@@ -41,3 +41,14 @@ def test_svg_structure_and_determinism(example2):
 def test_unknown_format_rejected(example1):
     with pytest.raises(ValueError):
         render_gantt(Schedule(), example1, "png")
+
+
+def test_text_bars_are_clipped_to_the_window(example1):
+    # bars that cross or miss the window, as an infeasible schedule can have
+    text = render_gantt(Schedule(starts={(1, 1): -2, (2, 2): 9}), example1, "text")
+    assert text == "window [0,10]\n        |         \nrho 1 | #........#  J1.1 [-2,1)  J2.2 [9,11)\nrho 2 | ..........\n"
+    text = render_gantt(Schedule(starts={(1, 1): -10, (2, 1): 12, (2, 2): 3}), example1, "text")
+    assert text == (
+        "window [0,10]\n        |         \nrho 1 | ...##.....  J1.1 [-10,-7)  J2.2 [3,5)\n"
+        "rho 2 | ..........  J2.1 [12,14)\n"
+    )

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -17,8 +18,15 @@ from plansched import (
     parse_schedule,
 )
 from plansched.data import bundled_names, load_bundled
-from plansched.serialize import instance_from_dict, instance_to_dict, schedule_from_dict
+from plansched.model import Event, event_list
+from plansched.serialize import (
+    instance_from_dict,
+    instance_to_dict,
+    schedule_from_dict,
+    schedule_to_dict,
+)
 from conftest import example1_instance, example2_instance, idle_instance, make_plan
+from test_golden import CONFIGS, _instances
 
 
 def test_instance_round_trip(tmp_path, example2):
@@ -168,3 +176,174 @@ def test_dict_round_trip_preserves_structure():
         window=TimeWindow(0, 9),
     )
     assert instance_from_dict(instance_to_dict(instance)) == instance
+
+
+def _assert_writers_match_json_dumps(instance, schedule, events):
+    assert dumps_instance(instance) == json.dumps(instance_to_dict(instance), indent=2) + "\n"
+    expected = json.dumps(schedule_to_dict(schedule, instance, events), indent=2) + "\n"
+    assert dumps_schedule(schedule, instance, events) == expected
+
+
+def test_writers_match_json_dumps_on_golden_corpus():
+    for _name, instance in _instances():
+        assert dumps_instance(instance) == json.dumps(instance_to_dict(instance), indent=2) + "\n"
+        for config in CONFIGS.values():
+            result = build_schedule(instance, config)
+            for events in (result.events, None):
+                expected = json.dumps(schedule_to_dict(result.schedule, instance, events), indent=2) + "\n"
+                assert dumps_schedule(result.schedule, instance, events) == expected
+
+
+def _edge_instance():
+    """Negative window start, tasks on several resources, lags, DAG edges and an unused resource."""
+    return build_instance(
+        [
+            make_plan(3, 2, [(1, 2, -5, 9, {1, 4}, []), (2, 1, -4, 9, {2}, [(1, 2)])]),
+            make_plan(7, 5, [(1, 1, -5, 9, {4}, []), (2, 3, 0, 9, {1, 2, 4}, [(1, 0)]), (3, 1, 0, 9, {2}, [(2, 3), (1, 1)])]),
+            make_plan(9, 1, [(1, 1, -5, 9, {1}, [])]),
+        ],
+        plan_dag={(3, 7), (3, 9)},
+        resources={1: 1, 2: 1, 4: 1, 6: 1},
+        window=TimeWindow(-5, 9),
+    )
+
+
+@pytest.mark.parametrize("events", ["none", "empty", "derived"])
+def test_writers_match_json_dumps_on_empty_schedule(example1, events):
+    schedule = Schedule()
+    chosen = {"none": None, "empty": (), "derived": event_list(schedule, example1)}[events]
+    _assert_writers_match_json_dumps(example1, schedule, chosen)
+
+
+def test_writers_match_json_dumps_on_edge_cases():
+    instance = _edge_instance()
+    result = build_schedule(instance)
+    assert result.schedule.scheduled_plans and min(result.schedule.starts.values()) < 0
+    _assert_writers_match_json_dumps(instance, result.schedule, result.events)
+    _assert_writers_match_json_dumps(instance, result.schedule, None)
+    events = (
+        Event(-5),
+        Event(-3, starting=frozenset({(3, 1), (7, 1)}), usage=frozenset({1, 4})),
+        Event(-1, completing=frozenset({(3, 1)}), usage=frozenset({4})),
+        Event(0, starting=frozenset({(7, 2)}), completing=frozenset({(7, 1)})),
+    )
+    _assert_writers_match_json_dumps(instance, result.schedule, events)
+
+
+def test_writers_match_json_dumps_on_instance_without_plans():
+    instance = build_instance([], resources=[], window=TimeWindow(0, 0))
+    _assert_writers_match_json_dumps(instance, Schedule(), None)
+
+
+_PARSE_BASE = {
+    "window": {"start": 0, "end": 10},
+    "resources": [{"id": 1, "availability": 1}, {"id": 2, "availability": 1}],
+    "plans": [
+        {
+            "id": 1,
+            "priority": 2,
+            "precedes": [2],
+            "tasks": [{"index": 1, "p": 3, "r": 0, "d": 9, "resources": [1], "predecessors": []}],
+        },
+        {
+            "id": 2,
+            "priority": 1,
+            "precedes": [],
+            "tasks": [
+                {"index": 1, "p": 2, "r": 0, "d": 9, "resources": [2], "predecessors": []},
+                {"index": 2, "p": 2, "r": 0, "d": 9, "resources": [2, 1], "predecessors": [{"index": 1, "lag": 1}]},
+            ],
+        },
+    ],
+}
+
+# (the field's path as an error names it, its place in _PARSE_BASE, what a
+# missing field does: "required", "default" or None for a list element)
+_INT_FIELDS = [
+    ("window.start", ("window", "start"), "required"),
+    ("window.end", ("window", "end"), "required"),
+    ("resources[1].id", ("resources", 1, "id"), "required"),
+    ("resources[1].availability", ("resources", 1, "availability"), "default"),
+    ("plans[1].id", ("plans", 1, "id"), "required"),
+    ("plans[1].priority", ("plans", 1, "priority"), "required"),
+    ("plans[0].precedes[]", ("plans", 0, "precedes", 0), None),
+    ("plans[1].tasks[1].index", ("plans", 1, "tasks", 1, "index"), "required"),
+    ("plans[1].tasks[1].p", ("plans", 1, "tasks", 1, "p"), "required"),
+    ("plans[1].tasks[1].r", ("plans", 1, "tasks", 1, "r"), "required"),
+    ("plans[1].tasks[1].d", ("plans", 1, "tasks", 1, "d"), "required"),
+    ("plans[1].tasks[1].resources[]", ("plans", 1, "tasks", 1, "resources", 1), None),
+    ("plans[1].tasks[1].predecessors[0].index", ("plans", 1, "tasks", 1, "predecessors", 0, "index"), "required"),
+    ("plans[1].tasks[1].predecessors[0].lag", ("plans", 1, "tasks", 1, "predecessors", 0, "lag"), "default"),
+]
+
+_SCHEDULE_BASE = {
+    "starts": [{"plan": 1, "task": 1, "start": 0}, {"plan": 2, "task": 1, "start": 3}],
+    "scheduled": [1, 2],
+    "discarded": [3],
+}
+
+_SCHEDULE_INT_FIELDS = [
+    ("starts[1].plan", ("starts", 1, "plan"), "required"),
+    ("starts[1].task", ("starts", 1, "task"), "required"),
+    ("starts[1].start", ("starts", 1, "start"), "required"),
+    ("scheduled[1]", ("scheduled", 1), None),
+    ("discarded[0]", ("discarded", 0), None),
+]
+
+_MISSING = object()
+
+
+def _with_field(base, place, value):
+    doc = copy.deepcopy(base)
+    *parents, key = place
+    container = doc
+    for step in parents:
+        container = container[step]
+    if value is _MISSING:
+        del container[key]
+    else:
+        container[key] = value
+    return doc
+
+
+def _parse_cases(fields, parse):
+    for name, place, missing in fields:
+        if missing is not None:
+            yield pytest.param(parse, name, place, missing, _MISSING, id=f"{name}-missing")
+        for value in (None, True, 1.5, "1"):
+            yield pytest.param(parse, name, place, missing, value, id=f"{name}-{value!r}")
+
+
+@pytest.mark.parametrize(
+    "parse, name, place, missing, value",
+    [*_parse_cases(_INT_FIELDS, instance_from_dict), *_parse_cases(_SCHEDULE_INT_FIELDS, schedule_from_dict)],
+)
+def test_integer_field_errors(parse, name, place, missing, value):
+    base = _PARSE_BASE if parse is instance_from_dict else _SCHEDULE_BASE
+    doc = _with_field(base, place, value)
+    if value is _MISSING and missing == "default":
+        parse(doc)  # an optional field falls back to its default
+        return
+    with pytest.raises(ParseError) as err:
+        parse(doc)
+    if value is _MISSING:
+        parent, key = name.rsplit(".", 1)
+        assert str(err.value) == f"{parent}: missing field '{key}'"
+    else:
+        assert str(err.value) == f"{name}: expected an integer, got {value!r}"
+
+
+def test_integer_field_error_text_is_pinned():
+    # the table above derives its messages; these spell a few out in full
+    cases = [
+        (("plans", 1, "tasks", 1, "p"), _MISSING, "plans[1].tasks[1]: missing field 'p'"),
+        (("plans", 1, "tasks", 1, "p"), True, "plans[1].tasks[1].p: expected an integer, got True"),
+        (("plans", 1, "tasks", 1, "resources", 1), "1", "plans[1].tasks[1].resources[]: expected an integer, got '1'"),
+        (("plans", 0, "precedes", 0), 1.5, "plans[0].precedes[]: expected an integer, got 1.5"),
+        (("window", "end"), None, "window.end: expected an integer, got None"),
+        (("resources", 1, "availability"), False, "resources[1].availability: expected an integer, got False"),
+    ]
+    for place, value, message in cases:
+        with pytest.raises(ParseError) as err:
+            instance_from_dict(_with_field(_PARSE_BASE, place, value))
+        assert str(err.value) == message
