@@ -124,7 +124,8 @@ def _cmd_oracle(args) -> int:
         time_limit=args.time_limit,
         exhaustive_grid=args.grid,
     )
-    print(f"optimum {result.optimum}")
+    # a tripped search only knows a feasible value, not that none is higher
+    print(f"{'lower bound' if result.time_limit_hit else 'optimum'} {result.optimum}")
     print(f"plans {result.witness.scheduled_plans}")
     print(f"explored {result.explored} nodes{' (limit hit)' if result.time_limit_hit else ''}")
     return 0

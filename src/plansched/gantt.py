@@ -56,8 +56,9 @@ def _render_text(schedule: Schedule, instance: Instance) -> str:
     for rho, rows in bars.items():
         timeline = ["."] * span
         for start, end, _label in rows:
-            for t in range(max(start, w.start), min(end, w.end)):
-                timeline[t - w.start] = "#"
+            lo, hi = max(start, w.start) - w.start, min(end, w.end) - w.start
+            if lo < hi:
+                timeline[lo:hi] = "#" * (hi - lo)
         legend = "  ".join(f"{label} [{start},{end})" for start, end, label in rows)
         lines.append(f"{f'rho {rho}':<{label_width}} | " + "".join(timeline) + ("  " + legend if legend else ""))
     return "\n".join(lines) + "\n"

@@ -1,7 +1,9 @@
 """Domain types for plan scheduling: tasks, plans, instances, events and schedules.
 
 Immutable inputs (``TimeWindow``, ``Task``, ``Plan``, ``Instance``) validate their
-structural invariants at construction time.  ``Instance`` is the only place
+structural invariants at construction time; every time, id, priority and
+availability must be an ``int`` (a bool, float or string is rejected, so the
+documents written from them hold integers only).  ``Instance`` is the only place
 that reads the plan DAG: one pass rejects cycles and records each plan's
 frontier and DAG neighbours, which the ordering and the engine look up.
 ``Schedule`` is the mutable result of a single scheduler run;
@@ -57,6 +59,8 @@ class TimeWindow:
     end: int
 
     def __post_init__(self):
+        if not type(self.start) is type(self.end) is int:
+            raise BadWindow(f"window bounds must be integers, got {self.start!r} and {self.end!r}")
         if self.start > self.end:
             raise BadWindow(f"window start {self.start} exceeds end {self.end}")
 
@@ -82,18 +86,46 @@ class Task:
     def __post_init__(self):
         object.__setattr__(self, "id", (self.plan_id, self.index))
         object.__setattr__(self, "resources", frozenset(self.resources))
-        object.__setattr__(self, "predecessors", tuple((int(j), int(lag)) for j, lag in self.predecessors))
+        object.__setattr__(self, "predecessors", tuple((j, lag) for j, lag in self.predecessors))
+        if not (
+            type(self.plan_id) is type(self.index) is type(self.processing_time)
+            is type(self.release) is type(self.due) is int
+        ):
+            _reject_non_int(
+                f"task {self.id}",
+                plan_id=self.plan_id,
+                index=self.index,
+                processing_time=self.processing_time,
+                release=self.release,
+                due=self.due,
+            )
         if self.processing_time < 1:
             raise BadWindow(f"task {self.id}: processing time must be >= 1, got {self.processing_time}")
         if self.release > self.due:
             raise BadWindow(f"task {self.id}: release {self.release} exceeds due {self.due}")
         if not self.resources:
             raise InstanceError(f"task {self.id}: resource set is empty")
+        for rho in self.resources:
+            if type(rho) is not int:
+                raise InstanceError(f"task {self.id}: resource ids must be integers, got {rho!r}")
         for j, lag in self.predecessors:
+            if not type(j) is type(lag) is int:
+                raise InstanceError(f"task {self.id}: predecessor ({j!r}, {lag!r}) must be a pair of integers")
             if lag < 0:
                 raise BadWindow(f"task {self.id}: negative lag {lag} on predecessor {j}")
             if j == self.index:
                 raise CyclicTaskGraph(f"task {self.id} lists itself as predecessor")
+
+
+def _reject_non_int(owner: str, **fields) -> None:
+    """Raise :class:`InstanceError` for the first of ``fields`` that is not an ``int``.
+
+    A bool is rejected too: the documents write integers, and ``True`` would
+    come back from them as a different value or not at all.
+    """
+    for name, value in fields.items():
+        if type(value) is not int:
+            raise InstanceError(f"{owner}: {name} must be an integer, got {value!r}")
 
 
 def completion_time(task: Task, start: int) -> int:
@@ -114,6 +146,8 @@ class Plan:
     tasks: tuple[Task, ...]
 
     def __post_init__(self):
+        if not type(self.id) is type(self.priority) is int:
+            _reject_non_int(f"plan {self.id!r}", id=self.id, priority=self.priority)
         tasks = tuple(self.tasks)
         if not tasks:
             raise InstanceError(f"plan {self.id} has no tasks")
@@ -218,6 +252,8 @@ class Instance:
         object.__setattr__(self, "_preds", {b: tuple(a) for b, a in preds.items()})
         object.__setattr__(self, "_succs", {a: tuple(b) for a, b in succs.items()})
         for rho, avail in self.resources.items():
+            if not type(rho) is type(avail) is int:
+                raise InstanceError(f"resource {rho!r}: id and availability must be integers, got {avail!r}")
             if avail != 1:
                 raise InstanceError(f"resource {rho}: only availability 1 is supported, got {avail}")
         declared = set(self.resources)
@@ -266,9 +302,9 @@ def build_instance(plans, plan_dag=(), resources=None, window=None) -> Instance:
                 for rho in task.resources:
                     res[rho] = 1
     elif isinstance(resources, dict):
-        res = {int(k): int(v) for k, v in resources.items()}
+        res = dict(resources)
     else:
-        res = {int(rho): 1 for rho in resources}
+        res = dict.fromkeys(resources, 1)
     return Instance(plans=tuple(plans), plan_dag=frozenset(plan_dag), resources=res, window=window)
 
 

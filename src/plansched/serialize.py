@@ -25,8 +25,19 @@ Schedule document::
                   "usage": {"1": 1}}, ...]       # optional debug section
     }
 
-Parsing errors carry the path of the offending field.  Round-trips are
-lossless and the emitted bytes are deterministic for a given input.
+Parsing errors carry the path of the offending field; the path is spelled
+out only for a bad field, so a valid document builds no error strings.
+Round-trips are lossless and the emitted bytes are deterministic for a given
+input.
+
+``dumps_instance`` and ``dumps_schedule`` write exactly
+``json.dumps(instance_to_dict(...), indent=2) + "\n"`` and
+``json.dumps(schedule_to_dict(...), indent=2) + "\n"``, but from f-string
+templates, because ``json.dumps`` with an indent always runs the pure-Python
+encoder.  Every key is fixed ASCII and every value an ``int`` (the model
+rejects anything else), so nothing needs escaping.  The golden digests in
+``tests/golden/schedules.json`` and the writer identity tests in
+``tests/test_serialize.py`` pin those bytes.
 """
 
 from __future__ import annotations
@@ -65,10 +76,33 @@ def _as_int(value, where):
     return value
 
 
+def _int(mapping, key, where, default=None):
+    """The integer under ``key``; ``default`` makes the field optional.
+
+    The path ``where.key`` is spelled out only when the field is bad.
+    """
+    if type(mapping) is dict:
+        value = mapping.get(key, default)
+        if type(value) is int:
+            return value
+    value = _require(mapping, key, where) if default is None else mapping.get(key, default)
+    return _as_int(value, f"{where}.{key}")
+
+
 def _as_list(value, where):
     if not isinstance(value, list):
         raise ParseError(f"{where}: expected a list")
     return value
+
+
+def _list(mapping, key, where, default=None):
+    """The list under ``key``, read like :func:`_int`."""
+    if type(mapping) is dict:
+        value = mapping.get(key, default)
+        if type(value) is list:
+            return value
+    value = _require(mapping, key, where) if default is None else mapping.get(key, default)
+    return _as_list(value, f"{where}.{key}")
 
 
 def instance_to_dict(instance: Instance) -> dict:
@@ -103,58 +137,97 @@ def instance_to_dict(instance: Instance) -> dict:
 
 def instance_from_dict(doc: dict) -> Instance:
     window_doc = _require(doc, "window", "document")
-    window = TimeWindow(
-        _as_int(_require(window_doc, "start", "window"), "window.start"),
-        _as_int(_require(window_doc, "end", "window"), "window.end"),
-    )
+    window = TimeWindow(_int(window_doc, "start", "window"), _int(window_doc, "end", "window"))
     resources: dict[int, int] = {}
     for i, res in enumerate(_as_list(_require(doc, "resources", "document"), "resources")):
         where = f"resources[{i}]"
-        rho = _as_int(_require(res, "id", where), f"{where}.id")
+        rho = _int(res, "id", where)
         if rho in resources:
             raise ParseError(f"{where}: duplicate resource id {rho}")
-        resources[rho] = _as_int(res.get("availability", 1), f"{where}.availability")
+        resources[rho] = _int(res, "availability", where, 1)
     plans: list[Plan] = []
     edges: set[tuple[int, int]] = set()
     for i, plan_doc in enumerate(_as_list(_require(doc, "plans", "document"), "plans")):
         where = f"plans[{i}]"
-        plan_id = _as_int(_require(plan_doc, "id", where), f"{where}.id")
-        priority = _as_int(_require(plan_doc, "priority", where), f"{where}.priority")
-        for succ in _as_list(plan_doc.get("precedes", []), f"{where}.precedes"):
-            edges.add((plan_id, _as_int(succ, f"{where}.precedes[]")))
+        plan_id = _int(plan_doc, "id", where)
+        priority = _int(plan_doc, "priority", where)
+        for succ in _list(plan_doc, "precedes", where, []):
+            if type(succ) is not int:
+                _as_int(succ, f"{where}.precedes[]")
+            edges.add((plan_id, succ))
         tasks = []
-        for j, task_doc in enumerate(_as_list(_require(plan_doc, "tasks", where), f"{where}.tasks")):
+        for j, task_doc in enumerate(_list(plan_doc, "tasks", where)):
             twhere = f"{where}.tasks[{j}]"
-            index = _as_int(_require(task_doc, "index", twhere), f"{twhere}.index")
+            index = _int(task_doc, "index", twhere)
             preds = []
-            for k, pred in enumerate(_as_list(task_doc.get("predecessors", []), f"{twhere}.predecessors")):
+            for k, pred in enumerate(_list(task_doc, "predecessors", twhere, [])):
                 pwhere = f"{twhere}.predecessors[{k}]"
-                preds.append(
-                    (
-                        _as_int(_require(pred, "index", pwhere), f"{pwhere}.index"),
-                        _as_int(pred.get("lag", 0), f"{pwhere}.lag"),
-                    )
-                )
+                preds.append((_int(pred, "index", pwhere), _int(pred, "lag", pwhere, 0)))
+            processing_time = _int(task_doc, "p", twhere)
+            release = _int(task_doc, "r", twhere)
+            due = _int(task_doc, "d", twhere)
+            task_resources = _list(task_doc, "resources", twhere)
+            for r in task_resources:
+                if type(r) is not int:
+                    _as_int(r, f"{twhere}.resources[]")
             tasks.append(
-                Task(
-                    plan_id=plan_id,
-                    index=index,
-                    processing_time=_as_int(_require(task_doc, "p", twhere), f"{twhere}.p"),
-                    release=_as_int(_require(task_doc, "r", twhere), f"{twhere}.r"),
-                    due=_as_int(_require(task_doc, "d", twhere), f"{twhere}.d"),
-                    resources=frozenset(
-                        _as_int(r, f"{twhere}.resources[]")
-                        for r in _as_list(_require(task_doc, "resources", twhere), f"{twhere}.resources")
-                    ),
-                    predecessors=tuple(preds),
-                )
+                Task(plan_id, index, processing_time, release, due, frozenset(task_resources), tuple(preds))
             )
         plans.append(Plan(id=plan_id, priority=priority, tasks=tuple(tasks)))
     return build_instance(plans, plan_dag=edges, resources=resources, window=window)
 
 
+def _array(items, pad: str) -> str:
+    """A JSON array of already indented ``items`` whose ``]`` sits at ``pad``."""
+    return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
+
+
+def _ints(values, pad: str) -> str:
+    """A JSON array of integers whose ``]`` sits at ``pad``."""
+    if not values:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(map(str, values)) + "\n" + pad + "]"
+
+
+def _task_text(task: Task) -> str:
+    preds = _array(
+        [
+            f'            {{\n              "index": {j},\n              "lag": {lag}\n            }}'
+            for j, lag in sorted(task.predecessors)
+        ],
+        "          ",
+    )
+    return (
+        f'        {{\n          "index": {task.index},\n          "p": {task.processing_time},\n'
+        f'          "r": {task.release},\n          "d": {task.due},\n'
+        f'          "resources": {_ints(sorted(task.resources), "          ")},\n'
+        f'          "predecessors": {preds}\n        }}'
+    )
+
+
 def dumps_instance(instance: Instance) -> str:
-    return json.dumps(instance_to_dict(instance), indent=2) + "\n"
+    window = instance.window
+    resources = _array(
+        [
+            f'    {{\n      "id": {rho},\n      "availability": {instance.resources[rho]}\n    }}'
+            for rho in sorted(instance.resources)
+        ],
+        "  ",
+    )
+    plans = _array(
+        [
+            f'    {{\n      "id": {plan.id},\n      "priority": {plan.priority},\n'
+            f'      "precedes": {_ints(sorted(instance.successors_of_plan(plan.id)), "      ")},\n'
+            f'      "tasks": {_array([_task_text(task) for task in plan.tasks], "      ")}\n    }}'
+            for plan in instance.plans
+        ],
+        "  ",
+    )
+    return (
+        f'{{\n  "window": {{\n    "start": {window.start},\n    "end": {window.end}\n  }},\n'
+        f'  "resources": {resources},\n  "plans": {plans}\n}}\n'
+    )
 
 
 def _read_json(path):
@@ -207,13 +280,10 @@ def schedule_from_dict(doc: dict) -> Schedule:
     starts = {}
     for i, entry in enumerate(_as_list(_require(doc, "starts", "document"), "starts")):
         where = f"starts[{i}]"
-        key = (
-            _as_int(_require(entry, "plan", where), f"{where}.plan"),
-            _as_int(_require(entry, "task", where), f"{where}.task"),
-        )
+        key = (_int(entry, "plan", where), _int(entry, "task", where))
         if key in starts:
             raise ParseError(f"{where}: duplicate start for plan {key[0]} task {key[1]}")
-        starts[key] = _as_int(_require(entry, "start", where), f"{where}.start")
+        starts[key] = _int(entry, "start", where)
     return Schedule(starts, _plan_ids(doc, "scheduled"), _plan_ids(doc, "discarded"))
 
 
@@ -228,8 +298,41 @@ def _plan_ids(doc: dict, key: str) -> list[int]:
     return list(ids)
 
 
+def _event_tasks(task_ids) -> str:
+    """An event's ``starting`` or ``completing`` list of ``[plan, task]`` pairs."""
+    if not task_ids:
+        return "[]"
+    pairs = ",\n".join(f"        [\n          {p},\n          {k}\n        ]" for p, k in sorted(task_ids))
+    return "[\n" + pairs + "\n      ]"
+
+
+def _event_text(event: Event) -> str:
+    usage = ",\n".join(f'        "{rho}": 1' for rho in sorted(event.usage))
+    usage = "{\n" + usage + "\n      }" if usage else "{}"
+    return (
+        f'    {{\n      "t": {event.time},\n      "starting": {_event_tasks(event.starting)},\n'
+        f'      "completing": {_event_tasks(event.completing)},\n      "usage": {usage}\n    }}'
+    )
+
+
 def dumps_schedule(schedule: Schedule, instance: Instance, events: tuple[Event, ...] | None = None) -> str:
-    return json.dumps(schedule_to_dict(schedule, instance, events), indent=2) + "\n"
+    p_of = {task.id: task.processing_time for task in instance.iter_tasks()}
+    starts = _array(
+        [
+            f'    {{\n      "plan": {plan_id},\n      "task": {index},\n      "start": {start},\n'
+            f'      "completion": {start + p_of[plan_id, index]}\n    }}'
+            for (plan_id, index), start in sorted(schedule.starts.items())
+        ],
+        "  ",
+    )
+    text = (
+        f'{{\n  "starts": {starts},\n  "scheduled": {_ints(schedule.scheduled_plans, "  ")},\n'
+        f'  "discarded": {_ints(schedule.discarded_plans, "  ")},\n'
+        f'  "objective": {_objective(instance, schedule)}'
+    )
+    if events is None:
+        return text + "\n}\n"
+    return text + f',\n  "events": {_array([_event_text(event) for event in events], "  ")}\n}}\n'
 
 
 def emit_schedule(schedule: Schedule, instance: Instance, path, *, events: tuple[Event, ...] | None = None) -> None:

@@ -178,6 +178,16 @@ def test_oracle_subcommand_uses_library_limits(tmp_path, monkeypatch, capsys):
     assert "optimum 3" in capsys.readouterr().out
 
 
+def test_oracle_subcommand_reports_lower_bound_when_limit_trips(tmp_path, capsys):
+    instance_path = tmp_path / "example2.json"
+    instance_path.write_text(dumps_instance(example2_instance()))
+    assert main(["oracle", str(instance_path), "--node-limit", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "optimum" not in out
+    assert out.splitlines()[0].startswith("lower bound ")
+    assert "(limit hit)" in out
+
+
 def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["schedule"])  # missing positional argument

@@ -131,3 +131,54 @@ def test_build_instance_rejects_unknown_dag_plan():
     plan = make_plan(1, 1, [(1, 1, 0, 5, {1}, [])])
     with pytest.raises(InstanceError):
         build_instance([plan], plan_dag={(1, 9)}, window=TimeWindow(0, 10))
+
+
+def test_bool_priority_rejected_before_it_reaches_a_document():
+    # a document holds integers only, so a bool accepted here could not be
+    # written and read back
+    with pytest.raises(InstanceError, match="priority must be an integer, got True"):
+        build_instance(
+            [Plan(1, True, (Task(1, 1, 2, 0, 9, frozenset({1})),))], resources=[1], window=TimeWindow(0, 9)
+        )
+
+
+_TASK_FIELDS = {"plan_id": 1, "index": 2, "processing_time": 2, "release": 0, "due": 9}
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", None])
+@pytest.mark.parametrize("field", sorted(_TASK_FIELDS))
+def test_task_rejects_non_integer_fields(field, bad):
+    fields = {**_TASK_FIELDS, field: bad}
+    with pytest.raises(InstanceError, match=f"{field} must be an integer"):
+        Task(**fields, resources={1})
+
+
+@pytest.mark.parametrize("pair", [(1, True), (True, 0), (1, 0.0), ("1", 0)])
+def test_task_rejects_non_integer_predecessor_pair(pair):
+    with pytest.raises(InstanceError, match="must be a pair of integers"):
+        Task(**_TASK_FIELDS, resources={1}, predecessors=(pair,))
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def test_task_rejects_non_integer_resource(bad):
+    with pytest.raises(InstanceError, match="resource ids must be integers"):
+        Task(**_TASK_FIELDS, resources={bad})
+
+
+@pytest.mark.parametrize("plan_id, priority", [(True, 1), (1, False), (1.0, 1), (1, "3")])
+def test_plan_rejects_non_integer_id_or_priority(plan_id, priority):
+    with pytest.raises(InstanceError, match="must be an integer"):
+        Plan(plan_id, priority, (Task(1, 1, 2, 0, 9, frozenset({1})),))
+
+
+@pytest.mark.parametrize("start, end", [(True, 9), (0, 9.0), ("0", 9), (0, None)])
+def test_window_rejects_non_integer_bounds(start, end):
+    with pytest.raises(BadWindow, match="must be integers"):
+        TimeWindow(start, end)
+
+
+@pytest.mark.parametrize("resources", [{1: True}, {1: 1.0}, {True: 1}, ["1"], [1.0]])
+def test_build_instance_rejects_non_integer_resources(resources):
+    plan = Plan(1, 1, (Task(1, 1, 2, 0, 9, frozenset({1})),))
+    with pytest.raises(InstanceError, match="must be integers"):
+        build_instance([plan], resources=resources, window=TimeWindow(0, 9))
