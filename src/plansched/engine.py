@@ -22,14 +22,17 @@ through :func:`schedule_plan_set`: it commits the members in the order that
 keeps resources busiest (smallest idle-time sum first).  A candidate with
 rivals is placed, measured and rolled back by the same exact undo, so the
 working state is the engine's only state; a plan left alone in its group is
-committed by its own placement.  A trial is re-run after a commit only when
-the commit can have changed it: a trial reads only its plan's tasks and the
-timelines of their resources, commits only add intervals, and an interval
-``[a, b)`` leaves a task's start and latest release ``lr`` as they were unless
-it overlaps ``[lr, e)``, where ``e`` is the task's completion.  Ending at or
-before ``lr``, it frees no earlier start and moves no release; starting at or
-after ``e``, it lies after the task.  So a group costs trials in proportion
-to what its commits touch, not to the square of its size.
+committed by its own placement.  Each trial is kept with the starts it found,
+and a commit writes those starts without placing the plan again.  A trial
+is re-run after a commit only when the commit can have changed it: a trial
+reads only its plan's tasks and the timelines of their resources, commits
+only add intervals, and an interval ``[a, b)`` leaves a task's start and
+latest release ``lr`` as they were unless it overlaps ``[lr, e)``, where
+``e`` is the task's completion.  Ending at or before ``lr``, it frees no
+earlier start and moves no release; starting at or after ``e``, it lies
+after the task.  So a kept trial is what a fresh placement would write, and
+a group of ``G`` plans costs at most ``G(G+1)/2`` placements, fewer when its
+commits touch few trials.
 
 The paper's event list is not maintained during the build: it is derived once
 from the final start times when ``ScheduleResult.events`` is first read.
@@ -136,7 +139,12 @@ def schedule_task(
     start = _earliest_fit(task, lower, latest, busy)
     if start is None:
         return False
+    _occupy(task, start, s_w, busy)
+    return True
 
+
+def _occupy(task: Task, start: int, s_w: Schedule, busy: Timelines) -> None:
+    """Record ``start`` for ``task`` and add its interval to each of its resources' timelines."""
     s_w.starts[task.id] = start
     end = completion_time(task, start)
     for rho in task.resources:
@@ -144,7 +152,6 @@ def schedule_task(
         i = bisect_left(starts, start)
         starts.insert(i, start)
         ends.insert(i, end)
-    return True
 
 
 def _earliest_fit(task: Task, lower: int, latest: int, busy: Timelines) -> int | None:
@@ -250,41 +257,39 @@ def schedule_plan_set(plans: list[Plan], s_w: Schedule, busy: Timelines, window:
 
     Each round goes over the pending plans in order.  A plan that fails
     placement leaves the group for good: more commitments only make placement
-    harder.  A plan that places while it is the only one pending has no rival
-    and stays committed by that placement.  Any other plan is measured by its
-    idle-time sum and rolled back, and after the round the plan with the
-    smallest sum (on ties the last examined) is placed again and committed.
-    These two commits are the only places where a plan is appended to
-    ``scheduled_plans``.
+    harder.  A plan without a kept trial that places while it is the only
+    one pending has no rival and stays committed by that placement.  Any other
+    plan is measured by its idle-time sum and rolled back, and its trial is
+    kept: the idle sum and, per task, the span ``(resources, lr, s, e)``, the
+    task's start ``s``, its completion ``e`` and ``lr``, its latest release
+    on its resources (:func:`idle_time_sum`).  After the round the plan with
+    the smallest sum (on ties the last examined) is committed by writing the
+    starts of its trial.  These two commits are the only places where a
+    plan is appended to ``scheduled_plans``.
 
-    A trial is re-run only when a commit can have changed it.  A round that
-    starts with three or more pending plans keeps each trial's idle sum and,
-    per task, the span ``(resources, lr, s, e)``: the task's start ``s``, its
-    completion ``e`` and ``lr``, its latest release on its resources
-    (:func:`idle_time_sum`).  A trial reads nothing but the plan's own tasks
-    and the timelines of their resources, and a commit only adds intervals.
-    An added interval ``[a, b)`` on one of a task's resources changes neither
-    the task's start nor its latest release unless ``a < e and b > lr``:
-    ending at or before ``lr``, it frees no earlier start and does not move
-    the release; starting at or after ``e``, it lies after the trial.  The
-    committed plan's own kept trial is therefore still what its placement
-    writes, so the commit reads the intervals ``[s, e)`` it added from that
-    trial, and exactly the kept trials that one of them overlaps are dropped
-    (:func:`_overlaps`).  The next round re-runs only the plans without a
-    kept trial; a kept trial is read as if it had been re-run, in ``pending``
-    order.  With two pending plans no kept trial could be read again (the
-    plan left after the commit is placed alone), so none is kept.
+    A trial reads nothing but the plan's own tasks and the timelines of their
+    resources, and a commit only adds intervals.  An added interval
+    ``[a, b)`` on one of a task's resources changes neither the task's start
+    nor its latest release unless ``a < e and b > lr``: ending at or before
+    ``lr``, it frees no earlier start and does not move the release;
+    starting at or after ``e``, it lies after the trial.  So a kept trial
+    that no commit has overlapped is exactly what a fresh placement would
+    write.  A commit drops exactly the kept trials that one of its intervals
+    ``[s, e)`` overlaps (:func:`_overlaps`); the next round re-runs only the
+    plans without a kept trial and reads a kept trial as if it had been
+    re-run, in ``pending`` order.  A group of ``G`` plans thus takes at most
+    ``G(G+1)/2`` placements, and exactly that many when every plan fits and
+    every commit overlaps every kept trial.
     Returns the ids of the plans that could not be scheduled.
     """
     pending = list(plans)
     unscheduled: set[int] = set()
     trials: dict[int, tuple[int, list]] = {}  # plan id -> (idle sum, spans)
     while pending:
-        keep = len(pending) > 2
         best: Plan | None = None
         best_idle: int | None = None
         for plan in list(pending):
-            trial = trials.get(plan.id) if trials else None
+            trial = trials.get(plan.id)
             if trial is not None:
                 idle = trial[0]
             elif not schedule_plan(plan, s_w, busy, window):
@@ -296,23 +301,20 @@ def schedule_plan_set(plans: list[Plan], s_w: Schedule, busy: Timelines, window:
                 s_w.scheduled_plans.append(plan.id)
                 continue
             else:
-                spans = [] if keep else None
+                spans: list = []
                 idle = idle_time_sum(plan, s_w, busy, window, spans)
                 rollback_plan(plan, s_w, busy)
-                if keep:
-                    trials[plan.id] = (idle, spans)
+                trials[plan.id] = (idle, spans)
             if best_idle is None or idle <= best_idle:
                 best_idle = idle
                 best = plan
         if best is not None:
-            schedule_plan(best, s_w, busy, window)
+            placed = trials.pop(best.id)[1]
+            for task, (_, _, start, _) in zip(best.tasks, placed):
+                _occupy(task, start, s_w, busy)
             s_w.scheduled_plans.append(best.id)
             pending.remove(best)
-            if len(pending) < 2:
-                trials.clear()  # a lone plan is placed without a trial
-            elif trials:
-                placed = trials.pop(best.id)[1]
-                trials = {plan_id: trial for plan_id, trial in trials.items() if not _overlaps(trial[1], placed)}
+            trials = {plan_id: trial for plan_id, trial in trials.items() if not _overlaps(trial[1], placed)}
     return unscheduled
 
 

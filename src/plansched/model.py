@@ -220,13 +220,15 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "plans", tuple(self.plans))
-        object.__setattr__(self, "plan_dag", frozenset((int(a), int(b)) for a, b in self.plan_dag))
+        object.__setattr__(self, "plan_dag", frozenset((a, b) for a, b in self.plan_dag))
         by_id = {p.id: p for p in self.plans}
         if len(by_id) != len(self.plans):
             raise InstanceError("duplicate plan ids")
         preds: dict[int, list[int]] = {}
         succs: dict[int, list[int]] = {}
         for a, b in self.plan_dag:
+            if not type(a) is type(b) is int:
+                raise InstanceError(f"plan precedence edge ({a!r}, {b!r}): plan ids must be integers")
             if a not in by_id or b not in by_id:
                 raise InstanceError(f"plan precedence edge ({a}, {b}) names unknown plan")
             if a == b:

@@ -25,17 +25,19 @@ Schedule document::
                   "usage": {"1": 1}}, ...]       # optional debug section
     }
 
-Parsing errors carry the path of the offending field; the path is spelled
-out only for a bad field, so a valid document builds no error strings.
-Round-trips are lossless and the emitted bytes are deterministic for a given
-input.
+Parsing errors carry the path of the offending field.  The path of each
+list entry (``plans[i]``, ``.tasks[j]``, ``.predecessors[k]``) is built as
+the entry is read, but the ``.key`` of a field is added only when that field
+is bad.  Round-trips are lossless and the emitted bytes are deterministic
+for a given input.
 
 ``dumps_instance`` and ``dumps_schedule`` write exactly
 ``json.dumps(instance_to_dict(...), indent=2) + "\n"`` and
 ``json.dumps(schedule_to_dict(...), indent=2) + "\n"``, but from f-string
 templates, because ``json.dumps`` with an indent always runs the pure-Python
 encoder.  Every key is fixed ASCII and every value an ``int`` (the model
-rejects anything else), so nothing needs escaping.  The golden digests in
+rejects anything else, and ``dumps_schedule`` checks the ``Schedule`` it is
+given), so nothing needs escaping.  The golden digests in
 ``tests/golden/schedules.json`` and the writer identity tests in
 ``tests/test_serialize.py`` pin those bytes.
 """
@@ -315,7 +317,24 @@ def _event_text(event: Event) -> str:
     )
 
 
+def _check_ints(schedule: Schedule) -> None:
+    """Raise unless every start, task id and listed plan id of ``schedule`` is an ``int``.
+
+    The templates write values as they are, and a hand-built ``Schedule``
+    checks nothing itself.
+    """
+    for (plan_id, index), start in schedule.starts.items():
+        if not type(plan_id) is type(index) is type(start) is int:
+            raise SchedulingError(
+                f"start of plan {plan_id!r} task {index!r}: ids and start must be integers, got {start!r}"
+            )
+    for plan_id in (*schedule.scheduled_plans, *schedule.discarded_plans):
+        if type(plan_id) is not int:
+            raise SchedulingError(f"listed plan ids must be integers, got {plan_id!r}")
+
+
 def dumps_schedule(schedule: Schedule, instance: Instance, events: tuple[Event, ...] | None = None) -> str:
+    _check_ints(schedule)
     p_of = {task.id: task.processing_time for task in instance.iter_tasks()}
     starts = _array(
         [

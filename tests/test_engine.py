@@ -411,11 +411,12 @@ def _spy_placements(monkeypatch):
 @pytest.mark.parametrize(
     "release3, expected_calls, scheduled",
     [
-        # idle sums 4, 3, 1: plan 3 commits [1, 3) on resource 3, away from the others
-        (1, [1, 2, 3, 3, 2, 1], [3, 2, 1]),
+        # idle sums 4, 3, 1: plan 3 commits [1, 3) on resource 3, away from the
+        # others, and every later commit writes a kept trial
+        (1, [1, 2, 3], [3, 2, 1]),
         # idle sums 4, 3, 0: plan 3 commits [0, 2) on resource 1, inside plan 1's
         # span [0, 6), so plan 1 alone is re-run; its idle falls to 2, below plan 2's
-        (0, [1, 2, 3, 3, 1, 1, 2], [3, 1, 2]),
+        (0, [1, 2, 3, 1], [3, 1, 2]),
     ],
     ids=["disjoint", "overlaps-plan-1"],
 )
@@ -441,8 +442,8 @@ def test_commit_retrials_only_the_plans_it_overlaps(monkeypatch, release3, expec
 @pytest.mark.parametrize(
     "commit_release, expected_calls, plan1_idle",
     [
-        (1, [1, 2, 3, 2, 1, 3], 3),  # commit [1, 4) ends at plan 1's lr = 4: kept
-        (2, [1, 2, 3, 2, 1, 1, 3], 2),  # commit [2, 5) ends at lr + 1: re-trialled
+        (1, [1, 2, 3], 3),  # commit [1, 4) ends at plan 1's lr = 4: kept
+        (2, [1, 2, 3, 1], 2),  # commit [2, 5) ends at lr + 1: re-trialled
     ],
     ids=["ends-at-lr", "ends-past-lr"],
 )
@@ -471,10 +472,47 @@ def test_commit_ending_at_latest_release_keeps_the_trial(monkeypatch, commit_rel
     assert idle_time_sum(instance.plan(1), s_w, busy, window) == plan1_idle
 
 
+@pytest.mark.parametrize("size, placements", [(2, 3), (5, 15), (16, 136)])
+def test_colliding_group_takes_triangular_placements(monkeypatch, size, placements):
+    # G one-task plans on one resource: each commit overlaps every kept trial, so
+    # round k places the G - k + 1 pending plans once and the commit places none,
+    # G(G+1)/2 in all, the bound for a group of G
+    window = TimeWindow(0, 20 * size)
+    instance = build_instance(
+        [make_plan(plan_id, 1, [(1, 1 + plan_id % 3, 0, 20 * size, {1}, [])]) for plan_id in range(1, size + 1)],
+        window=window,
+    )
+    calls = _spy_placements(monkeypatch)
+    s_w, busy = _fresh_state(instance.resources)
+    assert schedule_plan_set(list(instance.plans), s_w, busy, window) == set()
+    assert len(calls) == placements == size * (size + 1) // 2
+    assert len(s_w.scheduled_plans) == size
+
+
+def test_disjoint_pair_is_placed_once_each(monkeypatch):
+    # the commit of plan 2 does not touch plan 1's kept trial, which is
+    # then committed as it was measured
+    window = TimeWindow(0, 10)
+    instance = build_instance(
+        [
+            make_plan(1, 1, [(1, 2, 3, 10, {1}, [])]),
+            make_plan(2, 1, [(1, 2, 0, 10, {2}, [])]),
+        ],
+        window=window,
+    )
+    calls = _spy_placements(monkeypatch)
+    s_w, busy = _fresh_state(instance.resources)
+    assert schedule_plan_set(list(instance.plans), s_w, busy, window) == set()
+    assert calls == [1, 2]
+    assert s_w.scheduled_plans == [2, 1]
+    assert s_w.starts == {(1, 1): 3, (2, 1): 0}
+    assert busy == {1: ([3], [5]), 2: ([0], [2])}
+
+
 def test_group_trials_grow_with_what_commits_touch(monkeypatch):
     # 64 equal-priority plans on 16 resources, all of which fit: re-running
     # every pending trial after each commit takes 2,143 placements here;
-    # keeping the trials no commit touches takes 481
+    # keeping the trials no commit touches, and committing them as kept, takes 417
     rng = random.Random("one-priority-64")
     plans = []
     for plan_id in range(1, 65):

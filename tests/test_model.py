@@ -182,3 +182,11 @@ def test_build_instance_rejects_non_integer_resources(resources):
     plan = Plan(1, 1, (Task(1, 1, 2, 0, 9, frozenset({1})),))
     with pytest.raises(InstanceError, match="must be integers"):
         build_instance([plan], resources=resources, window=TimeWindow(0, 9))
+
+
+@pytest.mark.parametrize("edge", [("1", 2.0), (True, 2), (1, 2.0), (1, "2")])
+def test_build_instance_rejects_non_integer_dag_edge(edge):
+    # an edge id is checked like every other integer field, not coerced
+    plans = [make_plan(plan_id, 1, [(1, 1, 0, 5, {1}, [])]) for plan_id in (1, 2)]
+    with pytest.raises(InstanceError, match="plan ids must be integers"):
+        build_instance(plans, plan_dag={edge}, window=TimeWindow(0, 10))

@@ -6,6 +6,7 @@ import pytest
 from plansched import (
     ParseError,
     Schedule,
+    SchedulingError,
     TimeWindow,
     build_instance,
     build_schedule,
@@ -347,3 +348,24 @@ def test_integer_field_error_text_is_pinned():
         with pytest.raises(ParseError) as err:
             instance_from_dict(_with_field(_PARSE_BASE, place, value))
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "starts, scheduled, discarded",
+    [
+        ({(1, 1): True}, [1], []),
+        ({(1, 1): 2.0}, [1], []),
+        ({("1", 1): 2}, [1], []),
+        ({(1, True): 2}, [1], []),
+        ({}, ["1"], []),
+        ({}, [], [1.0]),
+        ({}, [True], []),
+    ],
+    ids=["bool-start", "float-start", "str-plan", "bool-task", "str-scheduled", "float-discarded", "bool-scheduled"],
+)
+def test_dumps_schedule_rejects_non_integer_values(example1, starts, scheduled, discarded):
+    # the templates write values as they are: a bool would come out as True,
+    # which is not JSON
+    schedule = Schedule(starts=starts, scheduled_plans=scheduled, discarded_plans=discarded)
+    with pytest.raises(SchedulingError, match="must be integers"):
+        dumps_schedule(schedule, example1)
