@@ -65,13 +65,17 @@ class TimeWindow:
             raise BadWindow(f"window start {self.start} exceeds end {self.end}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Task:
     """One atomic operation of a plan.
 
     ``predecessors`` holds ``(task_index, lag)`` pairs: this task may start no
     earlier than ``lag`` ticks after each named sibling task completes.
     ``id`` is ``(plan_id, index)``, stored once when the task is made.
+
+    ``__init__`` is written out: it checks each argument once and sets each
+    slot once, storing ``resources`` as a frozenset and ``predecessors`` as a
+    tuple of pairs.  ``dataclasses.replace`` goes through it too.
     """
 
     plan_id: int
@@ -83,38 +87,75 @@ class Task:
     predecessors: tuple[tuple[int, int], ...] = ()
     id: TaskId = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "id", (self.plan_id, self.index))
-        object.__setattr__(self, "resources", frozenset(self.resources))
-        object.__setattr__(self, "predecessors", tuple((j, lag) for j, lag in self.predecessors))
-        if not (
-            type(self.plan_id) is type(self.index) is type(self.processing_time)
-            is type(self.release) is type(self.due) is int
-        ):
+    def __init__(self, plan_id, index, processing_time, release, due, resources, predecessors=()):
+        task_id = (plan_id, index)
+        if not type(plan_id) is type(index) is type(processing_time) is type(release) is type(due) is int:
             _reject_non_int(
-                f"task {self.id}",
-                plan_id=self.plan_id,
-                index=self.index,
-                processing_time=self.processing_time,
-                release=self.release,
-                due=self.due,
+                f"task {task_id}",
+                plan_id=plan_id,
+                index=index,
+                processing_time=processing_time,
+                release=release,
+                due=due,
             )
-        if self.processing_time < 1:
-            raise BadWindow(f"task {self.id}: processing time must be >= 1, got {self.processing_time}")
-        if self.release > self.due:
-            raise BadWindow(f"task {self.id}: release {self.release} exceeds due {self.due}")
-        if not self.resources:
-            raise InstanceError(f"task {self.id}: resource set is empty")
-        for rho in self.resources:
+        if processing_time < 1:
+            raise BadWindow(f"task {task_id}: processing time must be >= 1, got {processing_time}")
+        if release > due:
+            raise BadWindow(f"task {task_id}: release {release} exceeds due {due}")
+        resources = frozenset(resources)  # the same object when already a frozenset
+        if not resources:
+            raise InstanceError(f"task {task_id}: resource set is empty")
+        for rho in resources:
             if type(rho) is not int:
-                raise InstanceError(f"task {self.id}: resource ids must be integers, got {rho!r}")
-        for j, lag in self.predecessors:
-            if not type(j) is type(lag) is int:
-                raise InstanceError(f"task {self.id}: predecessor ({j!r}, {lag!r}) must be a pair of integers")
-            if lag < 0:
-                raise BadWindow(f"task {self.id}: negative lag {lag} on predecessor {j}")
-            if j == self.index:
-                raise CyclicTaskGraph(f"task {self.id} lists itself as predecessor")
+                raise InstanceError(f"task {task_id}: resource ids must be integers, got {rho!r}")
+        if predecessors or type(predecessors) is not tuple:
+            predecessors = _predecessor_pairs(task_id, predecessors)
+        _set_plan_id(self, plan_id)
+        _set_index(self, index)
+        _set_processing_time(self, processing_time)
+        _set_release(self, release)
+        _set_due(self, due)
+        _set_resources(self, resources)
+        _set_predecessors(self, predecessors)
+        _set_id(self, task_id)
+
+
+# The slot setters of Task: they write past the frozen ``__setattr__``, and
+# only ``Task.__init__`` calls them.
+_set_plan_id = Task.plan_id.__set__
+_set_index = Task.index.__set__
+_set_processing_time = Task.processing_time.__set__
+_set_release = Task.release.__set__
+_set_due = Task.due.__set__
+_set_resources = Task.resources.__set__
+_set_predecessors = Task.predecessors.__set__
+_set_id = Task.id.__set__
+
+
+def _predecessor_pairs(task_id: TaskId, predecessors) -> tuple[tuple[int, int], ...]:
+    """``predecessors`` as a tuple of ``(index, lag)`` tuples, each one checked."""
+    pairs = []
+    for pair in predecessors:
+        if type(pair) is not tuple or len(pair) != 2:
+            pair = _as_pair(pair, f"task {task_id}: predecessor")
+        j, lag = pair
+        if not type(j) is type(lag) is int:
+            raise InstanceError(f"task {task_id}: predecessor ({j!r}, {lag!r}) must be a pair of integers")
+        if lag < 0:
+            raise BadWindow(f"task {task_id}: negative lag {lag} on predecessor {j}")
+        if j == task_id[1]:
+            raise CyclicTaskGraph(f"task {task_id} lists itself as predecessor")
+        pairs.append(pair)
+    return tuple(pairs)
+
+
+def _as_pair(value, owner: str) -> tuple:
+    """``value`` unpacked into a 2-tuple; anything else raises :class:`InstanceError`."""
+    try:
+        a, b = value
+    except (TypeError, ValueError):
+        raise InstanceError(f"{owner} {value!r} must be a pair of integers") from None
+    return (a, b)
 
 
 def _reject_non_int(owner: str, **fields) -> None:
@@ -177,8 +218,11 @@ def _topo_order_tasks(plan_id: int, tasks: tuple[Task, ...]) -> tuple[Task, ...]
     """Stable topological order of a plan's tasks; raises on precedence cycles.
 
     Repeatedly takes the first pending task, in input order, whose
-    predecessors are all taken.
+    predecessors are all taken.  Tasks that already respect their
+    predecessors come back as the input tuple, after one pass.
     """
+    if _in_order(tasks):
+        return tasks
     order: list[Task] = []
     taken: set[int] = set()
     pending = list(tasks)
@@ -192,6 +236,17 @@ def _topo_order_tasks(plan_id: int, tasks: tuple[Task, ...]) -> tuple[Task, ...]
         taken.add(task.index)
         order.append(task)
     return tuple(order)
+
+
+def _in_order(tasks: tuple[Task, ...]) -> bool:
+    """Whether every task comes after all of its predecessors."""
+    taken: set[int] = set()
+    for task in tasks:
+        for j, _ in task.predecessors:
+            if j not in taken:
+                return False
+        taken.add(task.index)
+    return True
 
 
 @dataclass(frozen=True)
@@ -220,7 +275,11 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "plans", tuple(self.plans))
-        object.__setattr__(self, "plan_dag", frozenset((a, b) for a, b in self.plan_dag))
+        edges = [
+            edge if type(edge) is tuple and len(edge) == 2 else _as_pair(edge, "plan precedence edge")
+            for edge in self.plan_dag
+        ]
+        object.__setattr__(self, "plan_dag", frozenset(edges))
         by_id = {p.id: p for p in self.plans}
         if len(by_id) != len(self.plans):
             raise InstanceError("duplicate plan ids")
@@ -261,9 +320,9 @@ class Instance:
         declared = set(self.resources)
         for plan in self.plans:
             for task in plan.tasks:
-                missing = task.resources - declared
-                if missing:
-                    raise UnknownResource(f"task {task.id} uses undeclared resources {sorted(missing)}")
+                if not task.resources <= declared:
+                    missing = sorted(task.resources - declared)
+                    raise UnknownResource(f"task {task.id} uses undeclared resources {missing}")
 
     def plan(self, plan_id: int) -> Plan:
         try:
@@ -310,7 +369,7 @@ def build_instance(plans, plan_dag=(), resources=None, window=None) -> Instance:
     return Instance(plans=tuple(plans), plan_dag=frozenset(plan_dag), resources=res, window=window)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """A time instant of the schedule, with the tasks starting/completing there.
 
@@ -324,23 +383,43 @@ class Event:
     usage: frozenset[int] = frozenset()
 
 
+_NOTHING: frozenset = frozenset()
+
+
 def event_list(schedule: Schedule, instance: Instance) -> tuple[Event, ...]:
     """The paper's event list of ``schedule``: one event at the window start and
-    at every start and completion instant, swept once in time order."""
+    at every start and completion instant, swept once in time order.
+
+    The sweep keeps the held resources in one set, updated in place, and
+    gives every empty field of every event the same empty frozenset.
+    """
+    starts = schedule.starts
     starting: dict[int, list[Task]] = {}
     completing: dict[int, list[Task]] = {}
-    for task in instance.iter_tasks():
-        start = schedule.starts.get(task.id)
-        if start is not None:
-            starting.setdefault(start, []).append(task)
-            completing.setdefault(completion_time(task, start), []).append(task)
+    for plan in instance.plans:
+        for task in plan.tasks:
+            start = starts.get(task.id)
+            if start is not None:
+                starting.setdefault(start, []).append(task)
+                completing.setdefault(completion_time(task, start), []).append(task)
     events: list[Event] = []
     held: set[int] = set()  # resources are unary: a release and a take at t never clash
     for t in sorted({instance.window.start, *starting, *completing}):
-        begins, ends = starting.get(t, ()), completing.get(t, ())
-        held.difference_update(*(task.resources for task in ends))
-        held.update(*(task.resources for task in begins))
-        events.append(Event(t, frozenset(k.id for k in begins), frozenset(k.id for k in ends), frozenset(held)))
+        ends = completing.get(t)
+        if ends:
+            for task in ends:
+                held -= task.resources
+            ended = frozenset([task.id for task in ends])
+        else:
+            ended = _NOTHING
+        begins = starting.get(t)
+        if begins:
+            for task in begins:
+                held |= task.resources
+            begun = frozenset([task.id for task in begins])
+        else:
+            begun = _NOTHING
+        events.append(Event(t, begun, ended, frozenset(held) if held else _NOTHING))
     return tuple(events)
 
 

@@ -25,11 +25,13 @@ Schedule document::
                   "usage": {"1": 1}}, ...]       # optional debug section
     }
 
-Parsing errors carry the path of the offending field.  The path of each
-list entry (``plans[i]``, ``.tasks[j]``, ``.predecessors[k]``) is built as
-the entry is read, but the ``.key`` of a field is added only when that field
-is bad.  Round-trips are lossless and the emitted bytes are deterministic
-for a given input.
+Parsing errors carry the path of the offending field.  A task entry is
+read with one type test over its fields and its predecessor entries; only an
+entry that fails it is read again, field by field, and only then is its path
+(``plans[i].tasks[j]``, ``.predecessors[k]``) built.  The path of a plan or
+resource entry is built as the entry is read, and the ``.key`` of a field is
+added only when that field is bad.  Round-trips are lossless and the emitted
+bytes are deterministic for a given input.
 
 ``dumps_instance`` and ``dumps_schedule`` write exactly
 ``json.dumps(instance_to_dict(...), indent=2) + "\n"`` and
@@ -55,6 +57,7 @@ from .model import (
     SchedulingError,
     Task,
     TimeWindow,
+    UnknownTask,
     build_instance,
 )
 from .validate import objective as _objective
@@ -159,24 +162,55 @@ def instance_from_dict(doc: dict) -> Instance:
             edges.add((plan_id, succ))
         tasks = []
         for j, task_doc in enumerate(_list(plan_doc, "tasks", where)):
-            twhere = f"{where}.tasks[{j}]"
-            index = _int(task_doc, "index", twhere)
-            preds = []
-            for k, pred in enumerate(_list(task_doc, "predecessors", twhere, [])):
-                pwhere = f"{twhere}.predecessors[{k}]"
-                preds.append((_int(pred, "index", pwhere), _int(pred, "lag", pwhere, 0)))
-            processing_time = _int(task_doc, "p", twhere)
-            release = _int(task_doc, "r", twhere)
-            due = _int(task_doc, "d", twhere)
-            task_resources = _list(task_doc, "resources", twhere)
-            for r in task_resources:
-                if type(r) is not int:
-                    _as_int(r, f"{twhere}.resources[]")
-            tasks.append(
-                Task(plan_id, index, processing_time, release, due, frozenset(task_resources), tuple(preds))
-            )
+            task = _task(plan_id, task_doc)
+            if task is None:
+                task = _checked_task(plan_id, task_doc, f"{where}.tasks[{j}]")
+            tasks.append(task)
         plans.append(Plan(id=plan_id, priority=priority, tasks=tuple(tasks)))
     return build_instance(plans, plan_dag=edges, resources=resources, window=window)
+
+
+_EMPTY: list = []  # what an absent optional list reads as; never written to
+
+
+def _task(plan_id: int, doc):
+    """The task of an entry whose fields and predecessor entries all have
+    their JSON types, or None to have :func:`_checked_task` read it."""
+    if type(doc) is not dict:
+        return None
+    index, p, r, d = doc.get("index"), doc.get("p"), doc.get("r"), doc.get("d")
+    task_resources, pred_docs = doc.get("resources"), doc.get("predecessors", _EMPTY)
+    if not (type(index) is type(p) is type(r) is type(d) is int and type(task_resources) is type(pred_docs) is list):
+        return None
+    for rho in task_resources:
+        if type(rho) is not int:
+            return None
+    preds = []
+    for pred in pred_docs:
+        if type(pred) is not dict:
+            return None
+        j, lag = pred.get("index"), pred.get("lag", 0)
+        if not type(j) is type(lag) is int:
+            return None
+        preds.append((j, lag))
+    return Task(plan_id, index, p, r, d, frozenset(task_resources), tuple(preds))
+
+
+def _checked_task(plan_id: int, doc, where):
+    """:func:`_task` field by field: the first bad field raises a
+    :class:`ParseError` that names its path; a good entry is built."""
+    index = _int(doc, "index", where)
+    preds = []
+    for k, pred in enumerate(_list(doc, "predecessors", where, [])):
+        pwhere = f"{where}.predecessors[{k}]"
+        preds.append((_int(pred, "index", pwhere), _int(pred, "lag", pwhere, 0)))
+    processing_time = _int(doc, "p", where)
+    release = _int(doc, "r", where)
+    due = _int(doc, "d", where)
+    task_resources = _list(doc, "resources", where)
+    for rho in task_resources:
+        _as_int(rho, f"{where}.resources[]")
+    return Task(plan_id, index, processing_time, release, due, frozenset(task_resources), tuple(preds))
 
 
 def _array(items, pad: str) -> str:
@@ -249,15 +283,28 @@ def emit_instance(instance: Instance, path) -> None:
     Path(path).write_text(dumps_instance(instance), encoding="utf-8")
 
 
+def _processing_times(schedule: Schedule, instance: Instance) -> dict:
+    """The processing time of every task of ``instance``, by task id.
+
+    Raises :class:`UnknownTask` when ``schedule`` starts a task that
+    ``instance`` does not have.
+    """
+    p_of = {task.id: task.processing_time for task in instance.iter_tasks()}
+    if not schedule.starts.keys() <= p_of.keys():
+        unknown = next(task_id for task_id in schedule.starts if task_id not in p_of)
+        raise UnknownTask(f"schedule references unknown task {unknown}")
+    return p_of
+
+
 def schedule_to_dict(schedule: Schedule, instance: Instance, events: tuple[Event, ...] | None = None) -> dict:
-    task_of = {task.id: task for task in instance.iter_tasks()}
+    p_of = _processing_times(schedule, instance)
     doc = {
         "starts": [
             {
                 "plan": plan_id,
                 "task": index,
                 "start": start,
-                "completion": start + task_of[(plan_id, index)].processing_time,
+                "completion": start + p_of[plan_id, index],
             }
             for (plan_id, index), start in sorted(schedule.starts.items())
         ],
@@ -304,13 +351,15 @@ def _event_tasks(task_ids) -> str:
     """An event's ``starting`` or ``completing`` list of ``[plan, task]`` pairs."""
     if not task_ids:
         return "[]"
-    pairs = ",\n".join(f"        [\n          {p},\n          {k}\n        ]" for p, k in sorted(task_ids))
+    pairs = ",\n".join([f"        [\n          {p},\n          {k}\n        ]" for p, k in sorted(task_ids)])
     return "[\n" + pairs + "\n      ]"
 
 
 def _event_text(event: Event) -> str:
-    usage = ",\n".join(f'        "{rho}": 1' for rho in sorted(event.usage))
-    usage = "{\n" + usage + "\n      }" if usage else "{}"
+    if event.usage:
+        usage = "{\n" + ",\n".join([f'        "{rho}": 1' for rho in sorted(event.usage)]) + "\n      }"
+    else:
+        usage = "{}"
     return (
         f'    {{\n      "t": {event.time},\n      "starting": {_event_tasks(event.starting)},\n'
         f'      "completing": {_event_tasks(event.completing)},\n      "usage": {usage}\n    }}'
@@ -335,7 +384,7 @@ def _check_ints(schedule: Schedule) -> None:
 
 def dumps_schedule(schedule: Schedule, instance: Instance, events: tuple[Event, ...] | None = None) -> str:
     _check_ints(schedule)
-    p_of = {task.id: task.processing_time for task in instance.iter_tasks()}
+    p_of = _processing_times(schedule, instance)
     starts = _array(
         [
             f'    {{\n      "plan": {plan_id},\n      "task": {index},\n      "start": {start},\n'

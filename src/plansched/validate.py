@@ -47,19 +47,10 @@ class ValidationReport:
         return not self.violations
 
 
-def _covered_plans(instance: Instance, schedule: Schedule) -> list[int]:
-    """Plans all of whose tasks have start times, in instance order."""
-    out = []
-    for plan in instance.plans:
-        if all(task.id in schedule.starts for task in plan.tasks):
-            out.append(plan.id)
-    return out
-
-
 def objective(instance: Instance, schedule: Schedule) -> int:
     """Sum of priorities over fully placed plans."""
-    covered = set(_covered_plans(instance, schedule))
-    return sum(p.priority for p in instance.plans if p.id in covered)
+    starts = schedule.starts
+    return sum(plan.priority for plan in instance.plans if all(task.id in starts for task in plan.tasks))
 
 
 def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationReport:
@@ -79,15 +70,24 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
 
     report = ValidationReport()
     window = instance.window
+    starts = schedule.starts
 
+    # One pass over the placed tasks; each kind of violation keeps its own
+    # list, and the report lists the kinds in a fixed order.
+    windows: list[Violation] = []
+    precedences: list[Violation] = []
+    by_resource: dict[int, list[tuple[int, int, TaskId]]] = {}
+    placed_of: dict[int, int] = {}  # plan id -> how many of its tasks have a start
     for plan in instance.plans:
+        placed = 0
         for task in plan.tasks:
-            start = schedule.starts.get(task.id)
+            start = starts.get(task.id)
             if start is None:
                 continue
+            placed += 1
             end = completion_time(task, start)
             if start < task.release or end > task.due:
-                report.violations.append(
+                windows.append(
                     Violation(
                         TEMPORAL_WINDOW,
                         plan.id,
@@ -96,7 +96,7 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
                     )
                 )
             if start < window.start or end > window.end:
-                report.violations.append(
+                windows.append(
                     Violation(
                         GLOBAL_WINDOW,
                         plan.id,
@@ -104,19 +104,13 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
                         f"[{start},{end}) outside global window [{window.start},{window.end}]",
                     )
                 )
-
-    for plan in instance.plans:
-        for task in plan.tasks:
-            start = schedule.starts.get(task.id)
-            if start is None:
-                continue
             for j, lag in task.predecessors:
-                pred_start = schedule.starts.get((plan.id, j))
+                pred_start = starts.get((plan.id, j))
                 if pred_start is None:
                     continue  # the partial-plan check reports this
                 pred_end = completion_time(plan.task(j), pred_start)
                 if start < pred_end:
-                    report.violations.append(
+                    precedences.append(
                         Violation(
                             INTRA_PLAN_PRECEDENCE,
                             plan.id,
@@ -125,7 +119,7 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
                         )
                     )
                 elif start < pred_end + lag:
-                    report.violations.append(
+                    precedences.append(
                         Violation(
                             TIME_LAG,
                             plan.id,
@@ -133,15 +127,11 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
                             f"starts at {start}, needs lag {lag} after {pred_end}",
                         )
                     )
-
-    by_resource: dict[int, list[tuple[int, int, TaskId]]] = {}
-    for plan in instance.plans:
-        for task in plan.tasks:
-            start = schedule.starts.get(task.id)
-            if start is None:
-                continue
             for rho in task.resources:
-                by_resource.setdefault(rho, []).append((start, completion_time(task, start), task.id))
+                by_resource.setdefault(rho, []).append((start, end, task.id))
+        placed_of[plan.id] = placed
+    report.violations = windows + precedences
+
     for rho in sorted(by_resource):
         intervals = sorted(by_resource[rho])
         for (s1, e1, t1), (s2, e2, t2) in zip(intervals, intervals[1:]):
@@ -155,16 +145,16 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
                     )
                 )
 
-    covered = set(_covered_plans(instance, schedule))
+    covered = {plan.id for plan in instance.plans if placed_of[plan.id] == plan.task_count}
     for plan in instance.plans:
-        placed = [t for t in plan.tasks if t.id in schedule.starts]
+        placed = placed_of[plan.id]
         if placed and plan.id not in covered:
             report.violations.append(
                 Violation(
                     PARTIAL_PLAN,
                     plan.id,
                     None,
-                    f"{len(placed)} of {plan.task_count} tasks placed; plans are all-or-nothing",
+                    f"{placed} of {plan.task_count} tasks placed; plans are all-or-nothing",
                 )
             )
         if plan.id in scheduled and plan.id not in covered:

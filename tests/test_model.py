@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from plansched import (
@@ -13,6 +15,7 @@ from plansched import (
     build_instance,
     completion_time,
 )
+from plansched.model import Event
 from conftest import example1_instance, make_plan
 
 
@@ -153,10 +156,64 @@ def test_task_rejects_non_integer_fields(field, bad):
         Task(**fields, resources={1})
 
 
-@pytest.mark.parametrize("pair", [(1, True), (True, 0), (1, 0.0), ("1", 0)])
+@pytest.mark.parametrize("pair", [(1, True), (True, 0), (1, 0.0), ("1", 0), (1, 2, 3), (1,), 5, None])
 def test_task_rejects_non_integer_predecessor_pair(pair):
     with pytest.raises(InstanceError, match="must be a pair of integers"):
         Task(**_TASK_FIELDS, resources={1}, predecessors=(pair,))
+
+
+def test_task_stores_predecessor_pairs_as_tuples():
+    task = Task(**_TASK_FIELDS, resources=[1, 1], predecessors=[[1, 0]])
+    assert task.predecessors == ((1, 0),) and type(task.predecessors[0]) is tuple
+    assert task.resources == frozenset({1})
+
+
+def test_task_keeps_its_dataclass_contract():
+    task = Task(1, 2, 3, 0, 9, {4, 1}, ((1, 0),))
+    assert repr(task) == (
+        "Task(plan_id=1, index=2, processing_time=3, release=0, due=9,"
+        " resources=frozenset({1, 4}), predecessors=((1, 0),))"
+    )
+    same = Task(1, 2, 3, 0, 9, frozenset({1, 4}), [[1, 0]])
+    assert task == same and hash(task) == hash(same)
+    assert task != dataclasses.replace(task, due=8)
+    assert [(f.name, f.init, f.compare) for f in dataclasses.fields(Task)] == [
+        ("plan_id", True, True),
+        ("index", True, True),
+        ("processing_time", True, True),
+        ("release", True, True),
+        ("due", True, True),
+        ("resources", True, True),
+        ("predecessors", True, True),
+        ("id", False, False),
+    ]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        task.due = 8
+
+
+def test_task_replace_rechecks_and_rederives_id():
+    task = Task(1, 2, 3, 0, 9, {1})
+    moved = dataclasses.replace(task, plan_id=7, index=5)
+    assert moved.id == (7, 5) and moved.due == 9
+    assert dataclasses.replace(task, due=4).due == 4
+    with pytest.raises(BadWindow, match="release 0 exceeds due -1"):
+        dataclasses.replace(task, due=-1)
+    with pytest.raises(InstanceError, match="due must be an integer"):
+        dataclasses.replace(task, due=9.0)
+    with pytest.raises(CyclicTaskGraph):
+        dataclasses.replace(task, predecessors=((2, 0),))
+    with pytest.raises(ValueError):
+        dataclasses.replace(task, id=(1, 3))  # id is derived, never passed
+
+
+def test_event_keeps_equality_and_hash():
+    event = Event(3, frozenset({(1, 1)}), usage=frozenset({2}))
+    same = Event(3, starting=frozenset({(1, 1)}), completing=frozenset(), usage=frozenset({2}))
+    assert event == same and hash(event) == hash(same)
+    assert event != Event(3, frozenset({(1, 1)}))
+    assert not hasattr(event, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        event.time = 4
 
 
 @pytest.mark.parametrize("bad", [True, 1.0, "1"])
@@ -182,6 +239,13 @@ def test_build_instance_rejects_non_integer_resources(resources):
     plan = Plan(1, 1, (Task(1, 1, 2, 0, 9, frozenset({1})),))
     with pytest.raises(InstanceError, match="must be integers"):
         build_instance([plan], resources=resources, window=TimeWindow(0, 9))
+
+
+@pytest.mark.parametrize("edge", [(1, 2, 3), (1,), 1, None])
+def test_build_instance_rejects_dag_edge_that_is_not_a_pair(edge):
+    plans = [make_plan(plan_id, 1, [(1, 1, 0, 5, {1}, [])]) for plan_id in (1, 2)]
+    with pytest.raises(InstanceError, match="plan precedence edge .* must be a pair of integers"):
+        build_instance(plans, plan_dag={edge}, window=TimeWindow(0, 10))
 
 
 @pytest.mark.parametrize("edge", [("1", 2.0), (True, 2), (1, 2.0), (1, "2")])

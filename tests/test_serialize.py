@@ -8,6 +8,7 @@ from plansched import (
     Schedule,
     SchedulingError,
     TimeWindow,
+    UnknownTask,
     build_instance,
     build_schedule,
     dumps_instance,
@@ -350,6 +351,36 @@ def test_integer_field_error_text_is_pinned():
         assert str(err.value) == message
 
 
+# (the path an error names, the place in _PARSE_BASE, "list" or "object")
+_SHAPE_FIELDS = [
+    ("plans[1].tasks", ("plans", 1, "tasks"), "list"),
+    ("plans[1].tasks[1]", ("plans", 1, "tasks", 1), "object"),
+    ("plans[1].tasks[1].resources", ("plans", 1, "tasks", 1, "resources"), "list"),
+    ("plans[1].tasks[1].predecessors", ("plans", 1, "tasks", 1, "predecessors"), "list"),
+    ("plans[1].tasks[1].predecessors[0]", ("plans", 1, "tasks", 1, "predecessors", 0), "object"),
+]
+
+
+def _shape_cases():
+    for name, place, shape in _SHAPE_FIELDS:
+        values = [None, {}, 0, "x"] + ([[], [1]] if shape == "object" else [])
+        for value in values:
+            if value == {} and shape == "object":
+                message = f"{name}: missing field 'index'"
+            else:
+                message = f"{name}: expected {'a list' if shape == 'list' else 'an object'}"
+            yield pytest.param(place, value, message, id=f"{name}-{value!r}")
+
+
+@pytest.mark.parametrize("place, value, message", list(_shape_cases()))
+def test_shape_error_text_is_pinned(place, value, message):
+    # a present but malformed entry or list is refused with its path, never
+    # read as empty
+    with pytest.raises(ParseError) as err:
+        instance_from_dict(_with_field(_PARSE_BASE, place, value))
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize(
     "starts, scheduled, discarded",
     [
@@ -369,3 +400,10 @@ def test_dumps_schedule_rejects_non_integer_values(example1, starts, scheduled, 
     schedule = Schedule(starts=starts, scheduled_plans=scheduled, discarded_plans=discarded)
     with pytest.raises(SchedulingError, match="must be integers"):
         dumps_schedule(schedule, example1)
+
+
+@pytest.mark.parametrize("write", [dumps_schedule, schedule_to_dict], ids=["dumps", "to_dict"])
+def test_writers_reject_unknown_task(example1, write):
+    schedule = Schedule(starts={(1, 1): 2, (9, 1): 0}, scheduled_plans=[1, 9])
+    with pytest.raises(UnknownTask, match=r"schedule references unknown task \(9, 1\)"):
+        write(schedule, example1)
