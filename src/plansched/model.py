@@ -3,8 +3,10 @@
 Immutable inputs (``TimeWindow``, ``Task``, ``Plan``, ``Instance``) validate their
 structural invariants at construction time; every time, id, priority and
 availability must be an ``int`` (a bool, float or string is rejected, so the
-documents written from them hold integers only).  ``Instance`` is the only place
-that reads the plan DAG: one pass rejects cycles and records each plan's
+documents written from them hold integers only).  Each value is checked once,
+as the caller gave it, before a collection of them is frozen: a set would
+merge ``True`` or ``1.0`` into the id ``1`` unseen.  ``Instance`` is the only
+place that reads the plan DAG: one pass rejects cycles and records each plan's
 frontier and DAG neighbours, which the ordering and the engine look up.
 ``Schedule`` is the mutable result of a single scheduler run;
 :func:`event_list` derives the paper's event list, a tuple of ``Event``s,
@@ -13,6 +15,7 @@ from its start times.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 # A task is identified by (plan id, task index within the plan).
@@ -102,12 +105,14 @@ class Task:
             raise BadWindow(f"task {task_id}: processing time must be >= 1, got {processing_time}")
         if release > due:
             raise BadWindow(f"task {task_id}: release {release} exceeds due {due}")
-        resources = frozenset(resources)  # the same object when already a frozenset
-        if not resources:
-            raise InstanceError(f"task {task_id}: resource set is empty")
+        if not isinstance(resources, (list, frozenset, set, tuple)):
+            resources = list(resources)  # a one-shot iterable is read once
         for rho in resources:
             if type(rho) is not int:
                 raise InstanceError(f"task {task_id}: resource ids must be integers, got {rho!r}")
+        resources = frozenset(resources)  # the same object when already a frozenset
+        if not resources:
+            raise InstanceError(f"task {task_id}: resource set is empty")
         if predecessors or type(predecessors) is not tuple:
             predecessors = _predecessor_pairs(task_id, predecessors)
         _set_plan_id(self, plan_id)
@@ -180,6 +185,9 @@ class Plan:
 
     The task list is normalised to respect the intra-plan precedence graph
     (stable reordering: tasks already in a consistent order are untouched).
+    One pass over the tasks checks their plan tags and predecessor indices
+    and finds whether that order already holds; only a plan whose order
+    does not is sorted.
     """
 
     id: int
@@ -192,16 +200,20 @@ class Plan:
         tasks = tuple(self.tasks)
         if not tasks:
             raise InstanceError(f"plan {self.id} has no tasks")
-        indices = {t.index for t in tasks}
-        if len(indices) != len(tasks):
+        position = {t.index: k for k, t in enumerate(tasks)}
+        if len(position) != len(tasks):
             raise InstanceError(f"plan {self.id} has duplicate task indices")
-        for t in tasks:
+        in_order = True
+        for k, t in enumerate(tasks):
             if t.plan_id != self.id:
                 raise InstanceError(f"plan {self.id} contains task tagged for plan {t.plan_id}")
             for j, _ in t.predecessors:
-                if j not in indices:
+                before = position.get(j)
+                if before is None:
                     raise InstanceError(f"plan {self.id}: task {t.index} names unknown predecessor {j}")
-        object.__setattr__(self, "tasks", _topo_order_tasks(self.id, tasks))
+                if before > k:
+                    in_order = False
+        object.__setattr__(self, "tasks", tasks if in_order else _topo_order_tasks(self.id, tasks))
 
     @property
     def task_count(self) -> int:
@@ -218,11 +230,8 @@ def _topo_order_tasks(plan_id: int, tasks: tuple[Task, ...]) -> tuple[Task, ...]
     """Stable topological order of a plan's tasks; raises on precedence cycles.
 
     Repeatedly takes the first pending task, in input order, whose
-    predecessors are all taken.  Tasks that already respect their
-    predecessors come back as the input tuple, after one pass.
+    predecessors are all taken.
     """
-    if _in_order(tasks):
-        return tasks
     order: list[Task] = []
     taken: set[int] = set()
     pending = list(tasks)
@@ -238,17 +247,6 @@ def _topo_order_tasks(plan_id: int, tasks: tuple[Task, ...]) -> tuple[Task, ...]
     return tuple(order)
 
 
-def _in_order(tasks: tuple[Task, ...]) -> bool:
-    """Whether every task comes after all of its predecessors."""
-    taken: set[int] = set()
-    for task in tasks:
-        for j, _ in task.predecessors:
-            if j not in taken:
-                return False
-        taken.add(task.index)
-    return True
-
-
 @dataclass(frozen=True)
 class Instance:
     """A full scheduling problem: plans, plan-level DAG, resources, global window.
@@ -256,6 +254,11 @@ class Instance:
     ``resources`` maps resource id to its per-tick availability; only unary
     resources (availability 1) are supported, the field is kept so richer
     capacities stay expressible in the serialised format.
+
+    Construction is the one place that turns the inputs into their stored
+    forms: ``plans`` into a tuple, ``plan_dag`` into a frozenset of pairs and
+    ``resources``, given as ids (availability 1) or as an id -> availability
+    mapping, into a dict; each edge and resource id is checked as given.
 
     Construction reads ``plan_dag`` once.  ``frontier_of`` maps every plan id
     to its frontier, the longest edge distance from a root (a plan nobody
@@ -312,12 +315,17 @@ class Instance:
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_preds", {b: tuple(a) for b, a in preds.items()})
         object.__setattr__(self, "_succs", {a: tuple(b) for a, b in succs.items()})
-        for rho, avail in self.resources.items():
+        given = self.resources
+        pairs = given.items() if isinstance(given, Mapping) else [(rho, 1) for rho in given]
+        resources: dict[int, int] = {}
+        for rho, avail in pairs:
             if not type(rho) is type(avail) is int:
                 raise InstanceError(f"resource {rho!r}: id and availability must be integers, got {avail!r}")
             if avail != 1:
                 raise InstanceError(f"resource {rho}: only availability 1 is supported, got {avail}")
-        declared = set(self.resources)
+            resources[rho] = avail
+        object.__setattr__(self, "resources", resources)
+        declared = set(resources)
         for plan in self.plans:
             for task in plan.tasks:
                 if not task.resources <= declared:
@@ -349,24 +357,20 @@ class Instance:
 def build_instance(plans, plan_dag=(), resources=None, window=None) -> Instance:
     """Assemble and validate an :class:`Instance` from parsed raw inputs.
 
+    Only the defaults are filled in here: ``plans`` is read once, and when
+    ``resources`` is None every resource a task uses is declared.  Otherwise
     ``resources`` may be an iterable of ids (availability defaults to 1) or a
-    mapping id -> availability.  Raises :class:`CyclicPlanDag`,
-    :class:`CyclicTaskGraph`, :class:`UnknownResource` or :class:`BadWindow`
-    when the inputs break an invariant.
+    mapping id -> availability, which :class:`Instance` checks and stores.
+    Raises :class:`CyclicPlanDag`, :class:`CyclicTaskGraph`,
+    :class:`UnknownResource` or :class:`BadWindow` when the inputs break an
+    invariant.
     """
     if window is None:
         raise BadWindow("an instance needs a global time window")
+    plans = tuple(plans)
     if resources is None:
-        res: dict[int, int] = {}
-        for plan in plans:
-            for task in plan.tasks:
-                for rho in task.resources:
-                    res[rho] = 1
-    elif isinstance(resources, dict):
-        res = dict(resources)
-    else:
-        res = dict.fromkeys(resources, 1)
-    return Instance(plans=tuple(plans), plan_dag=frozenset(plan_dag), resources=res, window=window)
+        resources = {rho: 1 for plan in plans for task in plan.tasks for rho in task.resources}
+    return Instance(plans=plans, plan_dag=plan_dag, resources=resources, window=window)
 
 
 @dataclass(frozen=True, slots=True)

@@ -25,10 +25,12 @@ Schedule document::
                   "usage": {"1": 1}}, ...]       # optional debug section
     }
 
-Parsing errors carry the path of the offending field.  A task entry is
-read with one type test over its fields and its predecessor entries; only an
-entry that fails it is read again, field by field, and only then is its path
-(``plans[i].tasks[j]``, ``.predecessors[k]``) built.  The path of a plan or
+Parsing errors carry the path of the offending field.  The model checks the
+values of a task entry: the reader hands them to ``Task`` as read, testing
+only that ``resources`` and ``predecessors`` are lists.  Only an entry that
+is refused is read again, field by field, to name the path of its first bad
+field (``plans[i].tasks[j]``, ``.predecessors[k]``); when every field has its
+JSON type, the model's own error is raised.  The path of a plan or
 resource entry is built as the entry is read, and the ``.key`` of a field is
 added only when that field is bad.  Round-trips are lossless and the emitted
 bytes are deterministic for a given input.
@@ -174,31 +176,26 @@ _EMPTY: list = []  # what an absent optional list reads as; never written to
 
 
 def _task(plan_id: int, doc):
-    """The task of an entry whose fields and predecessor entries all have
-    their JSON types, or None to have :func:`_checked_task` read it."""
-    if type(doc) is not dict:
+    """The task of an entry, its fields handed to :class:`Task` as read, or
+    None to have :func:`_checked_task` read it.
+
+    Only the shape of the two lists is tested here; ``Task`` checks every
+    value, and any refusal sends the entry to the field-by-field reader.
+    """
+    try:
+        task_resources, pred_docs = doc["resources"], doc.get("predecessors", _EMPTY)
+        if type(task_resources) is not list or type(pred_docs) is not list:
+            return None
+        preds = [(pred["index"], pred.get("lag", 0)) for pred in pred_docs] if pred_docs else ()
+        return Task(plan_id, doc["index"], doc["p"], doc["r"], doc["d"], task_resources, preds)
+    except (SchedulingError, LookupError, TypeError, AttributeError):
         return None
-    index, p, r, d = doc.get("index"), doc.get("p"), doc.get("r"), doc.get("d")
-    task_resources, pred_docs = doc.get("resources"), doc.get("predecessors", _EMPTY)
-    if not (type(index) is type(p) is type(r) is type(d) is int and type(task_resources) is type(pred_docs) is list):
-        return None
-    for rho in task_resources:
-        if type(rho) is not int:
-            return None
-    preds = []
-    for pred in pred_docs:
-        if type(pred) is not dict:
-            return None
-        j, lag = pred.get("index"), pred.get("lag", 0)
-        if not type(j) is type(lag) is int:
-            return None
-        preds.append((j, lag))
-    return Task(plan_id, index, p, r, d, frozenset(task_resources), tuple(preds))
 
 
 def _checked_task(plan_id: int, doc, where):
     """:func:`_task` field by field: the first bad field raises a
-    :class:`ParseError` that names its path; a good entry is built."""
+    :class:`ParseError` that names its path; a good entry is built, so a
+    value the model refuses raises the model's own error."""
     index = _int(doc, "index", where)
     preds = []
     for k, pred in enumerate(_list(doc, "predecessors", where, [])):
@@ -210,7 +207,7 @@ def _checked_task(plan_id: int, doc, where):
     task_resources = _list(doc, "resources", where)
     for rho in task_resources:
         _as_int(rho, f"{where}.resources[]")
-    return Task(plan_id, index, processing_time, release, due, frozenset(task_resources), tuple(preds))
+    return Task(plan_id, index, processing_time, release, due, task_resources, preds)
 
 
 def _array(items, pad: str) -> str:

@@ -1,6 +1,8 @@
 import copy
 import importlib.util
 import random
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -527,6 +529,25 @@ def test_group_trials_grow_with_what_commits_touch(monkeypatch):
     calls = _spy_placements(monkeypatch)
     assert build_schedule(instance).discarded_plans == []
     assert len(calls) <= 600, len(calls)
+
+
+def test_random_ladder_rung_takes_exact_placements(monkeypatch):
+    # the benchmark's random generator at K = 64: six equal-priority groups
+    # take 99 placements, far inside the bound of G(G+1)/2 per group of G
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look the module up
+    spec.loader.exec_module(workloads)
+    params = workloads.Params(64, 12, 6, 256, 4, 20, 1 / 3, 0.5, 2)
+    instance = workloads.random_instance(random.Random("ladder:64"), params, plansched.model)
+    sizes = sorted(Counter(plan.priority for plan in instance.plans).values())
+    assert sizes == [10, 10, 11, 11, 11, 11]
+    calls = _spy_placements(monkeypatch)
+    result = build_schedule(instance)
+    assert len(calls) == 99
+    assert len(result.scheduled_plans) == 52
+    assert len(calls) <= sum(g * (g + 1) // 2 for g in sizes) == 374
 
 
 # -------------------------------------------------------------- build_schedule

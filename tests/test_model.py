@@ -254,3 +254,27 @@ def test_build_instance_rejects_non_integer_dag_edge(edge):
     plans = [make_plan(plan_id, 1, [(1, 1, 0, 5, {1}, [])]) for plan_id in (1, 2)]
     with pytest.raises(InstanceError, match="plan ids must be integers"):
         build_instance(plans, plan_dag={edge}, window=TimeWindow(0, 10))
+
+
+@pytest.mark.parametrize("resources", [[1, True], [1, 1.0]], ids=["bool", "float"])
+def test_task_rejects_resource_id_equal_to_an_int(resources):
+    # each id is checked before the set is frozen, which would merge it into 1
+    with pytest.raises(InstanceError, match=f"resource ids must be integers, got {resources[1]!r}"):
+        Task(1, 1, 1, 0, 5, resources)
+
+
+@pytest.mark.parametrize("resources", [[1, 2, True], [1, 2, 2.0]], ids=["bool", "float"])
+def test_build_instance_rejects_resource_id_equal_to_an_int(resources):
+    plans = [make_plan(plan_id, 1, [(1, 1, 0, 5, {plan_id}, [])]) for plan_id in (1, 2)]
+    with pytest.raises(InstanceError, match=f"resource {resources[2]!r}: id and availability must be integers"):
+        build_instance(plans, resources=resources, window=TimeWindow(0, 10))
+
+
+def test_build_instance_reads_one_shot_plans_once():
+    # the resources derived from the plans must not use up a generator of them
+    plans = [make_plan(plan_id, 1, [(1, 1, 0, 5, {plan_id}, [])]) for plan_id in (1, 2)]
+    instance = build_instance((plan for plan in plans), window=TimeWindow(0, 10))
+    assert instance.plans == tuple(plans)
+    assert instance.resources == {1: 1, 2: 1}
+    task = Task(1, 1, 1, 0, 5, iter([2, 3]))
+    assert task.resources == frozenset({2, 3})

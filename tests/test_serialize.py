@@ -1,9 +1,14 @@
 import copy
 import json
+import random
 
 import pytest
 
 from plansched import (
+    BadWindow,
+    CyclicTaskGraph,
+    Instance,
+    InstanceError,
     ParseError,
     Schedule,
     SchedulingError,
@@ -20,6 +25,7 @@ from plansched import (
     parse_schedule,
 )
 from plansched.data import bundled_names, load_bundled
+from plansched import serialize
 from plansched.model import Event, event_list
 from plansched.serialize import (
     instance_from_dict,
@@ -344,6 +350,8 @@ def test_integer_field_error_text_is_pinned():
         (("plans", 0, "precedes", 0), 1.5, "plans[0].precedes[]: expected an integer, got 1.5"),
         (("window", "end"), None, "window.end: expected an integer, got None"),
         (("resources", 1, "availability"), False, "resources[1].availability: expected an integer, got False"),
+        (("plans", 1, "tasks", 1, "resources"), [1, True], "plans[1].tasks[1].resources[]: expected an integer, got True"),
+        (("plans", 1, "tasks", 1, "resources"), [1, 1.0], "plans[1].tasks[1].resources[]: expected an integer, got 1.0"),
     ]
     for place, value, message in cases:
         with pytest.raises(ParseError) as err:
@@ -379,6 +387,69 @@ def test_shape_error_text_is_pinned(place, value, message):
     with pytest.raises(ParseError) as err:
         instance_from_dict(_with_field(_PARSE_BASE, place, value))
     assert str(err.value) == message
+
+
+# values a task entry's fields and predecessor entries are set to below
+_ODD_VALUES = [None, True, False, 1.0, "1", "", {}, [], [1, True], [1, 1.0], [[1, 0]], {"index": 1, "lag": -1}, -1, 0, 1, 2, 9]
+_TASK_KEYS = ["index", "p", "r", "d", "resources", "predecessors"]
+
+
+def _mutate_task_entry(rng, doc):
+    """Apply one random mutation to one of plan 2's task entries in ``doc``."""
+    tasks = doc["plans"][1]["tasks"]
+    k = rng.randrange(len(tasks))
+    entry = tasks[k]
+    kind = rng.randrange(7)
+    if kind == 0 or type(entry) is not dict:
+        tasks[k] = {key: rng.choice(_ODD_VALUES) for key in _TASK_KEYS if rng.random() < 0.8}
+    elif kind == 1:
+        entry[rng.choice(_TASK_KEYS)] = rng.choice(_ODD_VALUES)
+    elif kind == 2:
+        entry.pop(rng.choice(_TASK_KEYS), None)
+    elif kind == 3:
+        entry[rng.choice(["resources", "predecessors"])] = [1, rng.choice(_ODD_VALUES)]
+    elif kind == 4:
+        pred = {"index": 1, "lag": 0}
+        key = rng.choice(["index", "lag"])
+        if rng.random() < 0.3:
+            del pred[key]
+        else:
+            pred[key] = rng.choice(_ODD_VALUES)
+        entry["predecessors"] = [pred]
+    elif kind == 5:
+        entry["p"] = 0
+    else:
+        entry["r"], entry["d"] = 7, 3
+    if rng.random() < 0.05:
+        tasks[k] = rng.choice(_ODD_VALUES)
+
+
+def _parse_outcome(doc):
+    """The instance ``doc`` parses to, or the type and text of what it raises."""
+    try:
+        return serialize.instance_from_dict(doc)
+    except SchedulingError as exc:
+        return type(exc), str(exc)
+
+
+def test_task_reader_agrees_with_field_by_field_reader(monkeypatch):
+    # the task reader hands entries to Task as read; the reference sends every
+    # entry through _checked_task, which names the first bad field
+    rng = random.Random("task-reader-sweep")
+    docs = []
+    for _ in range(2000):
+        doc = copy.deepcopy(_PARSE_BASE)
+        for _ in range(rng.randint(1, 3)):
+            _mutate_task_entry(rng, doc)
+        docs.append(doc)
+    outcomes = [_parse_outcome(doc) for doc in docs]
+    with monkeypatch.context() as patch:
+        patch.setattr(serialize, "_task", lambda plan_id, doc: None)
+        reference = [_parse_outcome(doc) for doc in docs]
+    for doc, outcome, expected in zip(docs, outcomes, reference):
+        assert outcome == expected, doc
+    kinds = {outcome[0] if type(outcome) is tuple else Instance for outcome in outcomes}
+    assert {Instance, ParseError, BadWindow, CyclicTaskGraph, InstanceError} <= kinds
 
 
 @pytest.mark.parametrize(
