@@ -41,9 +41,9 @@ from the final start times when ``ScheduleResult.events`` is first read.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 
 from .model import (
     Event,
@@ -352,16 +352,9 @@ def build_schedule(instance: Instance, config: EngineConfig | None = None) -> Sc
 
     frontier_of = instance.frontier_of
     discarded: set[int] = set()  # the ids in s_w.discarded_plans
-    queue = deque(sort_plans(instance, descending=config.priority_descending))
-    while queue:
-        plan = queue.popleft()
-        group = [plan]
-        while (
-            queue
-            and queue[0].priority == plan.priority
-            and frontier_of[queue[0].id] == frontier_of[plan.id]
-        ):
-            group.append(queue.popleft())
+    order = sort_plans(instance, descending=config.priority_descending)
+    for _, members in groupby(order, key=lambda plan: (plan.priority, frontier_of[plan.id])):
+        group = list(members)
         if config.strict_plan_precedence:
             kept = []
             for member in group:

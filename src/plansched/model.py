@@ -5,10 +5,11 @@ structural invariants at construction time; every time, id, priority and
 availability must be an ``int`` (a bool, float or string is rejected, so the
 documents written from them hold integers only).  Each value is checked once,
 as the caller gave it, before a collection of them is frozen: a set would
-merge ``True`` or ``1.0`` into the id ``1`` unseen.  ``Instance`` is the only
-place that reads the plan DAG: one pass rejects cycles and records each plan's
-frontier and DAG neighbours, which the ordering and the engine look up.
-``Schedule`` is the mutable result of a single scheduler run;
+merge ``True`` or ``1.0`` into the id ``1`` unseen.  A collection argument
+that cannot be iterated raises :class:`InstanceError` too.  ``Instance`` is
+the only place that reads the plan DAG: one pass rejects cycles and records
+each plan's frontier and DAG neighbours, which the ordering and the engine
+look up.  ``Schedule`` is the mutable result of a single scheduler run;
 :func:`event_list` derives the paper's event list, a tuple of ``Event``s,
 from its start times.
 """
@@ -106,7 +107,7 @@ class Task:
         if release > due:
             raise BadWindow(f"task {task_id}: release {release} exceeds due {due}")
         if not isinstance(resources, (list, frozenset, set, tuple)):
-            resources = list(resources)  # a one-shot iterable is read once
+            resources = list(_each(resources, f"task {task_id}: resources"))  # a one-shot iterable is read once
         for rho in resources:
             if type(rho) is not int:
                 raise InstanceError(f"task {task_id}: resource ids must be integers, got {rho!r}")
@@ -140,7 +141,7 @@ _set_id = Task.id.__set__
 def _predecessor_pairs(task_id: TaskId, predecessors) -> tuple[tuple[int, int], ...]:
     """``predecessors`` as a tuple of ``(index, lag)`` tuples, each one checked."""
     pairs = []
-    for pair in predecessors:
+    for pair in _each(predecessors, f"task {task_id}: predecessors"):
         if type(pair) is not tuple or len(pair) != 2:
             pair = _as_pair(pair, f"task {task_id}: predecessor")
         j, lag = pair
@@ -152,6 +153,14 @@ def _predecessor_pairs(task_id: TaskId, predecessors) -> tuple[tuple[int, int], 
             raise CyclicTaskGraph(f"task {task_id} lists itself as predecessor")
         pairs.append(pair)
     return tuple(pairs)
+
+
+def _each(values, owner: str):
+    """An iterator over ``values``; a value that cannot be iterated raises :class:`InstanceError`."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise InstanceError(f"{owner} must be iterable, got {values!r}") from None
 
 
 def _as_pair(value, owner: str) -> tuple:
@@ -197,7 +206,7 @@ class Plan:
     def __post_init__(self):
         if not type(self.id) is type(self.priority) is int:
             _reject_non_int(f"plan {self.id!r}", id=self.id, priority=self.priority)
-        tasks = tuple(self.tasks)
+        tasks = self.tasks if type(self.tasks) is tuple else tuple(_each(self.tasks, f"plan {self.id}: tasks"))
         if not tasks:
             raise InstanceError(f"plan {self.id} has no tasks")
         position = {t.index: k for k, t in enumerate(tasks)}
@@ -277,11 +286,14 @@ class Instance:
     _succs: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "plans", tuple(self.plans))
-        edges = [
-            edge if type(edge) is tuple and len(edge) == 2 else _as_pair(edge, "plan precedence edge")
-            for edge in self.plan_dag
-        ]
+        object.__setattr__(self, "plans", tuple(_each(self.plans, "plans")))
+        edges = []
+        for edge in _each(self.plan_dag, "plan precedence graph"):
+            if type(edge) is not tuple or len(edge) != 2:
+                edge = _as_pair(edge, "plan precedence edge")
+            if not type(edge[0]) is type(edge[1]) is int:
+                raise InstanceError(f"plan precedence edge {edge!r}: plan ids must be integers")
+            edges.append(edge)
         object.__setattr__(self, "plan_dag", frozenset(edges))
         by_id = {p.id: p for p in self.plans}
         if len(by_id) != len(self.plans):
@@ -289,8 +301,6 @@ class Instance:
         preds: dict[int, list[int]] = {}
         succs: dict[int, list[int]] = {}
         for a, b in self.plan_dag:
-            if not type(a) is type(b) is int:
-                raise InstanceError(f"plan precedence edge ({a!r}, {b!r}): plan ids must be integers")
             if a not in by_id or b not in by_id:
                 raise InstanceError(f"plan precedence edge ({a}, {b}) names unknown plan")
             if a == b:
@@ -316,10 +326,12 @@ class Instance:
         object.__setattr__(self, "_preds", {b: tuple(a) for b, a in preds.items()})
         object.__setattr__(self, "_succs", {a: tuple(b) for a, b in succs.items()})
         given = self.resources
-        pairs = given.items() if isinstance(given, Mapping) else [(rho, 1) for rho in given]
+        pairs = given.items() if isinstance(given, Mapping) else [(rho, 1) for rho in _each(given, "resources")]
         resources: dict[int, int] = {}
         for rho, avail in pairs:
-            if not type(rho) is type(avail) is int:
+            if type(rho) is not int:
+                raise InstanceError(f"resource ids must be integers, got {rho!r}")
+            if type(avail) is not int:
                 raise InstanceError(f"resource {rho!r}: id and availability must be integers, got {avail!r}")
             if avail != 1:
                 raise InstanceError(f"resource {rho}: only availability 1 is supported, got {avail}")
@@ -367,7 +379,7 @@ def build_instance(plans, plan_dag=(), resources=None, window=None) -> Instance:
     """
     if window is None:
         raise BadWindow("an instance needs a global time window")
-    plans = tuple(plans)
+    plans = tuple(_each(plans, "plans"))
     if resources is None:
         resources = {rho: 1 for plan in plans for task in plan.tasks for rho in task.resources}
     return Instance(plans=plans, plan_dag=plan_dag, resources=resources, window=window)

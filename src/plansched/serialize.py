@@ -25,15 +25,16 @@ Schedule document::
                   "usage": {"1": 1}}, ...]       # optional debug section
     }
 
-Parsing errors carry the path of the offending field.  The model checks the
-values of a task entry: the reader hands them to ``Task`` as read, testing
-only that ``resources`` and ``predecessors`` are lists.  Only an entry that
-is refused is read again, field by field, to name the path of its first bad
-field (``plans[i].tasks[j]``, ``.predecessors[k]``); when every field has its
-JSON type, the model's own error is raised.  The path of a plan or
-resource entry is built as the entry is read, and the ``.key`` of a field is
-added only when that field is bad.  Round-trips are lossless and the emitted
-bytes are deterministic for a given input.
+Parsing errors carry the path of the offending field.  The model checks every
+value: :func:`_read_instance` hands them to it as read.  Only a refused
+document is walked against the declared shape (``_INSTANCE``), which names
+the path of its first field without its JSON type (``plans[i].tasks[j].p``,
+``.predecessors[k]``, ``.resources[]``).  A document with several faults
+raises, in this order: a shape fault, first in document order; then a
+repeated resource id; then the model's own error.  A ``Schedule`` checks
+nothing itself, so a schedule document is always walked (``_SCHEDULE``).
+Round-trips are lossless and the emitted bytes are deterministic for a given
+input.
 
 ``dumps_instance`` and ``dumps_schedule`` write exactly
 ``json.dumps(instance_to_dict(...), indent=2) + "\n"`` and
@@ -69,47 +70,45 @@ class ParseError(SchedulingError):
     """The document is not valid JSON or does not match the expected shape."""
 
 
-def _require(mapping, key, where):
-    if not isinstance(mapping, dict):
-        raise ParseError(f"{where}: expected an object")
-    if key not in mapping:
-        raise ParseError(f"{where}: missing field {key!r}")
-    return mapping[key]
+# The declared shape of both documents, walked by :func:`_check` only when a
+# document is refused: ``int`` is an integer, ``[item]`` a list of ``item``
+# and a dict an object whose fields are checked in the order listed.  A field
+# named in ``_OPTIONAL`` may be absent.
+_PREDECESSOR = {"index": int, "lag": int}
+_TASK = {"index": int, "predecessors": [_PREDECESSOR], "p": int, "r": int, "d": int, "resources": [int]}
+_PLAN = {"id": int, "priority": int, "precedes": [int], "tasks": [_TASK]}
+_INSTANCE = {
+    "window": {"start": int, "end": int},
+    "resources": [{"id": int, "availability": int}],
+    "plans": [_PLAN],
+}
+_SCHEDULE = {"starts": [{"plan": int, "task": int, "start": int}]}
+_OPTIONAL = frozenset({"availability", "precedes", "predecessors", "lag"})
 
 
-def _as_int(value, where):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{where}: expected an integer, got {value!r}")
-    return value
+def _check(value, shape, where: str) -> None:
+    """Raise a :class:`ParseError` naming the first part of ``value``, in
+    document order, that does not have its JSON type in ``shape``.
 
-
-def _int(mapping, key, where, default=None):
-    """The integer under ``key``; ``default`` makes the field optional.
-
-    The path ``where.key`` is spelled out only when the field is bad.
+    The path ``where`` grows as the walk goes down: ``.key`` for a field,
+    ``[i]`` for an object in a list and ``[]`` for an integer in a list.
     """
-    if type(mapping) is dict:
-        value = mapping.get(key, default)
-        if type(value) is int:
-            return value
-    value = _require(mapping, key, where) if default is None else mapping.get(key, default)
-    return _as_int(value, f"{where}.{key}")
-
-
-def _as_list(value, where):
-    if not isinstance(value, list):
-        raise ParseError(f"{where}: expected a list")
-    return value
-
-
-def _list(mapping, key, where, default=None):
-    """The list under ``key``, read like :func:`_int`."""
-    if type(mapping) is dict:
-        value = mapping.get(key, default)
-        if type(value) is list:
-            return value
-    value = _require(mapping, key, where) if default is None else mapping.get(key, default)
-    return _as_list(value, f"{where}.{key}")
+    if shape is int:
+        if type(value) is not int:
+            raise ParseError(f"{where}: expected an integer, got {value!r}")
+    elif type(shape) is list:
+        if type(value) is not list:
+            raise ParseError(f"{where}: expected a list")
+        for i, item in enumerate(value):
+            _check(item, shape[0], f"{where}[]" if shape[0] is int else f"{where}[{i}]")
+    elif type(value) is not dict:
+        raise ParseError(f"{where}: expected an object")
+    else:
+        for key, field_shape in shape.items():
+            if key in value:
+                _check(value[key], field_shape, key if where == "document" else f"{where}.{key}")
+            elif key not in _OPTIONAL:
+                raise ParseError(f"{where}: missing field {key!r}")
 
 
 def instance_to_dict(instance: Instance) -> dict:
@@ -143,71 +142,56 @@ def instance_to_dict(instance: Instance) -> dict:
 
 
 def instance_from_dict(doc: dict) -> Instance:
-    window_doc = _require(doc, "window", "document")
-    window = TimeWindow(_int(window_doc, "start", "window"), _int(window_doc, "end", "window"))
-    resources: dict[int, int] = {}
-    for i, res in enumerate(_as_list(_require(doc, "resources", "document"), "resources")):
-        where = f"resources[{i}]"
-        rho = _int(res, "id", where)
-        if rho in resources:
-            raise ParseError(f"{where}: duplicate resource id {rho}")
-        resources[rho] = _int(res, "availability", where, 1)
-    plans: list[Plan] = []
-    edges: set[tuple[int, int]] = set()
-    for i, plan_doc in enumerate(_as_list(_require(doc, "plans", "document"), "plans")):
-        where = f"plans[{i}]"
-        plan_id = _int(plan_doc, "id", where)
-        priority = _int(plan_doc, "priority", where)
-        for succ in _list(plan_doc, "precedes", where, []):
-            if type(succ) is not int:
-                _as_int(succ, f"{where}.precedes[]")
-            edges.add((plan_id, succ))
-        tasks = []
-        for j, task_doc in enumerate(_list(plan_doc, "tasks", where)):
-            task = _task(plan_id, task_doc)
-            if task is None:
-                task = _checked_task(plan_id, task_doc, f"{where}.tasks[{j}]")
-            tasks.append(task)
-        plans.append(Plan(id=plan_id, priority=priority, tasks=tuple(tasks)))
-    return build_instance(plans, plan_dag=edges, resources=resources, window=window)
+    """The instance of ``doc``; a refused document raises its first fault, in
+    the order the module docstring gives."""
+    try:
+        return _read_instance(doc)
+    except (SchedulingError, LookupError, TypeError, AttributeError):
+        _check(doc, _INSTANCE, "document")
+        seen: set[int] = set()
+        for i, res in enumerate(doc["resources"]):
+            if res["id"] in seen:
+                raise ParseError(f"resources[{i}]: duplicate resource id {res['id']}")
+            seen.add(res["id"])
+        raise
 
 
 _EMPTY: list = []  # what an absent optional list reads as; never written to
 
 
-def _task(plan_id: int, doc):
-    """The task of an entry, its fields handed to :class:`Task` as read, or
-    None to have :func:`_checked_task` read it.
+def _read_instance(doc) -> Instance:
+    """The instance of ``doc``, every value handed to the model as read.
 
-    Only the shape of the two lists is tested here; ``Task`` checks every
-    value, and any refusal sends the entry to the field-by-field reader.
+    Only what the model cannot see is tested here: that the lists it would
+    read as empty are lists, and that no resource id repeats.  A malformed
+    document raises whatever it makes the reading raise.
     """
-    try:
-        task_resources, pred_docs = doc["resources"], doc.get("predecessors", _EMPTY)
-        if type(task_resources) is not list or type(pred_docs) is not list:
-            return None
-        preds = [(pred["index"], pred.get("lag", 0)) for pred in pred_docs] if pred_docs else ()
-        return Task(plan_id, doc["index"], doc["p"], doc["r"], doc["d"], task_resources, preds)
-    except (SchedulingError, LookupError, TypeError, AttributeError):
-        return None
-
-
-def _checked_task(plan_id: int, doc, where):
-    """:func:`_task` field by field: the first bad field raises a
-    :class:`ParseError` that names its path; a good entry is built, so a
-    value the model refuses raises the model's own error."""
-    index = _int(doc, "index", where)
-    preds = []
-    for k, pred in enumerate(_list(doc, "predecessors", where, [])):
-        pwhere = f"{where}.predecessors[{k}]"
-        preds.append((_int(pred, "index", pwhere), _int(pred, "lag", pwhere, 0)))
-    processing_time = _int(doc, "p", where)
-    release = _int(doc, "r", where)
-    due = _int(doc, "d", where)
-    task_resources = _list(doc, "resources", where)
-    for rho in task_resources:
-        _as_int(rho, f"{where}.resources[]")
-    return Task(plan_id, index, processing_time, release, due, task_resources, preds)
+    window = TimeWindow(doc["window"]["start"], doc["window"]["end"])
+    resource_docs, plan_docs = doc["resources"], doc["plans"]
+    if type(resource_docs) is not list or type(plan_docs) is not list:
+        raise TypeError("resources and plans must be lists")
+    resources = {res["id"]: res.get("availability", 1) for res in resource_docs}
+    if len(resources) != len(resource_docs):
+        raise ParseError("repeated resource id")
+    plans = []
+    edges = []
+    for plan_doc in plan_docs:
+        plan_id = plan_doc["id"]
+        successors = plan_doc.get("precedes", _EMPTY)
+        if type(successors) is not list:
+            raise TypeError("precedes must be a list")
+        edges += [(plan_id, succ) for succ in successors]
+        tasks = []
+        for task_doc in plan_doc["tasks"]:
+            pred_docs = task_doc.get("predecessors", _EMPTY)
+            if type(pred_docs) is not list:
+                raise TypeError("predecessors must be a list")
+            preds = [(pred["index"], pred.get("lag", 0)) for pred in pred_docs] if pred_docs else ()
+            tasks.append(
+                Task(plan_id, task_doc["index"], task_doc["p"], task_doc["r"], task_doc["d"], task_doc["resources"], preds)
+            )
+        plans.append(Plan(plan_id, plan_doc["priority"], tuple(tasks)))
+    return build_instance(plans, plan_dag=edges, resources=resources, window=window)
 
 
 def _array(items, pad: str) -> str:
@@ -323,21 +307,26 @@ def schedule_to_dict(schedule: Schedule, instance: Instance, events: tuple[Event
 
 
 def schedule_from_dict(doc: dict) -> Schedule:
+    """The schedule of ``doc``; ``Schedule`` checks nothing, so the shape is checked here."""
+    _check(doc, _SCHEDULE, "document")
     starts = {}
-    for i, entry in enumerate(_as_list(_require(doc, "starts", "document"), "starts")):
-        where = f"starts[{i}]"
-        key = (_int(entry, "plan", where), _int(entry, "task", where))
+    for i, entry in enumerate(doc["starts"]):
+        key = (entry["plan"], entry["task"])
         if key in starts:
-            raise ParseError(f"{where}: duplicate start for plan {key[0]} task {key[1]}")
-        starts[key] = _int(entry, "start", where)
+            raise ParseError(f"starts[{i}]: duplicate start for plan {key[0]} task {key[1]}")
+        starts[key] = entry["start"]
     return Schedule(starts, _plan_ids(doc, "scheduled"), _plan_ids(doc, "discarded"))
 
 
 def _plan_ids(doc: dict, key: str) -> list[int]:
     """The plan ids listed under ``key``, in order; a repeated id is rejected."""
+    values = doc.get(key, _EMPTY)
+    if type(values) is not list:
+        raise ParseError(f"{key}: expected a list")
     ids: dict[int, None] = {}
-    for i, value in enumerate(_as_list(doc.get(key, []), key)):
-        plan_id = _as_int(value, f"{key}[{i}]")
+    for i, plan_id in enumerate(values):
+        if type(plan_id) is not int:
+            raise ParseError(f"{key}[{i}]: expected an integer, got {plan_id!r}")
         if plan_id in ids:
             raise ParseError(f"{key}[{i}]: plan {plan_id} is listed twice")
         ids[plan_id] = None

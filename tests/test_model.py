@@ -6,6 +6,7 @@ from plansched import (
     BadWindow,
     CyclicPlanDag,
     CyclicTaskGraph,
+    Instance,
     InstanceError,
     Plan,
     Task,
@@ -266,8 +267,34 @@ def test_task_rejects_resource_id_equal_to_an_int(resources):
 @pytest.mark.parametrize("resources", [[1, 2, True], [1, 2, 2.0]], ids=["bool", "float"])
 def test_build_instance_rejects_resource_id_equal_to_an_int(resources):
     plans = [make_plan(plan_id, 1, [(1, 1, 0, 5, {plan_id}, [])]) for plan_id in (1, 2)]
-    with pytest.raises(InstanceError, match=f"resource {resources[2]!r}: id and availability must be integers"):
+    # the error names the bad id alone, not the availability 1 filled in for it
+    with pytest.raises(InstanceError, match=f"^resource ids must be integers, got {resources[2]!r}$"):
         build_instance(plans, resources=resources, window=TimeWindow(0, 10))
+
+
+@pytest.mark.parametrize(
+    "make, owner",
+    [
+        (lambda: Task(1, 1, 1, 0, 5, None), r"task \(1, 1\): resources"),
+        (lambda: Task(1, 1, 1, 0, 5, [1], None), r"task \(1, 1\): predecessors"),
+        (lambda: Plan(1, 1, None), "plan 1: tasks"),
+        (lambda: build_instance([], resources=5, window=TimeWindow(0, 1)), "resources"),
+        (lambda: build_instance([], plan_dag=None, window=TimeWindow(0, 1)), "plan precedence graph"),
+        (lambda: build_instance(None, window=TimeWindow(0, 1)), "plans"),
+        (lambda: Instance(None, frozenset(), {}, TimeWindow(0, 1)), "plans"),
+    ],
+    ids=["task-resources", "task-predecessors", "plan-tasks", "resources", "plan-dag", "plans", "instance-plans"],
+)
+def test_non_iterable_collection_is_an_instance_error(make, owner):
+    with pytest.raises(InstanceError, match=f"^{owner} must be iterable, got"):
+        make()
+
+
+def test_build_instance_checks_dag_edges_before_freezing_them():
+    # a set of edges would merge (1, 2.0) into (1, 2) unseen
+    plans = [make_plan(plan_id, 1, [(1, 1, 0, 5, {1}, [])]) for plan_id in (1, 2)]
+    with pytest.raises(InstanceError, match=r"plan precedence edge \(1, 2.0\): plan ids must be integers"):
+        build_instance(plans, plan_dag=[(1, 2), (1, 2.0)], window=TimeWindow(0, 10))
 
 
 def test_build_instance_reads_one_shot_plans_once():

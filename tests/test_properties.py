@@ -10,7 +10,8 @@ from plansched import (
     sort_plans,
     validate_schedule,
 )
-from plansched.engine import earliest_start, rollback_plan, schedule_plan, schedule_task
+from plansched import engine
+from plansched.engine import earliest_start, rollback_plan, schedule_plan, schedule_plan_set, schedule_task
 from plansched.serialize import instance_from_dict, instance_to_dict, schedule_from_dict, schedule_to_dict
 from conftest import base_seed, random_instance
 
@@ -82,6 +83,32 @@ def test_every_placement_is_the_earliest_feasible_instant():
                 assert s_w.starts[task.id] == expected, (instance, task)
                 delayed += expected > lower
     assert delayed > 20 and failed > 20  # resource conflicts and failures both occur
+
+
+def test_every_group_takes_at_most_triangular_placements(monkeypatch):
+    # a group of G equal-priority plans costs at most G(G+1)/2 placements
+    # (engine.schedule_plan_set); count them on every group of every build
+    groups = []  # per schedule_plan_set call: [group size, placements]
+
+    def count_placement(plan, *args):
+        groups[-1][1] += 1
+        return schedule_plan(plan, *args)
+
+    def count_group(plans, *args):
+        groups.append([len(plans), 0])
+        return schedule_plan_set(plans, *args)
+
+    monkeypatch.setattr(engine, "schedule_plan", count_placement)
+    monkeypatch.setattr(engine, "schedule_plan_set", count_group)
+    rng = random.Random(base_seed() + 9)
+    for _ in range(150):
+        instance = random_instance(rng, max_plans=10, priorities=(1, 3), edge_prob=0.1)
+        built = len(groups)
+        build_schedule(instance)
+        for size, count in groups[built:]:
+            assert count <= size * (size + 1) // 2, (instance, size, count)
+    # some commits re-run kept trials, so groups take more than one placement a plan
+    assert any(count > size > 2 for size, count in groups)
 
 
 def test_event_list_size_bound():

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from plansched import (
     BadWindow,
@@ -10,8 +11,10 @@ from plansched import (
     Instance,
     InstanceError,
     ParseError,
+    Plan,
     Schedule,
     SchedulingError,
+    Task,
     TimeWindow,
     UnknownTask,
     build_instance,
@@ -25,7 +28,7 @@ from plansched import (
     parse_schedule,
 )
 from plansched.data import bundled_names, load_bundled
-from plansched import serialize
+from plansched import cli, serialize
 from plansched.model import Event, event_list
 from plansched.serialize import (
     instance_from_dict,
@@ -33,7 +36,7 @@ from plansched.serialize import (
     schedule_from_dict,
     schedule_to_dict,
 )
-from conftest import example1_instance, example2_instance, idle_instance, make_plan
+from conftest import base_seed, example1_instance, example2_instance, idle_instance, make_plan
 from test_golden import CONFIGS, _instances
 
 
@@ -361,6 +364,9 @@ def test_integer_field_error_text_is_pinned():
 
 # (the path an error names, the place in _PARSE_BASE, "list" or "object")
 _SHAPE_FIELDS = [
+    ("resources", ("resources",), "list"),
+    ("plans", ("plans",), "list"),
+    ("plans[0].precedes", ("plans", 0, "precedes"), "list"),
     ("plans[1].tasks", ("plans", 1, "tasks"), "list"),
     ("plans[1].tasks[1]", ("plans", 1, "tasks", 1), "object"),
     ("plans[1].tasks[1].resources", ("plans", 1, "tasks", 1, "resources"), "list"),
@@ -424,17 +430,82 @@ def _mutate_task_entry(rng, doc):
         tasks[k] = rng.choice(_ODD_VALUES)
 
 
-def _parse_outcome(doc):
-    """The instance ``doc`` parses to, or the type and text of what it raises."""
+def _outcome(read, doc):
+    """The instance ``read(doc)`` gives, or the type and text of what it raises."""
     try:
-        return serialize.instance_from_dict(doc)
+        return read(doc)
     except SchedulingError as exc:
         return type(exc), str(exc)
 
 
-def test_task_reader_agrees_with_field_by_field_reader(monkeypatch):
-    # the task reader hands entries to Task as read; the reference sends every
-    # entry through _checked_task, which names the first bad field
+def _task_entry_fault(entry, where):
+    """The first field of a task entry without its JSON type, in field order,
+    as the text of its :class:`ParseError`, or None."""
+    if type(entry) is not dict:
+        return f"{where}: expected an object"
+    for key in ["index", "predecessors", "p", "r", "d", "resources"]:
+        if key not in entry:
+            if key != "predecessors":
+                return f"{where}: missing field {key!r}"
+            continue
+        value, path = entry[key], f"{where}.{key}"
+        if key in ("resources", "predecessors"):
+            if type(value) is not list:
+                return f"{path}: expected a list"
+            for k, item in enumerate(value):
+                if key == "resources":
+                    if type(item) is not int:
+                        return f"{path}[]: expected an integer, got {item!r}"
+                elif type(item) is not dict:
+                    return f"{path}[{k}]: expected an object"
+                elif "index" not in item:
+                    return f"{path}[{k}]: missing field 'index'"
+                else:
+                    for field in ("index", "lag"):
+                        if field in item and type(item[field]) is not int:
+                            return f"{path}[{k}].{field}: expected an integer, got {item[field]!r}"
+        elif type(value) is not int:
+            return f"{path}: expected an integer, got {value!r}"
+    return None
+
+
+def _build_directly(doc):
+    """What building the model objects of ``doc`` directly gives, when only
+    plan 2's task entries may be malformed and none has a shape fault."""
+    plans = []
+    for plan_doc in doc["plans"]:
+        tasks = [
+            Task(
+                plan_doc["id"],
+                entry["index"],
+                entry["p"],
+                entry["r"],
+                entry["d"],
+                entry["resources"],
+                [(pred["index"], pred.get("lag", 0)) for pred in entry.get("predecessors", [])],
+            )
+            for entry in plan_doc["tasks"]
+        ]
+        plans.append(Plan(plan_doc["id"], plan_doc["priority"], tasks))
+    edges = {(plan_doc["id"], succ) for plan_doc in doc["plans"] for succ in plan_doc["precedes"]}
+    resources = {res["id"]: res["availability"] for res in doc["resources"]}
+    window = TimeWindow(doc["window"]["start"], doc["window"]["end"])
+    return build_instance(plans, plan_dag=edges, resources=resources, window=window)
+
+
+def _reference_outcome(doc):
+    """The first shape fault among plan 2's task entries, else the direct build."""
+    for j, entry in enumerate(doc["plans"][1]["tasks"]):
+        fault = _task_entry_fault(entry, f"plans[1].tasks[{j}]")
+        if fault is not None:
+            return ParseError, fault
+    return _outcome(_build_directly, doc)
+
+
+def test_task_reader_agrees_with_field_by_field_reader():
+    # the reader hands every value to the model as read and walks the declared
+    # shape only on a refusal; the reference checks plan 2's task entries field
+    # by field and builds the model objects itself
     rng = random.Random("task-reader-sweep")
     docs = []
     for _ in range(2000):
@@ -442,14 +513,81 @@ def test_task_reader_agrees_with_field_by_field_reader(monkeypatch):
         for _ in range(rng.randint(1, 3)):
             _mutate_task_entry(rng, doc)
         docs.append(doc)
-    outcomes = [_parse_outcome(doc) for doc in docs]
-    with monkeypatch.context() as patch:
-        patch.setattr(serialize, "_task", lambda plan_id, doc: None)
-        reference = [_parse_outcome(doc) for doc in docs]
-    for doc, outcome, expected in zip(docs, outcomes, reference):
-        assert outcome == expected, doc
+    outcomes = [_outcome(serialize.instance_from_dict, doc) for doc in docs]
+    for doc, outcome in zip(docs, outcomes):
+        assert outcome == _reference_outcome(doc), doc
     kinds = {outcome[0] if type(outcome) is tuple else Instance for outcome in outcomes}
     assert {Instance, ParseError, BadWindow, CyclicTaskGraph, InstanceError} <= kinds
+
+
+# JSON values the fuzz below puts into valid documents
+_FUZZ_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=3),
+    st.integers(-3, 3),
+    st.integers(-(2**70), -1),
+    st.integers(2**63 - 2, 2**63 + 1),
+)
+_FUZZ_VALUES = st.recursive(
+    _FUZZ_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "index", "lag", "plan", "start"]) | st.text(max_size=2), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _places(value, place=()):
+    """Every place in a JSON ``value``, the value itself first."""
+    yield place
+    items = value.items() if type(value) is dict else enumerate(value) if type(value) is list else ()
+    for key, item in items:
+        yield from _places(item, (*place, key))
+
+
+def test_fuzzed_documents_raise_only_scheduling_errors(tmp_path, capsys):
+    # random values, or a deletion, at 1-3 random places of a valid document:
+    # either reader returns or raises a SchedulingError, never anything else
+    bases = [
+        (instance_from_dict, _PARSE_BASE),
+        (instance_from_dict, instance_to_dict(_edge_instance())),
+        (schedule_from_dict, _SCHEDULE_BASE),
+    ]
+    refused = []
+
+    @seed(base_seed())
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.data())
+    def read_fuzzed(data):
+        read, doc = data.draw(st.sampled_from(bases))
+        for _ in range(data.draw(st.integers(1, 3))):
+            place = data.draw(st.sampled_from(list(_places(doc))))
+            value = data.draw(_FUZZ_VALUES | st.just(_MISSING)) if place else data.draw(_FUZZ_VALUES)
+            doc = _with_field(doc, place, value) if place else value
+        try:
+            read(doc)
+        except SchedulingError:
+            refused.append((read, doc))
+
+    read_fuzzed()
+    assert len(refused) > 100
+    # a refused document ends the command line run with exit code 2 and one error line
+    instance_path, schedule_path = tmp_path / "instance.json", tmp_path / "schedule.json"
+    for read, doc in refused[:: len(refused) // 8]:
+        commands = [["validate", str(instance_path), str(schedule_path)]]
+        if read is instance_from_dict:
+            instance_doc, schedule_doc = doc, _SCHEDULE_BASE
+            commands.append(["schedule", str(instance_path)])
+        else:
+            instance_doc, schedule_doc = _PARSE_BASE, doc
+        instance_path.write_text(json.dumps(instance_doc), encoding="utf-8")
+        schedule_path.write_text(json.dumps(schedule_doc), encoding="utf-8")
+        for argv in commands:
+            capsys.readouterr()
+            assert cli.main(argv) == 2, doc
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (doc, lines)
 
 
 @pytest.mark.parametrize(
