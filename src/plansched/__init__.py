@@ -9,11 +9,7 @@ brute-force oracle for small instances, a benchmark generator and a Gantt
 exporter round out the package.
 """
 
-from .engine import (
-    EngineConfig,
-    ScheduleResult,
-    build_schedule,
-)
+from .engine import ScheduleResult, build_schedule
 from .gantt import render_gantt
 from .model import (
     BadWindow,
@@ -66,7 +62,6 @@ __all__ = [
     "BadWindow",
     "CyclicPlanDag",
     "CyclicTaskGraph",
-    "EngineConfig",
     "GLOBAL_WINDOW",
     "INTRA_PLAN_PRECEDENCE",
     "Instance",

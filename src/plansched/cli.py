@@ -10,7 +10,7 @@ import argparse
 import sys
 import time
 
-from .engine import EngineConfig, build_schedule
+from .engine import build_schedule
 from .gantt import render_gantt
 from .model import SchedulingError
 from .oracle import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, exact_max_weight
@@ -50,11 +50,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_schedule(args) -> int:
     instance = parse_instance(args.instance)
-    config = EngineConfig(
+    result = build_schedule(
+        instance,
         strict_plan_precedence=args.strict_plan_precedence,
         priority_descending=args.priority_order == "desc",
     )
-    result = build_schedule(instance, config)
     report = validate_schedule(instance, result.schedule)
     print(
         f"scheduled {len(result.scheduled_plans)}/{len(instance.plans)} plans, "
@@ -99,12 +99,10 @@ def _cmd_bench(args) -> int:
     for n in numbers:
         instance = generate_scenario(n)
         timings = []
-        result = None
         for _ in range(args.repeat):
             t0 = time.perf_counter()
             result = build_schedule(instance)
             timings.append(time.perf_counter() - t0)
-        assert result is not None
         scheduled = set(result.scheduled_plans)
         sched_tasks = sum(p.task_count for p in instance.plans if p.id in scheduled)
         total_tasks = sum(p.task_count for p in instance.plans)

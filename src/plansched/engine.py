@@ -67,19 +67,6 @@ the ends are sorted too.  Callers seed every resource of the instance with
 """
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    """Tunables of the insertion heuristic.
-
-    strict_plan_precedence: when True, a plan whose DAG predecessor was
-        discarded is discarded as well instead of being attempted.
-    priority_descending: larger priority value means scheduled earlier.
-    """
-
-    strict_plan_precedence: bool = False
-    priority_descending: bool = True
-
-
 @dataclass
 class ScheduleResult:
     """Outcome of a full build: the schedule, and its event list on demand."""
@@ -331,8 +318,14 @@ def _overlaps(spans: list, placed: list) -> bool:
     return False
 
 
-def build_schedule(instance: Instance, config: EngineConfig | None = None) -> ScheduleResult:
+def build_schedule(
+    instance: Instance, *, strict_plan_precedence: bool = False, priority_descending: bool = True
+) -> ScheduleResult:
     """Build a feasible schedule for the whole instance.
+
+    ``strict_plan_precedence``: when True, a plan whose DAG predecessor was
+    discarded is discarded as well instead of being attempted.
+    ``priority_descending``: a larger priority value is scheduled earlier.
 
     Plans are processed in :func:`plansched.ordering.sort_plans` order, which
     merges the priority-sorted DAG frontiers (``instance.frontier_of``) by
@@ -345,17 +338,16 @@ def build_schedule(instance: Instance, config: EngineConfig | None = None) -> Sc
     restore the working state exactly, the working schedule is feasible after
     every step and is returned as the result.
     """
-    config = config or EngineConfig()
     window = instance.window
     busy: Timelines = {rho: ([], []) for rho in instance.resources}
     s_w = Schedule()
 
     frontier_of = instance.frontier_of
     discarded: set[int] = set()  # the ids in s_w.discarded_plans
-    order = sort_plans(instance, descending=config.priority_descending)
+    order = sort_plans(instance, descending=priority_descending)
     for _, members in groupby(order, key=lambda plan: (plan.priority, frontier_of[plan.id])):
         group = list(members)
-        if config.strict_plan_precedence:
+        if strict_plan_precedence:
             kept = []
             for member in group:
                 if discarded.isdisjoint(instance.predecessors_of_plan(member.id)):

@@ -6,10 +6,15 @@ availability must be an ``int`` (a bool, float or string is rejected, so the
 documents written from them hold integers only).  Each value is checked once,
 as the caller gave it, before a collection of them is frozen: a set would
 merge ``True`` or ``1.0`` into the id ``1`` unseen.  A collection argument
-that cannot be iterated raises :class:`InstanceError` too.  ``Instance`` is
-the only place that reads the plan DAG: one pass rejects cycles and records
-each plan's frontier and DAG neighbours, which the ordering and the engine
-look up.  ``Schedule`` is the mutable result of a single scheduler run;
+that cannot be iterated raises :class:`InstanceError` too.  ``Instance``
+checks that its window is a ``TimeWindow``, and ``Plan`` and ``Instance``
+name an entry that is not a ``Task`` or a ``Plan`` at no cost to a valid
+construction: only the error that reading such an entry raises leads to a
+type test.  ``Instance`` is the only place that reads the plan DAG: one pass
+rejects cycles and records each plan's frontier and DAG neighbours, which
+the ordering and the engine look up.  ``Schedule`` is the mutable result of
+a single scheduler run and checks nothing itself; the writer and the
+validator apply one integer rule to it, :func:`check_schedule_ints`.
 :func:`event_list` derives the paper's event list, a tuple of ``Event``s,
 from its start times.
 """
@@ -183,6 +188,13 @@ def _reject_non_int(owner: str, **fields) -> None:
             raise InstanceError(f"{owner}: {name} must be an integer, got {value!r}")
 
 
+def _reject_entry(entries, kind: type, owner: str) -> None:
+    """Raise :class:`InstanceError` for the first of ``entries`` that is not a ``kind`` (error paths only)."""
+    for entry in entries:
+        if not isinstance(entry, kind):
+            raise InstanceError(f"{owner}: {entry!r} is not a {kind.__name__}") from None
+
+
 def completion_time(task: Task, start: int) -> int:
     """Completion instant of ``task`` when started at ``start``."""
     return start + task.processing_time
@@ -209,19 +221,23 @@ class Plan:
         tasks = self.tasks if type(self.tasks) is tuple else tuple(_each(self.tasks, f"plan {self.id}: tasks"))
         if not tasks:
             raise InstanceError(f"plan {self.id} has no tasks")
-        position = {t.index: k for k, t in enumerate(tasks)}
+        try:
+            position = {t.index: k for k, t in enumerate(tasks)}
+            in_order = True
+            for k, t in enumerate(tasks):
+                if t.plan_id != self.id:
+                    raise InstanceError(f"plan {self.id} contains task tagged for plan {t.plan_id}")
+                for j, _ in t.predecessors:
+                    before = position.get(j)
+                    if before is None:
+                        raise InstanceError(f"plan {self.id}: task {t.index} names unknown predecessor {j}")
+                    if before > k:
+                        in_order = False
+        except (AttributeError, TypeError):
+            _reject_entry(tasks, Task, f"plan {self.id}: tasks")
+            raise
         if len(position) != len(tasks):
             raise InstanceError(f"plan {self.id} has duplicate task indices")
-        in_order = True
-        for k, t in enumerate(tasks):
-            if t.plan_id != self.id:
-                raise InstanceError(f"plan {self.id} contains task tagged for plan {t.plan_id}")
-            for j, _ in t.predecessors:
-                before = position.get(j)
-                if before is None:
-                    raise InstanceError(f"plan {self.id}: task {t.index} names unknown predecessor {j}")
-                if before > k:
-                    in_order = False
         object.__setattr__(self, "tasks", tasks if in_order else _topo_order_tasks(self.id, tasks))
 
     @property
@@ -286,6 +302,8 @@ class Instance:
     _succs: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.window, TimeWindow):
+            raise BadWindow(f"an instance needs a TimeWindow, got {self.window!r}")
         object.__setattr__(self, "plans", tuple(_each(self.plans, "plans")))
         edges = []
         for edge in _each(self.plan_dag, "plan precedence graph"):
@@ -295,7 +313,30 @@ class Instance:
                 raise InstanceError(f"plan precedence edge {edge!r}: plan ids must be integers")
             edges.append(edge)
         object.__setattr__(self, "plan_dag", frozenset(edges))
-        by_id = {p.id: p for p in self.plans}
+        given = self.resources
+        pairs = given.items() if isinstance(given, Mapping) else [(rho, 1) for rho in _each(given, "resources")]
+        resources: dict[int, int] = {}
+        for rho, avail in pairs:
+            if type(rho) is not int:
+                raise InstanceError(f"resource ids must be integers, got {rho!r}")
+            if type(avail) is not int:
+                raise InstanceError(f"resource {rho!r}: id and availability must be integers, got {avail!r}")
+            if avail != 1:
+                raise InstanceError(f"resource {rho}: only availability 1 is supported, got {avail}")
+            resources[rho] = avail
+        object.__setattr__(self, "resources", resources)
+        declared = set(resources)
+        by_id: dict[int, Plan] = {}
+        try:
+            for plan in self.plans:
+                by_id[plan.id] = plan
+                for task in plan.tasks:
+                    if not task.resources <= declared:
+                        missing = sorted(task.resources - declared)
+                        raise UnknownResource(f"task {task.id} uses undeclared resources {missing}")
+        except (AttributeError, TypeError):
+            _reject_entry(self.plans, Plan, "plans")
+            raise
         if len(by_id) != len(self.plans):
             raise InstanceError("duplicate plan ids")
         preds: dict[int, list[int]] = {}
@@ -325,24 +366,6 @@ class Instance:
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_preds", {b: tuple(a) for b, a in preds.items()})
         object.__setattr__(self, "_succs", {a: tuple(b) for a, b in succs.items()})
-        given = self.resources
-        pairs = given.items() if isinstance(given, Mapping) else [(rho, 1) for rho in _each(given, "resources")]
-        resources: dict[int, int] = {}
-        for rho, avail in pairs:
-            if type(rho) is not int:
-                raise InstanceError(f"resource ids must be integers, got {rho!r}")
-            if type(avail) is not int:
-                raise InstanceError(f"resource {rho!r}: id and availability must be integers, got {avail!r}")
-            if avail != 1:
-                raise InstanceError(f"resource {rho}: only availability 1 is supported, got {avail}")
-            resources[rho] = avail
-        object.__setattr__(self, "resources", resources)
-        declared = set(resources)
-        for plan in self.plans:
-            for task in plan.tasks:
-                if not task.resources <= declared:
-                    missing = sorted(task.resources - declared)
-                    raise UnknownResource(f"task {task.id} uses undeclared resources {missing}")
 
     def plan(self, plan_id: int) -> Plan:
         try:
@@ -377,11 +400,13 @@ def build_instance(plans, plan_dag=(), resources=None, window=None) -> Instance:
     :class:`UnknownResource` or :class:`BadWindow` when the inputs break an
     invariant.
     """
-    if window is None:
-        raise BadWindow("an instance needs a global time window")
     plans = tuple(_each(plans, "plans"))
     if resources is None:
-        resources = {rho: 1 for plan in plans for task in plan.tasks for rho in task.resources}
+        try:
+            resources = {rho: 1 for plan in plans for task in plan.tasks for rho in task.resources}
+        except (AttributeError, TypeError):
+            _reject_entry(plans, Plan, "plans")
+            raise
     return Instance(plans=plans, plan_dag=plan_dag, resources=resources, window=window)
 
 
@@ -452,3 +477,20 @@ class Schedule:
     starts: dict[TaskId, int] = field(default_factory=dict)
     scheduled_plans: list[int] = field(default_factory=list)
     discarded_plans: list[int] = field(default_factory=list)
+
+
+def check_schedule_ints(schedule: Schedule) -> None:
+    """Raise :class:`SchedulingError` unless every start, task id and listed plan id of ``schedule`` is an ``int``.
+
+    The writer and the validator both apply this rule before they read a schedule.
+    """
+    try:
+        for task_id, start in schedule.starts.items():
+            plan_id, index = task_id
+            if not type(plan_id) is type(index) is type(start) is int:
+                raise SchedulingError(f"start of task {task_id!r}: ids and start must be integers, got {start!r}")
+    except (TypeError, ValueError):
+        raise SchedulingError(f"task id {task_id!r}: ids and start must be integers") from None
+    for plan_id in (*schedule.scheduled_plans, *schedule.discarded_plans):
+        if type(plan_id) is not int:
+            raise SchedulingError(f"listed plan ids must be integers, got {plan_id!r}")

@@ -55,7 +55,7 @@ class _Search:
             self.suffix_weight[i] = self.suffix_weight[i + 1] + self.plans[i].priority
         self.explored = 0
         self.limit_hit = False
-        self.best_weight = -1
+        self.best_weight = 0  # the empty selection is always feasible
         self.best_plans: list[int] = []
         self.best_starts: dict = {}
 
@@ -67,10 +67,6 @@ class _Search:
         elif self.deadline is not None and time.perf_counter() > self.deadline:
             self.limit_hit = True
         return self.limit_hit
-
-    def run(self) -> None:
-        self.best_weight = 0  # the empty selection is always feasible
-        self.choose(0, [])
 
     def choose(self, idx: int, chosen: list[Plan]) -> None:
         if self.out_of_budget():
@@ -176,7 +172,7 @@ def exact_max_weight(
     engine's strict mode.
     """
     search = _Search(instance, node_limit, time_limit, exhaustive_grid, strict_plan_precedence)
-    search.run()
+    search.choose(0, [])
     witness = Schedule(
         starts=dict(search.best_starts),
         scheduled_plans=list(search.best_plans),

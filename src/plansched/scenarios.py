@@ -79,15 +79,7 @@ def _make_plan(plan_id, priority, resources, release, due, processing, serial_pa
     for a, b in serial_pairs:
         pred_of.setdefault(b, []).append((a, 0))
     tasks = tuple(
-        Task(
-            plan_id=plan_id,
-            index=i,
-            processing_time=p,
-            release=release,
-            due=due,
-            resources=frozenset({resources[i - 1]}),
-            predecessors=tuple(pred_of.get(i, ())),
-        )
+        Task(plan_id, i, p, release, due, (resources[i - 1],), pred_of.get(i, ()))
         for i, p in enumerate(processing, start=1)
     )
     return Plan(id=plan_id, priority=priority, tasks=tasks)

@@ -62,6 +62,7 @@ from .model import (
     TimeWindow,
     UnknownTask,
     build_instance,
+    check_schedule_ints,
 )
 from .validate import objective as _objective
 
@@ -199,14 +200,6 @@ def _array(items, pad: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
 
 
-def _ints(values, pad: str) -> str:
-    """A JSON array of integers whose ``]`` sits at ``pad``."""
-    if not values:
-        return "[]"
-    inner = pad + "  "
-    return "[\n" + inner + (",\n" + inner).join(map(str, values)) + "\n" + pad + "]"
-
-
 def _task_text(task: Task) -> str:
     preds = _array(
         [
@@ -215,10 +208,11 @@ def _task_text(task: Task) -> str:
         ],
         "          ",
     )
+    resources = _array([f"            {rho}" for rho in sorted(task.resources)], "          ")
     return (
         f'        {{\n          "index": {task.index},\n          "p": {task.processing_time},\n'
         f'          "r": {task.release},\n          "d": {task.due},\n'
-        f'          "resources": {_ints(sorted(task.resources), "          ")},\n'
+        f'          "resources": {resources},\n'
         f'          "predecessors": {preds}\n        }}'
     )
 
@@ -235,7 +229,7 @@ def dumps_instance(instance: Instance) -> str:
     plans = _array(
         [
             f'    {{\n      "id": {plan.id},\n      "priority": {plan.priority},\n'
-            f'      "precedes": {_ints(sorted(instance.successors_of_plan(plan.id)), "      ")},\n'
+            f'      "precedes": {_array([f"        {b}" for b in sorted(instance.successors_of_plan(plan.id))], "      ")},\n'
             f'      "tasks": {_array([_task_text(task) for task in plan.tasks], "      ")}\n    }}'
             for plan in instance.plans
         ],
@@ -335,10 +329,9 @@ def _plan_ids(doc: dict, key: str) -> list[int]:
 
 def _event_tasks(task_ids) -> str:
     """An event's ``starting`` or ``completing`` list of ``[plan, task]`` pairs."""
-    if not task_ids:
+    if not task_ids:  # common (an event often only starts or only completes); skips the sort
         return "[]"
-    pairs = ",\n".join([f"        [\n          {p},\n          {k}\n        ]" for p, k in sorted(task_ids)])
-    return "[\n" + pairs + "\n      ]"
+    return _array([f"        [\n          {p},\n          {k}\n        ]" for p, k in sorted(task_ids)], "      ")
 
 
 def _event_text(event: Event) -> str:
@@ -352,24 +345,8 @@ def _event_text(event: Event) -> str:
     )
 
 
-def _check_ints(schedule: Schedule) -> None:
-    """Raise unless every start, task id and listed plan id of ``schedule`` is an ``int``.
-
-    The templates write values as they are, and a hand-built ``Schedule``
-    checks nothing itself.
-    """
-    for (plan_id, index), start in schedule.starts.items():
-        if not type(plan_id) is type(index) is type(start) is int:
-            raise SchedulingError(
-                f"start of plan {plan_id!r} task {index!r}: ids and start must be integers, got {start!r}"
-            )
-    for plan_id in (*schedule.scheduled_plans, *schedule.discarded_plans):
-        if type(plan_id) is not int:
-            raise SchedulingError(f"listed plan ids must be integers, got {plan_id!r}")
-
-
 def dumps_schedule(schedule: Schedule, instance: Instance, events: tuple[Event, ...] | None = None) -> str:
-    _check_ints(schedule)
+    check_schedule_ints(schedule)  # the templates write values as they are
     p_of = _processing_times(schedule, instance)
     starts = _array(
         [
@@ -379,9 +356,10 @@ def dumps_schedule(schedule: Schedule, instance: Instance, events: tuple[Event, 
         ],
         "  ",
     )
+    scheduled = _array([f"    {plan_id}" for plan_id in schedule.scheduled_plans], "  ")
+    discarded = _array([f"    {plan_id}" for plan_id in schedule.discarded_plans], "  ")
     text = (
-        f'{{\n  "starts": {starts},\n  "scheduled": {_ints(schedule.scheduled_plans, "  ")},\n'
-        f'  "discarded": {_ints(schedule.discarded_plans, "  ")},\n'
+        f'{{\n  "starts": {starts},\n  "scheduled": {scheduled},\n  "discarded": {discarded},\n'
         f'  "objective": {_objective(instance, schedule)}'
     )
     if events is None:

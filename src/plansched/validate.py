@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import Instance, Schedule, TaskId, UnknownTask, completion_time
+from .model import Instance, Schedule, TaskId, UnknownTask, check_schedule_ints, completion_time
 
 TEMPORAL_WINDOW = "TemporalWindow"
 GLOBAL_WINDOW = "GlobalWindow"
@@ -56,9 +56,12 @@ def objective(instance: Instance, schedule: Schedule) -> int:
 def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationReport:
     """Check every constraint for ``schedule`` against ``instance``.
 
-    Raises :class:`UnknownTask` when the schedule names a task or a plan the
-    instance does not have; every other problem lands in the report.
+    Raises :class:`SchedulingError` when a start, task id or listed plan id is
+    not an ``int`` (:func:`plansched.model.check_schedule_ints`, as ``dumps_schedule``
+    does), and :class:`UnknownTask` when the schedule names a task or a plan
+    the instance does not have; every other problem lands in the report.
     """
+    check_schedule_ints(schedule)
     known = {task.id for task in instance.iter_tasks()}
     for task_id in schedule.starts:
         if task_id not in known:

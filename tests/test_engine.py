@@ -9,7 +9,6 @@ import pytest
 
 import plansched
 from plansched import (
-    EngineConfig,
     PredecessorUnscheduled,
     Schedule,
     TimeWindow,
@@ -593,7 +592,7 @@ def test_strict_plan_precedence_discards_successors():
     )
     relaxed = build_schedule(instance)
     assert relaxed.scheduled_plans == [2]
-    strict = build_schedule(instance, EngineConfig(strict_plan_precedence=True))
+    strict = build_schedule(instance, strict_plan_precedence=True)
     assert strict.scheduled_plans == []
     assert strict.discarded_plans == [1, 2]
 
@@ -609,7 +608,7 @@ def test_priority_order_flag():
     )
     descending = build_schedule(instance)
     assert descending.schedule.starts == {(2, 1): 0, (1, 1): 2}
-    ascending = build_schedule(instance, EngineConfig(priority_descending=False))
+    ascending = build_schedule(instance, priority_descending=False)
     assert ascending.schedule.starts == {(1, 1): 0, (2, 1): 2}
 
 

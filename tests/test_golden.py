@@ -20,16 +20,16 @@ import random
 import sys
 from pathlib import Path
 
-from plansched import SCENARIOS, EngineConfig, build_schedule, dumps_schedule, generate_scenario, render_gantt
+from plansched import SCENARIOS, build_schedule, dumps_schedule, generate_scenario, render_gantt
 from plansched.data import load_bundled
 from conftest import random_instance
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "schedules.json"
 GOLDEN_GANTT = GOLDEN.with_name("gantt.json")
 CONFIGS = {
-    "default": EngineConfig(),
-    "asc": EngineConfig(priority_descending=False),
-    "strict": EngineConfig(strict_plan_precedence=True),
+    "default": {},
+    "asc": {"priority_descending": False},
+    "strict": {"strict_plan_precedence": True},
 }
 EXAMPLES = ("example1", "example2", "idle_time")
 RANDOM_SEED = 20261018
@@ -54,7 +54,7 @@ def schedule_digests() -> dict[str, str]:
     digests = {}
     for name, instance in _instances():
         for config_name, config in CONFIGS.items():
-            result = build_schedule(instance, config)
+            result = build_schedule(instance, **config)
             text = dumps_schedule(result.schedule, instance, result.events)
             digests[f"{name}/{config_name}"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return digests

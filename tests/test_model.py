@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -305,3 +306,38 @@ def test_build_instance_reads_one_shot_plans_once():
     assert instance.resources == {1: 1, 2: 1}
     task = Task(1, 1, 1, 0, 5, iter([2, 3]))
     assert task.resources == frozenset({2, 3})
+
+
+@pytest.mark.parametrize("window", [5, (0, 5), None, "0-5", 1.5], ids=["int", "tuple", "none", "str", "float"])
+def test_instance_rejects_a_window_that_is_not_a_time_window(window):
+    plan = make_plan(1, 1, [(1, 1, 0, 5, {1}, [])])
+    with pytest.raises(BadWindow, match="an instance needs a TimeWindow"):
+        build_instance([plan], window=window)
+    with pytest.raises(BadWindow, match="an instance needs a TimeWindow"):
+        Instance((plan,), frozenset(), {1: 1}, window)
+
+
+_TASK = Task(1, 1, 1, 0, 5, {1})
+_PLAN = Plan(1, 1, (_TASK,))
+_NOT_AN_ENTRY = [5, None, "ab", [1], {}, (1, 2)]
+_ENTRY_IDS = ["int", "none", "str", "list", "dict", "tuple"]
+
+
+@pytest.mark.parametrize("entry", [*_NOT_AN_ENTRY, _PLAN], ids=[*_ENTRY_IDS, "plan"])
+def test_plan_rejects_an_entry_that_is_not_a_task(entry):
+    with pytest.raises(InstanceError, match=rf"^plan 1: tasks: {re.escape(repr(entry))} is not a Task$"):
+        Plan(1, 1, [_TASK, entry])
+
+
+@pytest.mark.parametrize("entry", [*_NOT_AN_ENTRY, _TASK], ids=[*_ENTRY_IDS, "task"])
+def test_build_instance_rejects_an_entry_that_is_not_a_plan(entry):
+    # the default resources read every plan's tasks before Instance checks them
+    with pytest.raises(InstanceError, match=rf"^plans: {re.escape(repr(entry))} is not a Plan$"):
+        build_instance([_PLAN, entry], window=TimeWindow(0, 5))
+
+
+@pytest.mark.parametrize("entry", [*_NOT_AN_ENTRY, _TASK], ids=[*_ENTRY_IDS, "task"])
+def test_instance_rejects_an_entry_that_is_not_a_plan(entry):
+    # a Task has an ``id`` as a Plan does, so it is caught only where its tasks are read
+    with pytest.raises(InstanceError, match=rf"^plans: {re.escape(repr(entry))} is not a Plan$"):
+        Instance((_PLAN, entry), frozenset(), {1: 1}, TimeWindow(0, 5))

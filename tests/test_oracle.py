@@ -1,7 +1,6 @@
 import random
 
 from plansched import (
-    EngineConfig,
     TimeWindow,
     build_instance,
     build_schedule,
@@ -92,8 +91,7 @@ def test_strict_mode_decides_predecessors_first():
         plan_dag={(1, 2)},
         window=TimeWindow(0, 10),
     )
-    strict = EngineConfig(strict_plan_precedence=True)
-    assert objective(instance, build_schedule(instance, strict).schedule) == 6
+    assert objective(instance, build_schedule(instance, strict_plan_precedence=True).schedule) == 6
     result = exact_max_weight(instance, strict_plan_precedence=True)
     assert result.optimum == 6
     assert result.witness.scheduled_plans == [1, 2]
@@ -105,9 +103,7 @@ def test_strict_optimum_dominates_strict_engine():
     for _ in range(300):
         instance = random_instance(rng, max_plans=4, max_tasks=2, horizon=14, edge_prob=0.5)
         with_edges += bool(instance.plan_dag)
-        engine_objective = objective(
-            instance, build_schedule(instance, EngineConfig(strict_plan_precedence=True)).schedule
-        )
+        engine_objective = objective(instance, build_schedule(instance, strict_plan_precedence=True).schedule)
         oracle = exact_max_weight(instance, strict_plan_precedence=True)
         assert not oracle.time_limit_hit
         assert engine_objective <= oracle.optimum, instance

@@ -2,14 +2,14 @@
 
 import random
 
-from plansched import EngineConfig, build_schedule, engine
+from plansched import build_schedule, engine
 from conftest import base_seed, random_instance
 from reference import reference_build
 
 CONFIGS = (
-    EngineConfig(),
-    EngineConfig(priority_descending=False),
-    EngineConfig(strict_plan_precedence=True),
+    {"priority_descending": True, "strict_plan_precedence": False},
+    {"priority_descending": False, "strict_plan_precedence": False},
+    {"priority_descending": True, "strict_plan_precedence": True},
 )
 
 
@@ -17,9 +17,9 @@ def _assert_matches_reference(instance) -> int:
     """Build under every config, compare with the reference; count builds with discards."""
     discards = 0
     for config in CONFIGS:
-        schedule = build_schedule(instance, config).schedule
+        schedule = build_schedule(instance, **config).schedule
         starts, scheduled, discarded = reference_build(
-            instance, config.priority_descending, config.strict_plan_precedence
+            instance, config["priority_descending"], config["strict_plan_precedence"]
         )
         assert schedule.starts == starts, (instance, config)
         assert schedule.scheduled_plans == scheduled, (instance, config)

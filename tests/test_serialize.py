@@ -199,7 +199,7 @@ def test_writers_match_json_dumps_on_golden_corpus():
     for _name, instance in _instances():
         assert dumps_instance(instance) == json.dumps(instance_to_dict(instance), indent=2) + "\n"
         for config in CONFIGS.values():
-            result = build_schedule(instance, config)
+            result = build_schedule(instance, **config)
             for events in (result.events, None):
                 expected = json.dumps(schedule_to_dict(result.schedule, instance, events), indent=2) + "\n"
                 assert dumps_schedule(result.schedule, instance, events) == expected

@@ -9,6 +9,7 @@ from plansched import (
     TEMPORAL_WINDOW,
     TIME_LAG,
     Schedule,
+    SchedulingError,
     TimeWindow,
     UnknownTask,
     build_instance,
@@ -162,3 +163,39 @@ def test_engine_output_validates(example2, idle_example):
         report = validate_schedule(instance, result.schedule)
         assert report.feasible
         assert report.objective == objective(instance, result.schedule)
+
+
+@pytest.mark.parametrize(
+    "starts, scheduled, discarded",
+    [
+        ({(1, 1): True}, [1], []),
+        ({(1, 1): 2.0}, [1], []),
+        ({("1", 1): 2}, [1], []),
+        ({(1, True): 2}, [1], []),
+        ({}, ["1"], []),
+        ({}, [], [1.0]),
+        ({}, [True], []),
+        ({(1, 1): 2.5}, [1], []),
+        ({(1, 1): "x"}, [1], []),
+        ({}, [[1]], []),
+        ({5: 2}, [], []),
+    ],
+    ids=[
+        "bool-start",
+        "float-start",
+        "str-plan",
+        "bool-task",
+        "str-scheduled",
+        "float-discarded",
+        "bool-scheduled",
+        "fraction-start",
+        "str-start",
+        "list-scheduled",
+        "id-not-a-pair",
+    ],
+)
+def test_validate_schedule_rejects_non_integer_values(example1, starts, scheduled, discarded):
+    # the rule dumps_schedule applies: True and 1.0 would count as plan 1 unseen
+    schedule = Schedule(starts=starts, scheduled_plans=scheduled, discarded_plans=discarded)
+    with pytest.raises(SchedulingError, match="must be integers"):
+        validate_schedule(example1, schedule)
