@@ -24,15 +24,16 @@ rivals is placed, measured and rolled back by the same exact undo, so the
 working state is the engine's only state; a plan left alone in its group is
 committed by its own placement.  Each trial is kept with the starts it found,
 and a commit writes those starts without placing the plan again.  A trial
-is re-run after a commit only when the commit can have changed it: a trial
-reads only its plan's tasks and the timelines of their resources, commits
-only add intervals, and an interval ``[a, b)`` leaves a task's start and
-latest release ``lr`` as they were unless it overlaps ``[lr, e)``, where
-``e`` is the task's completion.  Ending at or before ``lr``, it frees no
-earlier start and moves no release; starting at or after ``e``, it lies
-after the task.  So a kept trial is what a fresh placement would write, and
-a group of ``G`` plans costs at most ``G(G+1)/2`` placements, fewer when its
-commits touch few trials.
+reads only its plan's tasks and the timelines of their resources, and commits
+only add intervals.  An interval ``[a, b)`` that overlaps a kept task's own
+``[s, e)`` on one of its resources drops the trial, which is placed afresh
+in the next round.  Any other interval cannot move the task's start; when it
+ends in ``(lr, s]``, after the task's latest release ``lr``, the trial is
+patched in place: ``lr := b`` and its idle sum falls by ``b - lr``.  So a
+kept trial is what a fresh placement would write.  Kept spans are listed per
+resource, so a commit looks only at the trials on its own resources, and a
+group of ``G`` plans costs at most ``G(G+1)/2`` placements, exactly that
+many when every plan fits and every commit overlaps every kept start.
 
 The paper's event list is not maintained during the build: it is derived once
 from the final start times when ``ScheduleResult.events`` is first read.
@@ -43,7 +44,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
 
 from .model import (
     Event,
@@ -256,66 +256,91 @@ def schedule_plan_set(plans: list[Plan], s_w: Schedule, busy: Timelines, window:
 
     A trial reads nothing but the plan's own tasks and the timelines of their
     resources, and a commit only adds intervals.  An added interval
-    ``[a, b)`` on one of a task's resources changes neither the task's start
-    nor its latest release unless ``a < e and b > lr``: ending at or before
-    ``lr``, it frees no earlier start and does not move the release;
-    starting at or after ``e``, it lies after the trial.  So a kept trial
-    that no commit has overlapped is exactly what a fresh placement would
-    write.  A commit drops exactly the kept trials that one of its intervals
-    ``[s, e)`` overlaps (:func:`_overlaps`); the next round re-runs only the
-    plans without a kept trial and reads a kept trial as if it had been
-    re-run, in ``pending`` order.  A group of ``G`` plans thus takes at most
-    ``G(G+1)/2`` placements, and exactly that many when every plan fits and
-    every commit overlaps every kept trial.
+    ``[a, b)`` on one of a task's resources that overlaps ``[s, e)``
+    (``a < e and b > s``) drops the trial.  Any other added interval leaves
+    ``[s, e)`` free and the instants before ``s`` no freer, so the start
+    stays; if it ends in ``(lr, s]`` it becomes the latest release, and the
+    trial is patched in place: ``lr := b``, and the idle sum falls by
+    ``b - lr``.  So a kept trial is always exactly what a fresh placement
+    and measurement would give.  Each kept span is entered, as ``(plan id,
+    trial, span index)``, in a watch list per resource, and a commit visits
+    only the lists of its own resources; an entry whose plan was committed,
+    dropped or tried again since is stale and is purged on the visit.  The
+    next round re-runs only the plans without a kept trial and reads a kept
+    trial as if it had been re-run, in ``pending`` order.  A group of ``G``
+    plans thus takes at most ``G(G+1)/2`` placements, and exactly that many
+    when every plan fits and every commit overlaps every kept start.
     Returns the ids of the plans that could not be scheduled.
     """
-    pending = list(plans)
+    pending: dict[int, Plan] = {}
+    for plan in plans:  # not a comprehension: most groups hold one plan, and this is cheaper there
+        pending[plan.id] = plan
     unscheduled: set[int] = set()
-    trials: dict[int, tuple[int, list]] = {}  # plan id -> (idle sum, spans)
+    trials: dict[int, list] = {}  # plan id -> [idle sum, spans]
+    watch: dict[int, list] = {}  # resource -> [(plan id, trial, span index)]
     while pending:
         best: Plan | None = None
         best_idle: int | None = None
-        for plan in list(pending):
+        for plan in list(pending.values()):
             trial = trials.get(plan.id)
             if trial is not None:
                 idle = trial[0]
             elif not schedule_plan(plan, s_w, busy, window):
-                pending.remove(plan)
+                del pending[plan.id]
                 unscheduled.add(plan.id)
                 continue
             elif len(pending) == 1:
-                pending.remove(plan)
+                del pending[plan.id]
                 s_w.scheduled_plans.append(plan.id)
                 continue
             else:
                 spans: list = []
                 idle = idle_time_sum(plan, s_w, busy, window, spans)
                 rollback_plan(plan, s_w, busy)
-                trials[plan.id] = (idle, spans)
+                trial = trials[plan.id] = [idle, spans]
+                for k, (resources, _, _, _) in enumerate(spans):
+                    for rho in resources:
+                        watch.setdefault(rho, []).append((plan.id, trial, k))
             if best_idle is None or idle <= best_idle:
                 best_idle = idle
                 best = plan
         if best is not None:
-            placed = trials.pop(best.id)[1]
-            for task, (_, _, start, _) in zip(best.tasks, placed):
-                _occupy(task, start, s_w, busy)
-            s_w.scheduled_plans.append(best.id)
-            pending.remove(best)
-            trials = {plan_id: trial for plan_id, trial in trials.items() if not _overlaps(trial[1], placed)}
+            del pending[best.id]
+            _commit(best, trials.pop(best.id)[1], s_w, busy, trials, watch)
     return unscheduled
 
 
-def _overlaps(spans: list, placed: list) -> bool:
-    """True when an interval ``[s, e)`` of ``placed`` meets a ``[lr, e)`` of ``spans`` on a shared resource.
+def _commit(
+    plan: Plan, spans: list, s_w: Schedule, busy: Timelines, trials: dict[int, list], watch: dict[int, list]
+) -> None:
+    """Commit ``plan`` at the starts of its kept trial ``spans``; patch or drop the kept trials it meets.
 
-    Both hold the ``(resources, lr, s, e)`` spans of :func:`idle_time_sum`:
-    ``spans`` those of a kept trial, ``placed`` those of the trial just committed.
+    Each committed interval ``[a, b)`` visits the watch list of each of its
+    resources: a kept trial with a span ``(resources, lr, s, e)`` there is
+    dropped from ``trials`` when ``[a, b)`` overlaps ``[s, e)``, and patched
+    to release at ``b`` when ``lr < b <= s``.  Stale entries, whose plan holds
+    no trial or a newer one, are purged from the list.
     """
-    for resources, lr, _, e in spans:
-        for placed_on, _, a, b in placed:
-            if a < e and b > lr and not resources.isdisjoint(placed_on):
-                return True
-    return False
+    s_w.scheduled_plans.append(plan.id)
+    for task, (resources, _, a, b) in zip(plan.tasks, spans):
+        _occupy(task, a, s_w, busy)
+        if not trials:
+            continue
+        for rho in resources:
+            live = []
+            for entry in watch[rho]:
+                plan_id, trial, k = entry
+                if trials.get(plan_id) is not trial:
+                    continue
+                on, lr, s, e = trial[1][k]
+                if a < e and b > s:
+                    del trials[plan_id]
+                    continue
+                if lr < b <= s:
+                    trial[1][k] = (on, b, s, e)
+                    trial[0] -= b - lr
+                live.append(entry)
+            watch[rho] = live
 
 
 def build_schedule(
@@ -343,10 +368,17 @@ def build_schedule(
     s_w = Schedule()
 
     frontier_of = instance.frontier_of
+    groups: list[list[Plan]] = []
+    key = None
+    for plan in sort_plans(instance, descending=priority_descending):
+        plan_key = (plan.priority, frontier_of[plan.id])
+        if plan_key == key:
+            groups[-1].append(plan)
+        else:
+            groups.append([plan])
+            key = plan_key
     discarded: set[int] = set()  # the ids in s_w.discarded_plans
-    order = sort_plans(instance, descending=priority_descending)
-    for _, members in groupby(order, key=lambda plan: (plan.priority, frontier_of[plan.id])):
-        group = list(members)
+    for group in groups:
         if strict_plan_precedence:
             kept = []
             for member in group:

@@ -482,8 +482,14 @@ class Schedule:
 def check_schedule_ints(schedule: Schedule) -> None:
     """Raise :class:`SchedulingError` unless every start, task id and listed plan id of ``schedule`` is an ``int``.
 
-    The writer and the validator both apply this rule before they read a schedule.
+    The writer and the validator both apply this rule before they read a
+    schedule.  ``starts`` must be a dict and the two plan lists must be lists.
     """
+    if not isinstance(schedule.starts, dict):
+        raise SchedulingError(f"starts must be a dict, got {type(schedule.starts).__name__}")
+    for name in ("scheduled_plans", "discarded_plans"):
+        if not isinstance(getattr(schedule, name), list):
+            raise SchedulingError(f"{name} must be a list, got {type(getattr(schedule, name)).__name__}")
     try:
         for task_id, start in schedule.starts.items():
             plan_id, index = task_id

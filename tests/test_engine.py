@@ -415,9 +415,10 @@ def _spy_placements(monkeypatch):
         # idle sums 4, 3, 1: plan 3 commits [1, 3) on resource 3, away from the
         # others, and every later commit writes a kept trial
         (1, [1, 2, 3], [3, 2, 1]),
-        # idle sums 4, 3, 0: plan 3 commits [0, 2) on resource 1, inside plan 1's
-        # span [0, 6), so plan 1 alone is re-run; its idle falls to 2, below plan 2's
-        (0, [1, 2, 3, 1], [3, 1, 2]),
+        # idle sums 4, 3, 0: plan 3 commits [0, 2) on resource 1, ending inside
+        # plan 1's span from its latest release 0 to its start 4, so plan 1's
+        # trial is patched, not re-run: its idle falls to 2, below plan 2's
+        (0, [1, 2, 3], [3, 1, 2]),
     ],
     ids=["disjoint", "overlaps-plan-1"],
 )
@@ -444,7 +445,7 @@ def test_commit_retrials_only_the_plans_it_overlaps(monkeypatch, release3, expec
     "commit_release, expected_calls, plan1_idle",
     [
         (1, [1, 2, 3], 3),  # commit [1, 4) ends at plan 1's lr = 4: kept
-        (2, [1, 2, 3, 1], 2),  # commit [2, 5) ends at lr + 1: re-trialled
+        (2, [1, 2, 3], 2),  # commit [2, 5) ends at lr + 1, before the start: patched
     ],
     ids=["ends-at-lr", "ends-past-lr"],
 )
@@ -530,23 +531,38 @@ def test_group_trials_grow_with_what_commits_touch(monkeypatch):
     assert len(calls) <= 600, len(calls)
 
 
-def test_random_ladder_rung_takes_exact_placements(monkeypatch):
-    # the benchmark's random generator at K = 64: six equal-priority groups
-    # take 99 placements, far inside the bound of G(G+1)/2 per group of G
+def _ladder_instance(monkeypatch, k):
+    """The benchmark's random generator at ``K`` plans, seeded ``"ladder:K"`` (groups of K/6 plans)."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look the module up
     spec.loader.exec_module(workloads)
-    params = workloads.Params(64, 12, 6, 256, 4, 20, 1 / 3, 0.5, 2)
-    instance = workloads.random_instance(random.Random("ladder:64"), params, plansched.model)
+    params = workloads.Params(k, 12, 6, 4 * k, 4, 20, 1 / 3, 0.5, 2)
+    return workloads.random_instance(random.Random(f"ladder:{k}"), params, plansched.model)
+
+
+def test_random_ladder_rung_takes_exact_placements(monkeypatch):
+    # the benchmark's random generator at K = 64: six equal-priority groups
+    # take 72 placements, far inside the bound of G(G+1)/2 per group of G
+    instance = _ladder_instance(monkeypatch, 64)
     sizes = sorted(Counter(plan.priority for plan in instance.plans).values())
     assert sizes == [10, 10, 11, 11, 11, 11]
     calls = _spy_placements(monkeypatch)
     result = build_schedule(instance)
-    assert len(calls) == 99
+    assert len(calls) == 72
     assert len(result.scheduled_plans) == 52
     assert len(calls) <= sum(g * (g + 1) // 2 for g in sizes) == 374
+
+
+def test_random_ladder_rung_1024_takes_exact_placements(monkeypatch):
+    # six groups of about 170 plans: a commit re-runs only the trials whose
+    # tasks it overlaps, so the count stays near 1.4 placements a plan,
+    # against a bound of 87,894 (G(G+1)/2 per group)
+    instance = _ladder_instance(monkeypatch, 1024)
+    calls = _spy_placements(monkeypatch)
+    build_schedule(instance)
+    assert len(calls) == 1391
 
 
 # -------------------------------------------------------------- build_schedule

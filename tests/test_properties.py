@@ -11,7 +11,14 @@ from plansched import (
     validate_schedule,
 )
 from plansched import engine
-from plansched.engine import earliest_start, rollback_plan, schedule_plan, schedule_plan_set, schedule_task
+from plansched.engine import (
+    earliest_start,
+    idle_time_sum,
+    rollback_plan,
+    schedule_plan,
+    schedule_plan_set,
+    schedule_task,
+)
 from plansched.serialize import instance_from_dict, instance_to_dict, schedule_from_dict, schedule_to_dict
 from conftest import base_seed, random_instance
 
@@ -109,6 +116,36 @@ def test_every_group_takes_at_most_triangular_placements(monkeypatch):
             assert count <= size * (size + 1) // 2, (instance, size, count)
     # some commits re-run kept trials, so groups take more than one placement a plan
     assert any(count > size > 2 for size, count in groups)
+
+
+def test_kept_trials_equal_a_fresh_placement_after_every_commit(monkeypatch):
+    # the patch rule of engine.schedule_plan_set: after each commit every
+    # surviving kept trial, patched or untouched, holds the starts, the idle
+    # sum and the latest release per task that placing and measuring its plan
+    # again on the current state gives
+    commit = engine._commit
+    checked = {"kept": 0, "patched": 0}
+
+    def spy(plan, spans, s_w, busy, trials, watch):
+        before = {plan_id: trial[0] for plan_id, trial in trials.items()}
+        commit(plan, spans, s_w, busy, trials, watch)
+        for plan_id, (idle, kept_spans) in trials.items():
+            fresh_plan = instance.plan(plan_id)
+            assert schedule_plan(fresh_plan, s_w, busy, instance.window), (instance, plan_id)
+            fresh_spans: list = []
+            fresh_idle = idle_time_sum(fresh_plan, s_w, busy, instance.window, fresh_spans)
+            rollback_plan(fresh_plan, s_w, busy)
+            assert (idle, kept_spans) == (fresh_idle, fresh_spans), (instance, plan_id)
+            checked["patched" if idle != before[plan_id] else "kept"] += 1
+
+    monkeypatch.setattr(engine, "_commit", spy)
+    rng = random.Random(base_seed() + 10)
+    for _ in range(300):
+        instance = random_instance(
+            rng, min_plans=10, max_plans=16, horizon=60, n_resources=8, edge_prob=0.05, priorities=(1, 2)
+        )
+        build_schedule(instance)
+    assert checked["kept"] > 500 and checked["patched"] > 300, checked
 
 
 def test_event_list_size_bound():

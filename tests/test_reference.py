@@ -40,25 +40,39 @@ def test_engine_matches_reference_model():
 
 
 def test_engine_matches_reference_model_on_large_groups(monkeypatch):
-    # 10-16 plans on 1-2 priority levels and a sparse plan DAG: groups large
-    # enough that kept trials are both read again and dropped after commits
+    # 10-16 plans of one priority, few of them impossible, and a sparse plan
+    # DAG: groups large enough that kept trials are read again, patched and
+    # dropped after commits
     rng = random.Random(base_seed() + 31)
-    kept = dropped = discards = 0
-    overlaps = engine._overlaps
+    kept = patched = dropped = discards = 0
+    commit = engine._commit
 
-    def spy(spans, placed):
-        # called once per kept trial after each commit: True drops the trial
-        nonlocal kept, dropped
-        hit = overlaps(spans, placed)
-        dropped += hit
-        kept += not hit
-        return hit
+    def spy(plan, spans, s_w, busy, trials, watch):
+        # every trial kept before a commit is afterwards kept as it was,
+        # patched (a lower idle sum) or dropped
+        nonlocal kept, patched, dropped
+        before = [(plan_id, trial, trial[0]) for plan_id, trial in trials.items()]
+        commit(plan, spans, s_w, busy, trials, watch)
+        for plan_id, trial, idle in before:
+            if trials.get(plan_id) is not trial:
+                dropped += 1
+            elif trial[0] != idle:
+                patched += 1
+            else:
+                kept += 1
 
-    monkeypatch.setattr(engine, "_overlaps", spy)
+    monkeypatch.setattr(engine, "_commit", spy)
     for _ in range(300):
         instance = random_instance(
-            rng, min_plans=10, max_plans=16, horizon=60, n_resources=8, edge_prob=0.05, priorities=(1, 2)
+            rng,
+            min_plans=10,
+            max_plans=16,
+            horizon=60,
+            n_resources=8,
+            edge_prob=0.05,
+            impossible_prob=0.05,
+            priorities=(1, 1),
         )
         discards += _assert_matches_reference(instance)
-    # a trial kept past a commit is read in the next round; a dropped one is re-run
-    assert kept > 1000 and dropped > 1000 and discards > 300
+    # a kept or patched trial is read in the next round; a dropped one is re-run
+    assert kept > 1000 and patched > 1000 and dropped > 1000 and discards > 300, (kept, patched, dropped, discards)

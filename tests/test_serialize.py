@@ -611,6 +611,21 @@ def test_dumps_schedule_rejects_non_integer_values(example1, starts, scheduled, 
         dumps_schedule(schedule, example1)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"starts": None}, "starts must be a dict, got NoneType"),
+        ({"starts": [((1, 1), 2)]}, "starts must be a dict, got list"),
+        ({"scheduled_plans": None}, "scheduled_plans must be a list, got NoneType"),
+    ],
+    ids=["starts-none", "starts-pairs", "scheduled-none"],
+)
+def test_dumps_schedule_rejects_fields_of_the_wrong_kind(example1, fields, message):
+    # reading such a field would raise AttributeError or TypeError instead
+    with pytest.raises(SchedulingError, match=f"^{message}$"):
+        dumps_schedule(Schedule(**fields), example1)
+
+
 @pytest.mark.parametrize("write", [dumps_schedule, schedule_to_dict], ids=["dumps", "to_dict"])
 def test_writers_reject_unknown_task(example1, write):
     schedule = Schedule(starts={(1, 1): 2, (9, 1): 0}, scheduled_plans=[1, 9])

@@ -199,3 +199,18 @@ def test_validate_schedule_rejects_non_integer_values(example1, starts, schedule
     schedule = Schedule(starts=starts, scheduled_plans=scheduled, discarded_plans=discarded)
     with pytest.raises(SchedulingError, match="must be integers"):
         validate_schedule(example1, schedule)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"starts": None}, "starts must be a dict, got NoneType"),
+        ({"starts": [((1, 1), 2)]}, "starts must be a dict, got list"),
+        ({"scheduled_plans": None}, "scheduled_plans must be a list, got NoneType"),
+    ],
+    ids=["starts-none", "starts-pairs", "scheduled-none"],
+)
+def test_validate_schedule_rejects_fields_of_the_wrong_kind(example1, fields, message):
+    # reading such a field would raise AttributeError or TypeError instead
+    with pytest.raises(SchedulingError, match=f"^{message}$"):
+        validate_schedule(example1, Schedule(**fields))
