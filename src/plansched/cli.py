@@ -24,6 +24,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sched = sub.add_parser("schedule", help="build a schedule for an instance file")
+    p_sched.set_defaults(handler=_cmd_schedule)
     p_sched.add_argument("instance")
     p_sched.add_argument("--out", help="write the schedule document here")
     p_sched.add_argument("--gantt", help="write a gantt rendering here")
@@ -33,14 +34,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sched.add_argument("--debug-events", action="store_true", help="include the event list in --out")
 
     p_val = sub.add_parser("validate", help="check a schedule file against an instance file")
+    p_val.set_defaults(handler=_cmd_validate)
     p_val.add_argument("instance")
     p_val.add_argument("schedule")
 
     p_bench = sub.add_parser("bench", help="run the benchmark scenarios")
+    p_bench.set_defaults(handler=_cmd_bench)
     p_bench.add_argument("--scenario", default="all", help="1..8 or 'all'")
     p_bench.add_argument("--repeat", type=int, default=10, help="runs per scenario (mean is reported)")
 
     p_oracle = sub.add_parser("oracle", help="exact optimum for a small instance file")
+    p_oracle.set_defaults(handler=_cmd_oracle)
     p_oracle.add_argument("instance")
     p_oracle.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     p_oracle.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT)
@@ -130,16 +134,9 @@ def _cmd_oracle(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "schedule": _cmd_schedule,
-        "validate": _cmd_validate,
-        "bench": _cmd_bench,
-        "oracle": _cmd_oracle,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (OSError, SchedulingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,42 +1,20 @@
 """The scheduling engine: serial insertion of plans on per-resource busy timelines.
 
-Tasks are inserted one at a time at the earliest instant where their temporal
-constraints hold and every resource they need is free for their whole
-duration.  Resources are unary, so the working state is the start times plus
-one timeline per resource of the instance, seeded empty: the disjoint busy
-intervals of the tasks placed on it, as sorted starts and the parallel ends.
-Finding a start, writing it, taking it out again and measuring the idle time a
-task leaves are bisects on the task's own resources; no other resource is read.
+The working state is the start times plus one timeline per resource of the
+instance (``Timelines``); every step below reads and writes only the
+timelines of its own tasks' resources.
 
-A task that cannot be placed writes nothing.  A plan is all-or-nothing: when
-one of its tasks fails, :func:`schedule_plan` takes out everything the plan
-already put into the working state, bit-exactly.  Placing and removing a plan
-touch only start times and timelines; a plan is recorded as scheduled only
-when :func:`schedule_plan_set` commits it.  Plans are inserted in the
-order of :func:`plansched.ordering.sort_plans`, a priority merge of the
-plan-DAG frontiers that the instance records when it is built
-(``Instance.frontier_of``): a plan comes as soon as its DAG predecessors are
-in and no ready plan has a better priority.  Consecutive equal-priority plans
-of one frontier form a group, and every group, a single plan included, goes
-through :func:`schedule_plan_set`: it commits the members in the order that
-keeps resources busiest (smallest idle-time sum first).  A candidate with
-rivals is placed, measured and rolled back by the same exact undo, so the
-working state is the engine's only state; a plan left alone in its group is
-committed by its own placement.  Each trial is kept with the starts it found,
-and a commit writes those starts without placing the plan again.  A trial
-reads only its plan's tasks and the timelines of their resources, and commits
-only add intervals.  An interval ``[a, b)`` that overlaps a kept task's own
-``[s, e)`` on one of its resources drops the trial, which is placed afresh
-in the next round.  Any other interval cannot move the task's start; when it
-ends in ``(lr, s]``, after the task's latest release ``lr``, the trial is
-patched in place: ``lr := b`` and its idle sum falls by ``b - lr``.  So a
-kept trial is what a fresh placement would write.  Kept spans are listed per
-resource, so a commit looks only at the trials on its own resources, and a
-group of ``G`` plans costs at most ``G(G+1)/2`` placements, exactly that
-many when every plan fits and every commit overlaps every kept start.
-
-The paper's event list is not maintained during the build: it is derived once
-from the final start times when ``ScheduleResult.events`` is first read.
+- :func:`schedule_task` places one task at its earliest feasible instant, or
+  writes nothing; :func:`schedule_plan` places a plan's tasks in order and,
+  on a failure, takes the plan out again with :func:`rollback_plan`,
+  bit-exactly.
+- :func:`idle_time_sum` measures the idle time a placed plan leaves.
+- :func:`schedule_plan_set` commits a group of equal-priority plans, the
+  smallest idle sum first, and states when a kept trial is patched or
+  dropped.
+- :func:`build_schedule` groups the plans of
+  :func:`plansched.ordering.sort_plans` and returns a :class:`ScheduleResult`,
+  whose event list is derived from the final start times on first access.
 """
 
 from __future__ import annotations
@@ -203,9 +181,9 @@ def idle_time_sum(
     For each task: the gap between its start and the latest completion on one
     of its own resources, or the window start when none was used before.
     Requires the plan to be placed in ``s_w``/``busy`` already.  When
-    ``spans`` is a list, one ``(resources, lr, s, e)`` per task is appended
-    to it: ``[s, e)`` is the task's placed interval, and ``[lr, e)``, from
-    its latest release to its completion, is the stretch of each of its
+    ``spans`` is a list, one ``(lr, s, e)`` per task is appended to it:
+    ``[s, e)`` is the task's placed interval, and ``[lr, e)``, from its
+    latest release to its completion, is the stretch of each of its
     resources' timelines that its placement and measurement depend on.
     """
     total = 0
@@ -216,7 +194,7 @@ def idle_time_sum(
         release = _latest_release_on(busy, task.resources, start, window.start)
         total += start - release
         if spans is not None:
-            spans.append((task.resources, release, start, completion_time(task, start)))
+            spans.append((release, start, completion_time(task, start)))
     return total
 
 
@@ -247,9 +225,9 @@ def schedule_plan_set(plans: list[Plan], s_w: Schedule, busy: Timelines, window:
     harder.  A plan without a kept trial that places while it is the only
     one pending has no rival and stays committed by that placement.  Any other
     plan is measured by its idle-time sum and rolled back, and its trial is
-    kept: the idle sum and, per task, the span ``(resources, lr, s, e)``, the
-    task's start ``s``, its completion ``e`` and ``lr``, its latest release
-    on its resources (:func:`idle_time_sum`).  After the round the plan with
+    kept: the idle sum and, per task, the span ``(lr, s, e)``, the task's
+    start ``s``, its completion ``e`` and ``lr``, its latest release on its
+    resources (:func:`idle_time_sum`).  After the round the plan with
     the smallest sum (on ties the last examined) is committed by writing the
     starts of its trial.  These two commits are the only places where a
     plan is appended to ``scheduled_plans``.
@@ -298,8 +276,8 @@ def schedule_plan_set(plans: list[Plan], s_w: Schedule, busy: Timelines, window:
                 idle = idle_time_sum(plan, s_w, busy, window, spans)
                 rollback_plan(plan, s_w, busy)
                 trial = trials[plan.id] = [idle, spans]
-                for k, (resources, _, _, _) in enumerate(spans):
-                    for rho in resources:
+                for k, task in enumerate(plan.tasks):
+                    for rho in task.resources:
                         watch.setdefault(rho, []).append((plan.id, trial, k))
             if best_idle is None or idle <= best_idle:
                 best_idle = idle
@@ -313,31 +291,27 @@ def schedule_plan_set(plans: list[Plan], s_w: Schedule, busy: Timelines, window:
 def _commit(
     plan: Plan, spans: list, s_w: Schedule, busy: Timelines, trials: dict[int, list], watch: dict[int, list]
 ) -> None:
-    """Commit ``plan`` at the starts of its kept trial ``spans``; patch or drop the kept trials it meets.
-
-    Each committed interval ``[a, b)`` visits the watch list of each of its
-    resources: a kept trial with a span ``(resources, lr, s, e)`` there is
-    dropped from ``trials`` when ``[a, b)`` overlaps ``[s, e)``, and patched
-    to release at ``b`` when ``lr < b <= s``.  Stale entries, whose plan holds
-    no trial or a newer one, are purged from the list.
+    """Commit ``plan`` at the starts of its kept trial ``spans``, then patch or
+    drop the kept trials in the watch lists of its resources, by the rule
+    :func:`schedule_plan_set` states.
     """
     s_w.scheduled_plans.append(plan.id)
-    for task, (resources, _, a, b) in zip(plan.tasks, spans):
+    for task, (_, a, b) in zip(plan.tasks, spans):
         _occupy(task, a, s_w, busy)
         if not trials:
             continue
-        for rho in resources:
+        for rho in task.resources:
             live = []
             for entry in watch[rho]:
                 plan_id, trial, k = entry
                 if trials.get(plan_id) is not trial:
                     continue
-                on, lr, s, e = trial[1][k]
+                lr, s, e = trial[1][k]
                 if a < e and b > s:
                     del trials[plan_id]
                     continue
                 if lr < b <= s:
-                    trial[1][k] = (on, b, s, e)
+                    trial[1][k] = (b, s, e)
                     trial[0] -= b - lr
                 live.append(entry)
             watch[rho] = live

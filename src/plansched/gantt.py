@@ -7,7 +7,7 @@ the same schedule twice yields byte-identical documents.
 
 from __future__ import annotations
 
-from .model import Instance, Schedule, completion_time
+from .model import Instance, Schedule, UnknownTask, check_schedule_ints, completion_time
 
 _SVG_PX_PER_TICK = 6
 _SVG_ROW_HEIGHT = 26
@@ -16,15 +16,29 @@ _SVG_TOP_MARGIN = 30
 
 
 def _bars_by_resource(schedule: Schedule, instance: Instance) -> dict[int, list[tuple[int, int, str]]]:
+    """One sorted ``(start, end, label)`` row per resource.
+
+    The schedule passes the writers' checks first: every start and id is an
+    ``int`` (:func:`plansched.model.check_schedule_ints`), and every started
+    task is one of ``instance``'s (:class:`UnknownTask` otherwise).
+    """
+    check_schedule_ints(schedule)
+    starts = schedule.starts
     bars: dict[int, list[tuple[int, int, str]]] = {rho: [] for rho in sorted(instance.resources)}
+    matched = 0
     for plan in instance.plans:
         for task in plan.tasks:
-            start = schedule.starts.get(task.id)
+            start = starts.get(task.id)
             if start is None:
                 continue
+            matched += 1
             label = f"J{plan.id}.{task.index}"
             for rho in task.resources:
                 bars[rho].append((start, completion_time(task, start), label))
+    if matched != len(starts):
+        known = {task.id for task in instance.iter_tasks()}
+        unknown = next(task_id for task_id in starts if task_id not in known)
+        raise UnknownTask(f"schedule references unknown task {unknown}")
     for rows in bars.values():
         rows.sort()
     return bars

@@ -284,6 +284,10 @@ class Instance:
     forms: ``plans`` into a tuple, ``plan_dag`` into a frozenset of pairs and
     ``resources``, given as ids (availability 1) or as an id -> availability
     mapping, into a dict; each edge and resource id is checked as given.
+    When ``resources`` is None, every resource a task uses is declared.
+    Raises :class:`CyclicPlanDag`, :class:`UnknownResource` or
+    :class:`BadWindow` when the inputs break an invariant.
+    ``build_instance`` is another name for this class.
 
     Construction reads ``plan_dag`` once.  ``frontier_of`` maps every plan id
     to its frontier, the longest edge distance from a root (a plan nobody
@@ -293,9 +297,9 @@ class Instance:
     """
 
     plans: tuple[Plan, ...]
-    plan_dag: frozenset[tuple[int, int]]
-    resources: dict[int, int]
-    window: TimeWindow
+    plan_dag: frozenset[tuple[int, int]] = ()
+    resources: dict[int, int] = None
+    window: TimeWindow = None
     frontier_of: dict[int, int] = field(init=False, repr=False, compare=False)
     _by_id: dict[int, Plan] = field(init=False, repr=False, compare=False)
     _preds: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
@@ -314,6 +318,8 @@ class Instance:
             edges.append(edge)
         object.__setattr__(self, "plan_dag", frozenset(edges))
         given = self.resources
+        if given is None:  # a non-Plan entry is skipped here and named below
+            given = {rho: 1 for plan in self.plans if isinstance(plan, Plan) for task in plan.tasks for rho in task.resources}
         pairs = given.items() if isinstance(given, Mapping) else [(rho, 1) for rho in _each(given, "resources")]
         resources: dict[int, int] = {}
         for rho, avail in pairs:
@@ -389,25 +395,7 @@ class Instance:
         return self._succs.get(plan_id, ())
 
 
-def build_instance(plans, plan_dag=(), resources=None, window=None) -> Instance:
-    """Assemble and validate an :class:`Instance` from parsed raw inputs.
-
-    Only the defaults are filled in here: ``plans`` is read once, and when
-    ``resources`` is None every resource a task uses is declared.  Otherwise
-    ``resources`` may be an iterable of ids (availability defaults to 1) or a
-    mapping id -> availability, which :class:`Instance` checks and stores.
-    Raises :class:`CyclicPlanDag`, :class:`CyclicTaskGraph`,
-    :class:`UnknownResource` or :class:`BadWindow` when the inputs break an
-    invariant.
-    """
-    plans = tuple(_each(plans, "plans"))
-    if resources is None:
-        try:
-            resources = {rho: 1 for plan in plans for task in plan.tasks for rho in task.resources}
-        except (AttributeError, TypeError):
-            _reject_entry(plans, Plan, "plans")
-            raise
-    return Instance(plans=plans, plan_dag=plan_dag, resources=resources, window=window)
+build_instance = Instance
 
 
 @dataclass(frozen=True, slots=True)

@@ -22,7 +22,7 @@ edges are copied between duplicates when both endpoints were duplicated.
 
 from __future__ import annotations
 
-from .model import Instance, Plan, SchedulingError, Task, TimeWindow, build_instance
+from .model import Instance, Plan, SchedulingError, Task, TimeWindow
 
 
 class BadScenario(SchedulingError):
@@ -127,6 +127,4 @@ def generate_scenario(n: int) -> Instance:
     elif n == 8:
         rows, edges = _duplicate(rows, edges, {pid for pid, *_ in rows})
 
-    plans = [_make_plan(*row) for row in rows]
-    resources = sorted({rho for plan in plans for task in plan.tasks for rho in task.resources})
-    return build_instance(plans, plan_dag=edges, resources=resources, window=window)
+    return Instance([_make_plan(*row) for row in rows], plan_dag=edges, window=window)

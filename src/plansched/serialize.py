@@ -41,8 +41,8 @@ input.
 ``json.dumps(schedule_to_dict(...), indent=2) + "\n"``, but from f-string
 templates, because ``json.dumps`` with an indent always runs the pure-Python
 encoder.  Every key is fixed ASCII and every value an ``int`` (the model
-rejects anything else, and ``dumps_schedule`` checks the ``Schedule`` it is
-given), so nothing needs escaping.  The golden digests in
+rejects anything else, and both schedule writers check the ``Schedule`` they
+are given), so nothing needs escaping.  The golden digests in
 ``tests/golden/schedules.json`` and the writer identity tests in
 ``tests/test_serialize.py`` pin those bytes.
 """
@@ -61,7 +61,6 @@ from .model import (
     Task,
     TimeWindow,
     UnknownTask,
-    build_instance,
     check_schedule_ints,
 )
 from .validate import objective as _objective
@@ -83,8 +82,8 @@ _INSTANCE = {
     "resources": [{"id": int, "availability": int}],
     "plans": [_PLAN],
 }
-_SCHEDULE = {"starts": [{"plan": int, "task": int, "start": int}]}
-_OPTIONAL = frozenset({"availability", "precedes", "predecessors", "lag"})
+_SCHEDULE = {"starts": [{"plan": int, "task": int, "start": int}], "scheduled": [int], "discarded": [int]}
+_OPTIONAL = frozenset({"availability", "precedes", "predecessors", "lag", "scheduled", "discarded"})
 
 
 def _check(value, shape, where: str) -> None:
@@ -192,7 +191,7 @@ def _read_instance(doc) -> Instance:
                 Task(plan_id, task_doc["index"], task_doc["p"], task_doc["r"], task_doc["d"], task_doc["resources"], preds)
             )
         plans.append(Plan(plan_id, plan_doc["priority"], tuple(tasks)))
-    return build_instance(plans, plan_dag=edges, resources=resources, window=window)
+    return Instance(plans, edges, resources, window)
 
 
 def _array(items, pad: str) -> str:
@@ -259,11 +258,14 @@ def emit_instance(instance: Instance, path) -> None:
 
 
 def _processing_times(schedule: Schedule, instance: Instance) -> dict:
-    """The processing time of every task of ``instance``, by task id.
+    """The processing time of every task of ``instance``, by task id, once
+    ``schedule`` passes both writers' checks.
 
-    Raises :class:`UnknownTask` when ``schedule`` starts a task that
-    ``instance`` does not have.
+    The templates write values as they are, so :func:`check_schedule_ints`
+    comes first; then :class:`UnknownTask` is raised when ``schedule``
+    starts a task that ``instance`` does not have.
     """
+    check_schedule_ints(schedule)
     p_of = {task.id: task.processing_time for task in instance.iter_tasks()}
     if not schedule.starts.keys() <= p_of.keys():
         unknown = next(task_id for task_id in schedule.starts if task_id not in p_of)
@@ -314,13 +316,8 @@ def schedule_from_dict(doc: dict) -> Schedule:
 
 def _plan_ids(doc: dict, key: str) -> list[int]:
     """The plan ids listed under ``key``, in order; a repeated id is rejected."""
-    values = doc.get(key, _EMPTY)
-    if type(values) is not list:
-        raise ParseError(f"{key}: expected a list")
     ids: dict[int, None] = {}
-    for i, plan_id in enumerate(values):
-        if type(plan_id) is not int:
-            raise ParseError(f"{key}[{i}]: expected an integer, got {plan_id!r}")
+    for i, plan_id in enumerate(doc.get(key, _EMPTY)):
         if plan_id in ids:
             raise ParseError(f"{key}[{i}]: plan {plan_id} is listed twice")
         ids[plan_id] = None
@@ -346,7 +343,6 @@ def _event_text(event: Event) -> str:
 
 
 def dumps_schedule(schedule: Schedule, instance: Instance, events: tuple[Event, ...] | None = None) -> str:
-    check_schedule_ints(schedule)  # the templates write values as they are
     p_of = _processing_times(schedule, instance)
     starts = _array(
         [

@@ -65,6 +65,29 @@ def idle_instance() -> Instance:
     )
 
 
+def empty_timelines(resources):
+    """One empty busy timeline per resource, as ``engine.build_schedule`` seeds them."""
+    return {rho: ([], []) for rho in resources}
+
+
+def busy_runs(busy):
+    """Each resource's busy set as its maximal runs ``[(a, b), ...]`` in time order.
+
+    Tests compare these instead of the timelines, so they do not depend on
+    the form in which the engine stores the busy intervals.
+    """
+    runs = {}
+    for rho, (starts, ends) in busy.items():
+        merged = []
+        for a, b in zip(starts, ends):
+            if merged and merged[-1][1] == a:
+                merged[-1] = (merged[-1][0], b)
+            else:
+                merged.append((a, b))
+        runs[rho] = merged
+    return runs
+
+
 @pytest.fixture
 def example1():
     return example1_instance()

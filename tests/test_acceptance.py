@@ -23,7 +23,7 @@ from plansched.serialize import (
     schedule_from_dict,
     schedule_to_dict,
 )
-from conftest import base_seed, example2_instance, idle_instance, random_instance
+from conftest import base_seed, empty_timelines, example2_instance, idle_instance, random_instance
 
 EXPECTED_SCHEDULED = {1: 24, 2: 24, 3: 24, 4: 30, 5: 29, 6: 16, 7: 24}
 
@@ -169,7 +169,7 @@ def test_criterion_property_suite():
         assert validate_schedule(instance, result.schedule).feasible
 
         # (b) rollback exactness after every forced failure
-        s_w, busy = Schedule(), {rho: ([], []) for rho in instance.resources}
+        s_w, busy = Schedule(), empty_timelines(instance.resources)
         for plan in sort_plans(instance):
             snap_s, snap_busy = copy.deepcopy(s_w), copy.deepcopy(busy)
             if not schedule_plan(plan, s_w, busy, instance.window):

@@ -26,12 +26,12 @@ from plansched.engine import (
     schedule_task,
 )
 from plansched.model import event_list
-from conftest import make_plan
+from conftest import busy_runs, empty_timelines, make_plan
 
 
 def _fresh_state(resources):
     """An empty schedule and one empty busy timeline per resource, as the engine seeds them."""
-    return Schedule(), {rho: ([], []) for rho in resources}
+    return Schedule(), empty_timelines(resources)
 
 
 def _snapshot(events, resources=(1, 2, 3)):
@@ -86,8 +86,10 @@ def test_schedule_task_bounds(window, blocker, row, expected):
     else:
         assert placed
         assert s_w.starts[task.id] == expected
-        starts, ends = busy[1]
-        assert ends[starts.index(expected)] == expected + p
+        # the resource is busy over [expected, expected + p), and p ticks longer than before
+        runs, before = busy_runs(busy)[1], busy_runs(before_busy)[1]
+        assert any(a <= expected and expected + p <= b for a, b in runs)
+        assert sum(b - a for a, b in runs) == sum(b - a for a, b in before) + p
 
 
 # ------------------------------------------------------------- earliest start
@@ -124,7 +126,7 @@ def test_back_to_back_tasks_share_one_event():
         window=window,
     )
     s_w, busy = _load(instance, [1, 2])
-    assert busy == {1: ([2, 4], [4, 6])}
+    assert busy_runs(busy) == {1: [(2, 6)]}
     events = _view(s_w, instance)
     assert list(events) == [2, 4, 6]
     assert events[4].completing == {(1, 1)} and events[4].starting == {(2, 1)}
@@ -137,7 +139,7 @@ def test_view_event_inside_interval_keeps_usage():
         window=window,
     )
     s_w, busy = _load(instance, [1, 2])
-    assert busy == {1: ([2], [6]), 2: ([3], [4])}
+    assert busy_runs(busy) == {1: [(2, 6)], 2: [(3, 4)]}
     events = _view(s_w, instance)
     assert list(events) == [2, 3, 4, 6]
     assert 1 in events[3].usage and 2 in events[3].usage
@@ -151,7 +153,7 @@ def test_first_placement_on_empty_state():
     empty = _view(Schedule(), instance)
     assert list(empty) == [0] and empty[0].usage == set()
     s_w, busy = _load(instance, [1])
-    assert busy == {1: ([0], [2])}
+    assert busy_runs(busy) == {1: [(0, 2)]}
     events = _view(s_w, instance)
     assert list(events) == [0, 2]
     assert events[0].usage == {1} and events[0].starting == {(1, 1)}
@@ -164,7 +166,7 @@ def test_schedule_task_failure_leaves_no_trace():
     plan = make_plan(1, 1, [(1, 2, 12, 15, {1}, [])])  # entirely after the window
     s_w, busy = _fresh_state([1])
     assert not schedule_task(plan.tasks[0], s_w, busy, window, plan=plan)
-    assert busy == {1: ([], [])}
+    assert busy_runs(busy) == {1: []}
     assert s_w == Schedule()
 
 
@@ -176,8 +178,7 @@ def test_schedule_task_scans_past_conflicts(example2):
     assert schedule_task(plan.task(2), s_w, busy, example2.window, plan=plan)
     assert s_w.starts[(5, 2)] == 9
     for rho in (1, 3):
-        starts, ends = busy[rho]
-        assert ends[starts.index(9)] == 10
+        assert any(a <= 9 and 10 <= b for a, b in busy_runs(busy)[rho])
     events = _view(s_w, example2)
     assert 10 in events and (5, 2) in events[10].completing
 
@@ -190,7 +191,7 @@ def test_abandoned_candidate_event_is_pruned():
     s_w, busy = _load(instance, [1])
     assert schedule_plan(instance.plan(2), s_w, busy, window)
     assert s_w.starts[(2, 1)] == 6
-    assert busy == {1: ([0, 6], [6, 8])}  # nothing was written at the candidate t=3
+    assert busy_runs(busy) == {1: [(0, 8)]}  # nothing was written at the candidate t=3
     assert list(_view(s_w, instance)) == [0, 6, 8]
 
 
@@ -310,8 +311,8 @@ def test_idle_time_sums_on_shared_priority_group(idle_example):
     assert trial_s.starts == {**s_w.starts, (4, 1): 3, (4, 2): 4}
     spans = []
     assert idle_time_sum(idle_example.plan(4), trial_s, trial_busy, window, spans) == 1
-    # (resources, latest release, start, completion) per task
-    assert spans == [({4}, 2, 3, 4), ({2}, 4, 4, 7)]
+    # (latest release, start, completion) per task
+    assert spans == [(2, 3, 4), (4, 4, 7)]
 
 
 def test_idle_time_sum_requires_placed_plan(idle_example):
@@ -359,7 +360,7 @@ def test_plan_set_single_infeasible_plan():
     )
     s_w, busy = _fresh_state(instance.resources)
     assert schedule_plan_set([instance.plan(1)], s_w, busy, window) == {1}
-    assert busy == {1: ([], [])}
+    assert busy_runs(busy) == {1: []}
     assert s_w.starts == {}
 
 
@@ -394,7 +395,7 @@ def test_lone_survivor_is_placed_once(monkeypatch):
     assert calls == [1, 2]
     assert s_w.scheduled_plans == [2]
     assert s_w.starts == {(2, 1): 0}
-    assert busy == {1: ([0], [2])}
+    assert busy_runs(busy) == {1: [(0, 2)]}
 
 
 def _spy_placements(monkeypatch):
@@ -508,7 +509,7 @@ def test_disjoint_pair_is_placed_once_each(monkeypatch):
     assert calls == [1, 2]
     assert s_w.scheduled_plans == [2, 1]
     assert s_w.starts == {(1, 1): 3, (2, 1): 0}
-    assert busy == {1: ([3], [5]), 2: ([0], [2])}
+    assert busy_runs(busy) == {1: [(3, 5)], 2: [(0, 2)]}
 
 
 def test_group_trials_grow_with_what_commits_touch(monkeypatch):

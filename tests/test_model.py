@@ -89,6 +89,18 @@ def test_build_instance_example1():
     assert instance.resources == {1: 1, 2: 1}
 
 
+def test_instance_fills_in_the_defaults_of_build_instance(example1):
+    # one constructor: no DAG, and every resource a task uses, each available once
+    instance = Instance(example1.plans, window=example1.window)
+    assert instance == build_instance(example1.plans, window=example1.window)
+    assert instance.plan_dag == frozenset() and instance.resources == {1: 1, 2: 1}
+    assert Instance(example1.plans, frozenset(), None, example1.window).resources == {1: 1, 2: 1}
+
+
+def test_build_instance_is_instance():
+    assert build_instance is Instance
+
+
 def test_build_instance_single_trivial():
     plan = make_plan(1, 1, [(1, 1, 0, 5, {1}, [])])
     instance = build_instance([plan], window=TimeWindow(0, 10))
@@ -331,7 +343,7 @@ def test_plan_rejects_an_entry_that_is_not_a_task(entry):
 
 @pytest.mark.parametrize("entry", [*_NOT_AN_ENTRY, _TASK], ids=[*_ENTRY_IDS, "task"])
 def test_build_instance_rejects_an_entry_that_is_not_a_plan(entry):
-    # the default resources read every plan's tasks before Instance checks them
+    # the default resources skip an entry that is not a Plan; the plan walk names it
     with pytest.raises(InstanceError, match=rf"^plans: {re.escape(repr(entry))} is not a Plan$"):
         build_instance([_PLAN, entry], window=TimeWindow(0, 5))
 

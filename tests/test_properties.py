@@ -20,7 +20,7 @@ from plansched.engine import (
     schedule_task,
 )
 from plansched.serialize import instance_from_dict, instance_to_dict, schedule_from_dict, schedule_to_dict
-from conftest import base_seed, random_instance
+from conftest import base_seed, empty_timelines, random_instance
 
 
 def test_engine_output_always_validates():
@@ -41,7 +41,7 @@ def test_rollback_is_bit_exact_on_every_failure():
     failures = 0
     for _ in range(150):
         instance = random_instance(rng, impossible_prob=0.35)
-        s_w, busy = Schedule(), {rho: ([], []) for rho in instance.resources}
+        s_w, busy = Schedule(), empty_timelines(instance.resources)
         last_objective = 0
         for plan in sort_plans(instance):
             snapshot_s, snapshot_busy = copy.deepcopy(s_w), copy.deepcopy(busy)
@@ -75,7 +75,7 @@ def test_every_placement_is_the_earliest_feasible_instant():
     for _ in range(150):
         instance = random_instance(rng, max_plans=6)
         window = instance.window
-        s_w, busy = Schedule(), {rho: ([], []) for rho in instance.resources}
+        s_w, busy = Schedule(), empty_timelines(instance.resources)
         for plan in sort_plans(instance):
             for task in plan.tasks:
                 lower = earliest_start(task, plan, s_w, window)

@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -341,7 +342,8 @@ def test_integer_field_errors(parse, name, place, missing, value):
         parent, key = name.rsplit(".", 1)
         assert str(err.value) == f"{parent}: missing field '{key}'"
     else:
-        assert str(err.value) == f"{name}: expected an integer, got {value!r}"
+        where = re.sub(r"\[\d+\]$", "[]", name)  # an integer list entry is named by its list, "scheduled[]"
+        assert str(err.value) == f"{where}: expected an integer, got {value!r}"
 
 
 def test_integer_field_error_text_is_pinned():
