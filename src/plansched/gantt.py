@@ -7,7 +7,7 @@ the same schedule twice yields byte-identical documents.
 
 from __future__ import annotations
 
-from .model import Instance, Schedule, UnknownTask, check_schedule_ints, completion_time
+from .model import Instance, Schedule, completion_time, placed_tasks
 
 _SVG_PX_PER_TICK = 6
 _SVG_ROW_HEIGHT = 26
@@ -18,27 +18,17 @@ _SVG_TOP_MARGIN = 30
 def _bars_by_resource(schedule: Schedule, instance: Instance) -> dict[int, list[tuple[int, int, str]]]:
     """One sorted ``(start, end, label)`` row per resource.
 
-    The schedule passes the writers' checks first: every start and id is an
-    ``int`` (:func:`plansched.model.check_schedule_ints`), and every started
-    task is one of ``instance``'s (:class:`UnknownTask` otherwise).
+    The schedule is read through :func:`plansched.model.placed_tasks`, as the
+    writers read it: a start or id that is not an ``int`` or a plan listed
+    twice in one list raises :class:`SchedulingError`, and a task or plan the
+    instance does not have raises :class:`UnknownTask`.
     """
-    check_schedule_ints(schedule)
-    starts = schedule.starts
     bars: dict[int, list[tuple[int, int, str]]] = {rho: [] for rho in sorted(instance.resources)}
-    matched = 0
-    for plan in instance.plans:
-        for task in plan.tasks:
-            start = starts.get(task.id)
-            if start is None:
-                continue
-            matched += 1
-            label = f"J{plan.id}.{task.index}"
-            for rho in task.resources:
-                bars[rho].append((start, completion_time(task, start), label))
-    if matched != len(starts):
-        known = {task.id for task in instance.iter_tasks()}
-        unknown = next(task_id for task_id in starts if task_id not in known)
-        raise UnknownTask(f"schedule references unknown task {unknown}")
+    for task, start in placed_tasks(schedule, instance):
+        label = f"J{task.plan_id}.{task.index}"
+        end = completion_time(task, start)
+        for rho in task.resources:
+            bars[rho].append((start, end, label))
     for rows in bars.values():
         rows.sort()
     return bars

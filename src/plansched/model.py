@@ -13,10 +13,12 @@ construction: only the error that reading such an entry raises leads to a
 type test.  ``Instance`` is the only place that reads the plan DAG: one pass
 rejects cycles and records each plan's frontier and DAG neighbours, which
 the ordering and the engine look up.  ``Schedule`` is the mutable result of
-a single scheduler run and checks nothing itself; the writer and the
-validator apply one integer rule to it, :func:`check_schedule_ints`.
-:func:`event_list` derives the paper's event list, a tuple of ``Event``s,
-from its start times.
+a single scheduler run and checks nothing itself.  Every reader of a schedule
+(the validator, both writers, both Gantt renders and :func:`event_list`)
+reads it through :func:`placed_tasks`, which applies the schedule rule
+once: integer starts and ids, a plan listed at most once per list, and only
+tasks and plans of the instance.  :func:`event_list` derives the paper's
+event list, a tuple of ``Event``s, from those starts.
 """
 
 from __future__ import annotations
@@ -419,18 +421,16 @@ def event_list(schedule: Schedule, instance: Instance) -> tuple[Event, ...]:
     """The paper's event list of ``schedule``: one event at the window start and
     at every start and completion instant, swept once in time order.
 
-    The sweep keeps the held resources in one set, updated in place, and
-    gives every empty field of every event the same empty frozenset.
+    The schedule is read through :func:`placed_tasks`, so a malformed one
+    raises.  The sweep keeps the held resources in one set, updated in
+    place, and gives every empty field of every event the same empty
+    frozenset.
     """
-    starts = schedule.starts
     starting: dict[int, list[Task]] = {}
     completing: dict[int, list[Task]] = {}
-    for plan in instance.plans:
-        for task in plan.tasks:
-            start = starts.get(task.id)
-            if start is not None:
-                starting.setdefault(start, []).append(task)
-                completing.setdefault(completion_time(task, start), []).append(task)
+    for task, start in placed_tasks(schedule, instance):
+        starting.setdefault(start, []).append(task)
+        completing.setdefault(completion_time(task, start), []).append(task)
     events: list[Event] = []
     held: set[int] = set()  # resources are unary: a release and a take at t never clash
     for t in sorted({instance.window.start, *starting, *completing}):
@@ -467,24 +467,45 @@ class Schedule:
     discarded_plans: list[int] = field(default_factory=list)
 
 
-def check_schedule_ints(schedule: Schedule) -> None:
-    """Raise :class:`SchedulingError` unless every start, task id and listed plan id of ``schedule`` is an ``int``.
+def placed_tasks(schedule: Schedule, instance: Instance) -> list[tuple[Task, int]]:
+    """Each task of ``instance`` that ``schedule`` starts, with its start, in instance order.
 
-    The writer and the validator both apply this rule before they read a
-    schedule.  ``starts`` must be a dict and the two plan lists must be lists.
+    Every reader of a schedule reads it through here, so the rule is written
+    once.  It raises :class:`SchedulingError` when ``starts`` is not a dict, a
+    plan list is not a list, a start, task id or listed plan id is not an
+    ``int``, or a plan repeats within one list (a plan in both lists is left
+    to the validator); then :class:`UnknownTask` for the first start, in
+    ``starts`` order, of a task the instance lacks, then for the listed plans
+    it lacks.
     """
-    if not isinstance(schedule.starts, dict):
-        raise SchedulingError(f"starts must be a dict, got {type(schedule.starts).__name__}")
-    for name in ("scheduled_plans", "discarded_plans"):
-        if not isinstance(getattr(schedule, name), list):
-            raise SchedulingError(f"{name} must be a list, got {type(getattr(schedule, name)).__name__}")
+    starts = schedule.starts
+    if not isinstance(starts, dict):
+        raise SchedulingError(f"starts must be a dict, got {type(starts).__name__}")
+    lists = {"scheduled_plans": schedule.scheduled_plans, "discarded_plans": schedule.discarded_plans}
+    for name, plan_ids in lists.items():
+        if not isinstance(plan_ids, list):
+            raise SchedulingError(f"{name} must be a list, got {type(plan_ids).__name__}")
     try:
-        for task_id, start in schedule.starts.items():
+        for task_id, start in starts.items():
             plan_id, index = task_id
             if not type(plan_id) is type(index) is type(start) is int:
                 raise SchedulingError(f"start of task {task_id!r}: ids and start must be integers, got {start!r}")
     except (TypeError, ValueError):
         raise SchedulingError(f"task id {task_id!r}: ids and start must be integers") from None
-    for plan_id in (*schedule.scheduled_plans, *schedule.discarded_plans):
+    listed = [*schedule.scheduled_plans, *schedule.discarded_plans]
+    for plan_id in listed:
         if type(plan_id) is not int:
             raise SchedulingError(f"listed plan ids must be integers, got {plan_id!r}")
+    for name, plan_ids in lists.items():
+        if len(set(plan_ids)) != len(plan_ids):
+            i = next(i for i, plan_id in enumerate(plan_ids) if plan_id in plan_ids[:i])
+            raise SchedulingError(f"{name}[{i}]: plan {plan_ids[i]} is listed twice")
+    placed = [(task, start) for plan in instance.plans for task in plan.tasks if (start := starts.get(task.id)) is not None]
+    if len(placed) != len(starts):
+        known = {task.id for task, _ in placed}
+        unknown = next(task_id for task_id in starts if task_id not in known)
+        raise UnknownTask(f"schedule references unknown task {unknown}")
+    unknown = set(listed).difference(instance._by_id)
+    if unknown:
+        raise UnknownTask(f"schedule lists unknown plans {sorted(unknown)}")
+    return placed

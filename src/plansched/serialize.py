@@ -41,10 +41,10 @@ input.
 ``json.dumps(schedule_to_dict(...), indent=2) + "\n"``, but from f-string
 templates, because ``json.dumps`` with an indent always runs the pure-Python
 encoder.  Every key is fixed ASCII and every value an ``int`` (the model
-rejects anything else, and both schedule writers check the ``Schedule`` they
-are given), so nothing needs escaping.  The golden digests in
-``tests/golden/schedules.json`` and the writer identity tests in
-``tests/test_serialize.py`` pin those bytes.
+rejects anything else, and both schedule writers read the ``Schedule`` they
+are given through :func:`plansched.model.placed_tasks`), so nothing needs
+escaping.  The golden digests in ``tests/golden/schedules.json`` and the
+writer identity tests in ``tests/test_serialize.py`` pin those bytes.
 """
 
 from __future__ import annotations
@@ -60,8 +60,7 @@ from .model import (
     SchedulingError,
     Task,
     TimeWindow,
-    UnknownTask,
-    check_schedule_ints,
+    placed_tasks,
 )
 from .validate import objective as _objective
 
@@ -257,33 +256,18 @@ def emit_instance(instance: Instance, path) -> None:
     Path(path).write_text(dumps_instance(instance), encoding="utf-8")
 
 
-def _processing_times(schedule: Schedule, instance: Instance) -> dict:
-    """The processing time of every task of ``instance``, by task id, once
-    ``schedule`` passes both writers' checks.
-
-    The templates write values as they are, so :func:`check_schedule_ints`
-    comes first; then :class:`UnknownTask` is raised when ``schedule``
-    starts a task that ``instance`` does not have.
-    """
-    check_schedule_ints(schedule)
-    p_of = {task.id: task.processing_time for task in instance.iter_tasks()}
-    if not schedule.starts.keys() <= p_of.keys():
-        unknown = next(task_id for task_id in schedule.starts if task_id not in p_of)
-        raise UnknownTask(f"schedule references unknown task {unknown}")
-    return p_of
+def _start_rows(schedule: Schedule, instance: Instance) -> list[tuple[int, int, int, int]]:
+    """The sorted ``(plan, task, start, completion)`` rows of ``schedule``,
+    read through :func:`plansched.model.placed_tasks`."""
+    placed = placed_tasks(schedule, instance)
+    return sorted([(task.plan_id, task.index, start, start + task.processing_time) for task, start in placed])
 
 
 def schedule_to_dict(schedule: Schedule, instance: Instance, events: tuple[Event, ...] | None = None) -> dict:
-    p_of = _processing_times(schedule, instance)
     doc = {
         "starts": [
-            {
-                "plan": plan_id,
-                "task": index,
-                "start": start,
-                "completion": start + p_of[plan_id, index],
-            }
-            for (plan_id, index), start in sorted(schedule.starts.items())
+            {"plan": plan_id, "task": index, "start": start, "completion": completion}
+            for plan_id, index, start, completion in _start_rows(schedule, instance)
         ],
         "scheduled": list(schedule.scheduled_plans),
         "discarded": list(schedule.discarded_plans),
@@ -343,12 +327,11 @@ def _event_text(event: Event) -> str:
 
 
 def dumps_schedule(schedule: Schedule, instance: Instance, events: tuple[Event, ...] | None = None) -> str:
-    p_of = _processing_times(schedule, instance)
     starts = _array(
         [
             f'    {{\n      "plan": {plan_id},\n      "task": {index},\n      "start": {start},\n'
-            f'      "completion": {start + p_of[plan_id, index]}\n    }}'
-            for (plan_id, index), start in sorted(schedule.starts.items())
+            f'      "completion": {completion}\n    }}'
+            for plan_id, index, start, completion in _start_rows(schedule, instance)
         ],
         "  ",
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import Instance, Schedule, TaskId, UnknownTask, check_schedule_ints, completion_time
+from .model import Instance, Schedule, TaskId, completion_time, placed_tasks
 
 TEMPORAL_WINDOW = "TemporalWindow"
 GLOBAL_WINDOW = "GlobalWindow"
@@ -56,21 +56,12 @@ def objective(instance: Instance, schedule: Schedule) -> int:
 def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationReport:
     """Check every constraint for ``schedule`` against ``instance``.
 
-    Raises :class:`SchedulingError` when a start, task id or listed plan id is
-    not an ``int`` (:func:`plansched.model.check_schedule_ints`, as ``dumps_schedule``
-    does), and :class:`UnknownTask` when the schedule names a task or a plan
-    the instance does not have; every other problem lands in the report.
+    The schedule is read through :func:`plansched.model.placed_tasks`, as
+    every writer and render reads it: a start, task id or listed plan id that
+    is not an ``int``, or a plan listed twice in one list, raises
+    :class:`SchedulingError`, and a task or plan the instance does not have
+    raises :class:`UnknownTask`.  Every other problem lands in the report.
     """
-    check_schedule_ints(schedule)
-    known = {task.id for task in instance.iter_tasks()}
-    for task_id in schedule.starts:
-        if task_id not in known:
-            raise UnknownTask(f"schedule references unknown task {task_id}")
-    scheduled, discarded = set(schedule.scheduled_plans), set(schedule.discarded_plans)
-    unknown = (scheduled | discarded) - {plan.id for plan in instance.plans}
-    if unknown:
-        raise UnknownTask(f"schedule lists unknown plans {sorted(unknown)}")
-
     report = ValidationReport()
     window = instance.window
     starts = schedule.starts
@@ -81,58 +72,29 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
     precedences: list[Violation] = []
     by_resource: dict[int, list[tuple[int, int, TaskId]]] = {}
     placed_of: dict[int, int] = {}  # plan id -> how many of its tasks have a start
-    for plan in instance.plans:
-        placed = 0
-        for task in plan.tasks:
-            start = starts.get(task.id)
-            if start is None:
-                continue
-            placed += 1
-            end = completion_time(task, start)
-            if start < task.release or end > task.due:
-                windows.append(
-                    Violation(
-                        TEMPORAL_WINDOW,
-                        plan.id,
-                        task.index,
-                        f"[{start},{end}) outside task window [{task.release},{task.due}]",
-                    )
-                )
-            if start < window.start or end > window.end:
-                windows.append(
-                    Violation(
-                        GLOBAL_WINDOW,
-                        plan.id,
-                        task.index,
-                        f"[{start},{end}) outside global window [{window.start},{window.end}]",
-                    )
-                )
-            for j, lag in task.predecessors:
-                pred_start = starts.get((plan.id, j))
-                if pred_start is None:
-                    continue  # the partial-plan check reports this
-                pred_end = completion_time(plan.task(j), pred_start)
-                if start < pred_end:
-                    precedences.append(
-                        Violation(
-                            INTRA_PLAN_PRECEDENCE,
-                            plan.id,
-                            task.index,
-                            f"starts at {start} before predecessor {j} completes at {pred_end}",
-                        )
-                    )
-                elif start < pred_end + lag:
-                    precedences.append(
-                        Violation(
-                            TIME_LAG,
-                            plan.id,
-                            task.index,
-                            f"starts at {start}, needs lag {lag} after {pred_end}",
-                        )
-                    )
-            for rho in task.resources:
-                by_resource.setdefault(rho, []).append((start, end, task.id))
-        placed_of[plan.id] = placed
+    for task, start in placed_tasks(schedule, instance):
+        plan_id, index = task.id
+        placed_of[plan_id] = placed_of.get(plan_id, 0) + 1
+        end = completion_time(task, start)
+        if start < task.release or end > task.due:
+            detail = f"[{start},{end}) outside task window [{task.release},{task.due}]"
+            windows.append(Violation(TEMPORAL_WINDOW, plan_id, index, detail))
+        if start < window.start or end > window.end:
+            detail = f"[{start},{end}) outside global window [{window.start},{window.end}]"
+            windows.append(Violation(GLOBAL_WINDOW, plan_id, index, detail))
+        for j, lag in task.predecessors:
+            pred_start = starts.get((plan_id, j))
+            if pred_start is None:
+                continue  # the partial-plan check reports this
+            pred_end = completion_time(instance.task((plan_id, j)), pred_start)
+            if start < pred_end:
+                detail = f"starts at {start} before predecessor {j} completes at {pred_end}"
+                precedences.append(Violation(INTRA_PLAN_PRECEDENCE, plan_id, index, detail))
+            elif start < pred_end + lag:
+                detail = f"starts at {start}, needs lag {lag} after {pred_end}"
+                precedences.append(Violation(TIME_LAG, plan_id, index, detail))
+        for rho in task.resources:
+            by_resource.setdefault(rho, []).append((start, end, task.id))
     report.violations = windows + precedences
 
     for rho in sorted(by_resource):
@@ -148,9 +110,10 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
                     )
                 )
 
-    covered = {plan.id for plan in instance.plans if placed_of[plan.id] == plan.task_count}
+    scheduled, discarded = set(schedule.scheduled_plans), set(schedule.discarded_plans)
+    covered = {plan.id for plan in instance.plans if placed_of.get(plan.id) == plan.task_count}
     for plan in instance.plans:
-        placed = placed_of[plan.id]
+        placed = placed_of.get(plan.id, 0)
         if placed and plan.id not in covered:
             report.violations.append(
                 Violation(
