@@ -4,14 +4,17 @@ The working state is the start times plus one timeline per resource of the
 instance (``Timelines``); every step below reads and writes only the
 timelines of its own tasks' resources.
 
-- :func:`schedule_task` places one task at its earliest feasible instant, or
-  writes nothing; :func:`schedule_plan` places a plan's tasks in order and,
-  on a failure, takes the plan out again with :func:`rollback_plan`,
-  bit-exactly.
-- :func:`idle_time_sum` measures the idle time a placed plan leaves.
+- :func:`_fit_plan` finds where a plan's tasks go, each at its earliest
+  feasible instant, and writes nothing; :func:`schedule_plan` writes a plan
+  only if it fits whole, so nothing is ever taken back out.
+  :func:`schedule_task` places one task after its placed predecessors and
+  :func:`rollback_plan` takes a placed plan out again, bit-exactly; the build
+  calls neither.
+- :func:`_idle_sum` measures the idle time a fitted plan would leave, and
+  :func:`idle_time_sum` a placed one, by the same rule.
 - :func:`schedule_plan_set` commits a group of equal-priority plans, the
-  smallest idle sum first, and states when a kept trial is patched or
-  dropped.
+  smallest idle sum first, ends a round at an idle sum of 0, and states when
+  a kept trial is patched or dropped.
 - :func:`build_schedule` groups the plans of
   :func:`plansched.ordering.sort_plans` and returns a :class:`ScheduleResult`,
   whose event list is derived from the final start times on first access.
@@ -70,14 +73,25 @@ def earliest_start(task: Task, plan: Plan, schedule: Schedule, window: TimeWindo
     """Lower bound for the start of ``task``: window, release and predecessors.
 
     Every predecessor must already be placed in ``schedule``; each one pushes
-    the bound to its completion plus the pair's lag.
+    the bound to its completion plus the pair's lag (:func:`_lower_bound`).
     """
-    bound = max(window.start, task.release)
-    for j, lag in task.predecessors:
+    completions = {}
+    for j, _ in task.predecessors:
         pred_start = schedule.starts.get((task.plan_id, j))
         if pred_start is None:
             raise PredecessorUnscheduled(f"task {task.id}: predecessor {j} has no start time")
-        bound = max(bound, completion_time(plan.task(j), pred_start) + lag)
+        completions[j] = completion_time(plan.task(j), pred_start)
+    return _lower_bound(task, window, completions)
+
+
+def _lower_bound(task: Task, window: TimeWindow, completions: dict[int, int]) -> int:
+    """The latest of the window start, the release and each predecessor's completion (by index) plus lag."""
+    # comparisons, not max(): this runs for every task of every fit
+    bound = window.start if window.start > task.release else task.release
+    for j, lag in task.predecessors:
+        ready = completions[j] + lag
+        if ready > bound:
+            bound = ready
     return bound
 
 
@@ -97,11 +111,9 @@ def schedule_task(
     window end.  On success the start is recorded and the task's interval is
     added to the timeline of each of its resources; the function returns True.
     On failure nothing is written; the tasks of ``plan`` placed before this
-    one stay, and undoing them is :func:`schedule_plan`'s job.
+    one stay, and undoing them is the caller's job (:func:`rollback_plan`).
     """
-    lower = earliest_start(task, plan, s_w, window)
-    latest = min(task.due, window.end) - task.processing_time
-    start = _earliest_fit(task, lower, latest, busy)
+    start = _earliest_fit(task, earliest_start(task, plan, s_w, window), busy, window)
     if start is None:
         return False
     _occupy(task, start, s_w, busy)
@@ -119,16 +131,21 @@ def _occupy(task: Task, start: int, s_w: Schedule, busy: Timelines) -> None:
         ends.insert(i, end)
 
 
-def _earliest_fit(task: Task, lower: int, latest: int, busy: Timelines) -> int | None:
-    """First ``t`` in ``[lower, latest]`` with ``task``'s resources free over ``[t, t + p)``.
+def _earliest_fit(task: Task, lower: int, busy: Timelines, window: TimeWindow, own=()) -> int | None:
+    """First ``t >= lower`` with ``task``'s resources free over ``[t, t + p)``, or None.
 
-    On each resource only the last interval that starts before ``t + p`` needs
-    a look: ends are sorted as well, so if any interval overlaps ``[t, t + p)``
-    that one does, and no start before its end fits.  The candidate jumps to
-    that end and the resources are checked again, until none moves it or it
-    passes ``latest``.  None when no start fits.
+    The task must complete by its due date and the window end.  On each
+    resource only the last interval that starts before ``t + p`` needs a
+    look: ends are sorted as well, so if any interval overlaps ``[t, t + p)``
+    that one does, and no start before its end fits.  ``own`` holds further
+    intervals ``(s, e)`` the task must avoid, those of its plan's tasks fitted
+    before it on a shared resource, which no timeline holds yet; they are
+    read once the timelines leave the candidate in place.  The candidate
+    jumps to the end of any interval that overlaps it, and all are checked
+    again, until none moves it or it passes the latest start.
     """
     p = task.processing_time
+    latest = min(task.due, window.end) - p
     lines = [busy[rho] for rho in task.resources]
     t = lower
     while t <= latest:
@@ -139,8 +156,39 @@ def _earliest_fit(task: Task, lower: int, latest: int, busy: Timelines) -> int |
                 t = ends[i - 1]
                 moved = True
         if not moved:
-            return t
+            for s, e in own:
+                if s < t + p and e > t:
+                    t = e
+                    break
+            else:
+                return t
     return None
+
+
+def _fit_plan(plan: Plan, busy: Timelines, window: TimeWindow) -> list[tuple[Task, int, int]] | None:
+    """Where the tasks of ``plan`` go on ``busy``: ``(task, start, end)`` each, in plan order.
+
+    None if a task does not fit.  Nothing is written.  Each task gets its
+    earliest fit (:func:`_earliest_fit`) from its lower bound
+    (:func:`_lower_bound`, reading its predecessors' completions from the
+    tasks fitted before it), clear of the timelines and of the plan's own
+    earlier tasks on a shared resource.
+    """
+    fitted = []
+    completions: dict[int, int] = {}
+    used: set[int] = set()  # the resources of the tasks fitted so far
+    for task in plan.tasks:
+        if used.isdisjoint(task.resources):  # most tasks: no earlier task of the plan to avoid
+            own = ()
+        else:
+            own = [(s, e) for other, s, e in fitted if not task.resources.isdisjoint(other.resources)]
+        used |= task.resources
+        start = _earliest_fit(task, _lower_bound(task, window, completions), busy, window, own)
+        if start is None:
+            return None
+        end = completions[task.index] = start + task.processing_time
+        fitted.append((task, start, end))
+    return fitted
 
 
 def rollback_plan(plan: Plan, s_w: Schedule, busy: Timelines) -> None:
@@ -162,14 +210,16 @@ def rollback_plan(plan: Plan, s_w: Schedule, busy: Timelines) -> None:
 def schedule_plan(plan: Plan, s_w: Schedule, busy: Timelines, window: TimeWindow) -> bool:
     """Insert all tasks of ``plan`` in order; False (and no state change) if any fails.
 
-    On the first failure, :func:`rollback_plan` takes out the tasks already placed.
-    Only start times and timelines are written: recording the plan in
-    ``scheduled_plans`` is the committing caller's job.
+    The plan is fitted first (:func:`_fit_plan`), and written only if it fits
+    whole, so nothing is ever taken back out.  Only start times and timelines
+    are written: recording the plan in ``scheduled_plans`` is the committing
+    caller's job.
     """
-    for task in plan.tasks:
-        if not schedule_task(task, s_w, busy, window, plan=plan):
-            rollback_plan(plan, s_w, busy)
-            return False
+    fitted = _fit_plan(plan, busy, window)
+    if fitted is None:
+        return False
+    for task, start, _ in fitted:
+        _occupy(task, start, s_w, busy)
     return True
 
 
@@ -178,59 +228,77 @@ def idle_time_sum(
 ) -> int:
     """Total idle time the placed ``plan`` leaves behind it.
 
-    For each task: the gap between its start and the latest completion on one
-    of its own resources, or the window start when none was used before.
-    Requires the plan to be placed in ``s_w``/``busy`` already.  When
-    ``spans`` is a list, one ``(lr, s, e)`` per task is appended to it:
-    ``[s, e)`` is the task's placed interval, and ``[lr, e)``, from its
-    latest release to its completion, is the stretch of each of its
-    resources' timelines that its placement and measurement depend on.
+    Requires the plan to be placed in ``s_w``; the rule is :func:`_idle_sum`'s.
+    When ``spans`` is a list, one ``(lr, s, e)`` per task is appended to it.
     """
-    total = 0
+    fitted = []
     for task in plan.tasks:
         start = s_w.starts.get(task.id)
         if start is None:
             raise PredecessorUnscheduled(f"task {task.id} is not placed in the schedule")
-        release = _latest_release_on(busy, task.resources, start, window.start)
+        fitted.append((task, start, completion_time(task, start)))
+    return _idle_sum(fitted, busy, window.start, [] if spans is None else spans)
+
+
+def _idle_sum(fitted: list[tuple[Task, int, int]], busy: Timelines, w_s: int, spans: list) -> int:
+    """Total idle time the fitted plan leaves behind it, and its spans.
+
+    For each task: the gap between its start and its latest release
+    (:func:`_latest_release_on`).  One ``(lr, s, e)`` per task is appended
+    to ``spans``: ``[s, e)`` is the task's interval, and ``[lr, e)``, from its
+    latest release to its completion, is the stretch of each of its
+    resources' timelines that its fit and measurement depend on.
+    """
+    total = 0
+    for task, start, end in fitted:
+        release = _latest_release_on(busy, task, start, w_s, fitted)
         total += start - release
-        if spans is not None:
-            spans.append((release, start, completion_time(task, start)))
+        spans.append((release, start, end))
     return total
 
 
-def _latest_release_on(busy: Timelines, resources, start: int, w_s: int) -> int:
-    """Latest instant <= start at which one of ``resources`` turned free.
+def _latest_release_on(busy: Timelines, task: Task, start: int, w_s: int, fitted: list[tuple[Task, int, int]]) -> int:
+    """Latest instant <= ``start`` at which one of ``task``'s resources turned free.
 
-    The task starting at ``start`` is placed already, so on each of its
-    resources its own interval is the first one ending after ``start``, and
-    the latest end ``e <= start`` belongs to the interval just before it: the
-    resource is free from ``e`` until ``start`` (or ``e == start``, back to
-    back).  One bisect per resource finds it.  Falls back to the window start
-    when no interval ends by ``start``.
+    That is the latest end ``e <= start`` of an interval on one of its
+    resources: in the timelines, where one bisect per resource finds it, or
+    among its plan's ``fitted`` tasks, earlier or later in the plan, that share
+    a resource with it.  The release is a maximum, so it does not matter
+    whether the plan is in the timelines as well.  Falls back to the window
+    start when no interval ends by ``start``.
     """
     best = w_s
-    for rho in resources:
+    for rho in task.resources:
         ends = busy[rho][1]
         j = bisect_right(ends, start)
         if j and ends[j - 1] > best:
             best = ends[j - 1]
+    for other, _, end in fitted:
+        if best < end <= start and not task.resources.isdisjoint(other.resources):
+            best = end
     return best
 
 
 def schedule_plan_set(plans: list[Plan], s_w: Schedule, busy: Timelines, window: TimeWindow) -> set[int]:
     """Commit a group of equal-priority plans, lowest idle-time first.
 
-    Each round goes over the pending plans in order.  A plan that fails
-    placement leaves the group for good: more commitments only make placement
-    harder.  A plan without a kept trial that places while it is the only
-    one pending has no rival and stays committed by that placement.  Any other
-    plan is measured by its idle-time sum and rolled back, and its trial is
-    kept: the idle sum and, per task, the span ``(lr, s, e)``, the task's
-    start ``s``, its completion ``e`` and ``lr``, its latest release on its
-    resources (:func:`idle_time_sum`).  After the round the plan with
-    the smallest sum (on ties the last examined) is committed by writing the
-    starts of its trial.  These two commits are the only places where a
-    plan is appended to ``scheduled_plans``.
+    A trial writes nothing: :func:`_fit_plan` finds where a plan's tasks
+    would go and :func:`_idle_sum` measures the idle time they would leave.
+    Each round scans the pending plans from the end.  A plan that does not
+    fit leaves the group for good: more commitments only make fitting harder.
+    A plan without a kept trial that is the only one pending has no rival and
+    is placed at once (:func:`schedule_plan`); so is a group of one plan.  Any
+    other plan that fits keeps its trial: the idle sum and, per task, the
+    span ``(lr, s, e)``, the task's start ``s``, its completion ``e`` and
+    ``lr``, its latest release (:func:`_latest_release_on`).  The round takes
+    a new best only on a strictly smaller idle sum, so ties go to the plan
+    latest in ``pending``, and it stops at the first idle sum of 0: no plan
+    after that one beat it, and none before it can, as an idle sum is never
+    negative.  The plans before it are not tried in that round, which changes
+    no outcome: a kept trial is what a fresh fit would give, and a plan that
+    does not fit now fits no better later.  The best plan is committed by
+    writing the starts of its trial.  These two commits are the only places
+    where a plan is appended to ``scheduled_plans``.
 
     A trial reads nothing but the plan's own tasks and the timelines of their
     resources, and a commit only adds intervals.  An added interval
@@ -239,49 +307,58 @@ def schedule_plan_set(plans: list[Plan], s_w: Schedule, busy: Timelines, window:
     ``[s, e)`` free and the instants before ``s`` no freer, so the start
     stays; if it ends in ``(lr, s]`` it becomes the latest release, and the
     trial is patched in place: ``lr := b``, and the idle sum falls by
-    ``b - lr``.  So a kept trial is always exactly what a fresh placement
-    and measurement would give.  Each kept span is entered, as ``(plan id,
+    ``b - lr``.  So a kept trial is always exactly what a fresh fit and
+    measurement would give.  Each kept span is entered, as ``(plan id,
     trial, span index)``, in a watch list per resource, and a commit visits
     only the lists of its own resources; an entry whose plan was committed,
     dropped or tried again since is stale and is purged on the visit.  The
-    next round re-runs only the plans without a kept trial and reads a kept
-    trial as if it had been re-run, in ``pending`` order.  A group of ``G``
-    plans thus takes at most ``G(G+1)/2`` placements, and exactly that many
-    when every plan fits and every commit overlaps every kept start.
+    next round fits again only the plans without a kept trial and reads a
+    kept trial as if it had been fitted again.  A group of ``G`` plans thus
+    takes at most ``G(G+1)/2`` fits, and exactly that many when every plan
+    fits, every commit overlaps every kept start and no idle sum is 0.
     Returns the ids of the plans that could not be scheduled.
     """
-    pending: dict[int, Plan] = {}
-    for plan in plans:  # not a comprehension: most groups hold one plan, and this is cheaper there
-        pending[plan.id] = plan
+    if len(plans) == 1:  # most groups: no rival, so no trial and no round
+        plan = plans[0]
+        if not schedule_plan(plan, s_w, busy, window):
+            return {plan.id}
+        s_w.scheduled_plans.append(plan.id)
+        return set()
+    pending = {plan.id: plan for plan in plans}
     unscheduled: set[int] = set()
     trials: dict[int, list] = {}  # plan id -> [idle sum, spans]
     watch: dict[int, list] = {}  # resource -> [(plan id, trial, span index)]
     while pending:
         best: Plan | None = None
         best_idle: int | None = None
-        for plan in list(pending.values()):
+        for plan in reversed(list(pending.values())):
             trial = trials.get(plan.id)
             if trial is not None:
                 idle = trial[0]
-            elif not schedule_plan(plan, s_w, busy, window):
-                del pending[plan.id]
-                unscheduled.add(plan.id)
-                continue
             elif len(pending) == 1:
                 del pending[plan.id]
-                s_w.scheduled_plans.append(plan.id)
+                if schedule_plan(plan, s_w, busy, window):
+                    s_w.scheduled_plans.append(plan.id)
+                else:
+                    unscheduled.add(plan.id)
                 continue
             else:
+                fitted = _fit_plan(plan, busy, window)
+                if fitted is None:
+                    del pending[plan.id]
+                    unscheduled.add(plan.id)
+                    continue
                 spans: list = []
-                idle = idle_time_sum(plan, s_w, busy, window, spans)
-                rollback_plan(plan, s_w, busy)
+                idle = _idle_sum(fitted, busy, window.start, spans)
                 trial = trials[plan.id] = [idle, spans]
                 for k, task in enumerate(plan.tasks):
                     for rho in task.resources:
                         watch.setdefault(rho, []).append((plan.id, trial, k))
-            if best_idle is None or idle <= best_idle:
+            if best_idle is None or idle < best_idle:
                 best_idle = idle
                 best = plan
+                if idle == 0:
+                    break
         if best is not None:
             del pending[best.id]
             _commit(best, trials.pop(best.id)[1], s_w, busy, trials, watch)
@@ -333,9 +410,9 @@ def build_schedule(
     to :func:`schedule_plan_set`.
     In strict mode the members with a discarded DAG predecessor are discarded
     first; members of one frontier never precede each other, so one look at
-    the discards made before the group suffices.  Because failed insertions
-    restore the working state exactly, the working schedule is feasible after
-    every step and is returned as the result.
+    the discards made before the group suffices.  Because only plans that fit
+    whole are written, the working schedule is feasible after every step and
+    is returned as the result.
     """
     window = instance.window
     busy: Timelines = {rho: ([], []) for rho in instance.resources}

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 # A task is identified by (plan id, task index within the plan).
 TaskId = tuple[int, int]
@@ -210,7 +211,9 @@ class Plan:
     (stable reordering: tasks already in a consistent order are untouched).
     One pass over the tasks checks their plan tags and predecessor indices
     and finds whether that order already holds; only a plan whose order
-    does not is sorted.
+    does not is sorted.  :meth:`task` looks a task up in a map by index,
+    built on its first call: most plans are never looked up, and a map on
+    every plan would hold about 200 bytes each.
     """
 
     id: int
@@ -246,11 +249,15 @@ class Plan:
     def task_count(self) -> int:
         return len(self.tasks)
 
+    @cached_property
+    def _by_index(self) -> dict[int, Task]:
+        return {t.index: t for t in self.tasks}
+
     def task(self, index: int) -> Task:
-        for t in self.tasks:
-            if t.index == index:
-                return t
-        raise UnknownTask(f"plan {self.id} has no task {index}")
+        task = self._by_index.get(index)
+        if task is None:
+            raise UnknownTask(f"plan {self.id} has no task {index}")
+        return task
 
 
 def _topo_order_tasks(plan_id: int, tasks: tuple[Task, ...]) -> tuple[Task, ...]:

@@ -341,6 +341,42 @@ def test_idle_zero_when_start_meets_completion(blockers, release, start, idle):
     assert idle_time_sum(mover, s_w, busy, window) == idle
 
 
+def test_fit_and_measure_match_place_and_measure_on_a_shared_resource():
+    # tasks 2 and 3 share resource 1 with task 1.  Task 2 comes later in the
+    # plan but goes earlier in time, so task 1's latest release is task 2's
+    # completion 4.  Task 3 would start at its release 5 but for task 1's
+    # [6, 8), which no timeline holds during the fit, so it goes at 8.  Task
+    # 4 (resource 2, after task 2 plus lag 1) is released by task 2 at 4.
+    # Placing the tasks one by one with schedule_task writes each before the
+    # next is placed, so it needs no overlay and checks the fit.
+    window = TimeWindow(0, 20)
+    blocker = make_plan(9, 9, [(1, 1, 0, 20, {1}, [])])
+    plan = make_plan(
+        1,
+        1,
+        [
+            (1, 2, 6, 20, {1}, []),
+            (2, 3, 0, 20, {1, 2}, []),
+            (3, 2, 5, 20, {1}, []),
+            (4, 1, 0, 20, {2}, [(2, 1)]),
+        ],
+    )
+    instance = build_instance([blocker, plan], window=window)
+    s_w, busy = _load(instance, [9])
+    before = copy.deepcopy(busy)
+    fitted = engine._fit_plan(plan, busy, window)
+    fit_spans: list = []
+    fit_idle = engine._idle_sum(fitted, busy, window.start, fit_spans)
+    assert busy == before
+    for task in plan.tasks:
+        assert schedule_task(task, s_w, busy, window, plan=plan)
+    placed_spans: list = []
+    placed_idle = idle_time_sum(plan, s_w, busy, window, placed_spans)
+    assert [(task.index, start) for task, start, _ in fitted] == [(t.index, s_w.starts[t.id]) for t in plan.tasks]
+    assert [start for _, start, _ in fitted] == [6, 1, 8, 5]
+    assert (fit_idle, fit_spans) == (placed_idle, placed_spans) == (3, [(4, 6, 8), (1, 1, 4), (8, 8, 10), (4, 5, 6)])
+
+
 # ----------------------------------------------------------- plan-set commits
 
 def test_plan_set_commits_lowest_idle_first(idle_example):
@@ -380,7 +416,9 @@ def test_plan_set_tie_goes_to_last_examined():
 
 
 def test_lone_survivor_is_placed_once(monkeypatch):
-    # plan 1 cannot fit, so plan 2 is alone and is committed by its one placement
+    # the round scans from the end: plan 2's trial has idle 0, which ends the
+    # round before plan 1 is tried, and plan 2 is committed from that trial;
+    # plan 1, tried in the next round, cannot fit
     window = TimeWindow(0, 10)
     instance = build_instance(
         [
@@ -392,34 +430,37 @@ def test_lone_survivor_is_placed_once(monkeypatch):
     calls = _spy_placements(monkeypatch)
     s_w, busy = _fresh_state(instance.resources)
     assert schedule_plan_set([instance.plan(1), instance.plan(2)], s_w, busy, window) == {1}
-    assert calls == [1, 2]
+    assert calls == [2, 1]
     assert s_w.scheduled_plans == [2]
     assert s_w.starts == {(2, 1): 0}
     assert busy_runs(busy) == {1: [(0, 2)]}
 
 
 def _spy_placements(monkeypatch):
-    """Record the plan id of every ``schedule_plan`` call the engine makes."""
+    """Record the plan id of every plan fit (``engine._fit_plan``) the engine makes."""
     calls = []
+    fit_plan = engine._fit_plan
 
     def spy(plan, *args):
         calls.append(plan.id)
-        return schedule_plan(plan, *args)
+        return fit_plan(plan, *args)
 
-    monkeypatch.setattr(engine, "schedule_plan", spy)
+    monkeypatch.setattr(engine, "_fit_plan", spy)
     return calls
 
 
 @pytest.mark.parametrize(
     "release3, expected_calls, scheduled",
     [
-        # idle sums 4, 3, 1: plan 3 commits [1, 3) on resource 3, away from the
-        # others, and every later commit writes a kept trial
-        (1, [1, 2, 3], [3, 2, 1]),
-        # idle sums 4, 3, 0: plan 3 commits [0, 2) on resource 1, ending inside
-        # plan 1's span from its latest release 0 to its start 4, so plan 1's
-        # trial is patched, not re-run: its idle falls to 2, below plan 2's
-        (0, [1, 2, 3], [3, 1, 2]),
+        # idle sums 4, 3, 1, tried from the end: plan 3 commits [1, 3) on
+        # resource 3, away from the others, and every later commit writes a
+        # kept trial
+        (1, [3, 2, 1], [3, 2, 1]),
+        # plan 3's idle sum 0 ends the first round before plans 2 and 1 are
+        # tried; it commits [0, 2) on resource 1, and the next round tries
+        # plan 2 (idle 3) and plan 1, which starts at 4 after a latest release
+        # of 2 (idle 2)
+        (0, [3, 2, 1], [3, 1, 2]),
     ],
     ids=["disjoint", "overlaps-plan-1"],
 )
@@ -445,8 +486,8 @@ def test_commit_retrials_only_the_plans_it_overlaps(monkeypatch, release3, expec
 @pytest.mark.parametrize(
     "commit_release, expected_calls, plan1_idle",
     [
-        (1, [1, 2, 3], 3),  # commit [1, 4) ends at plan 1's lr = 4: kept
-        (2, [1, 2, 3], 2),  # commit [2, 5) ends at lr + 1, before the start: patched
+        (1, [3, 2, 1], 3),  # commit [1, 4) ends at plan 1's lr = 4: kept
+        (2, [3, 2, 1], 2),  # commit [2, 5) ends at lr + 1, before the start: patched
     ],
     ids=["ends-at-lr", "ends-past-lr"],
 )
@@ -477,24 +518,34 @@ def test_commit_ending_at_latest_release_keeps_the_trial(monkeypatch, commit_rel
 
 @pytest.mark.parametrize("size, placements", [(2, 3), (5, 15), (16, 136)])
 def test_colliding_group_takes_triangular_placements(monkeypatch, size, placements):
-    # G one-task plans on one resource: each commit overlaps every kept trial, so
-    # round k places the G - k + 1 pending plans once and the commit places none,
-    # G(G+1)/2 in all, the bound for a group of G
+    # G plans whose first task runs on resource 1 from time 0: each commit
+    # overlaps every kept trial, so round k tries the G - k + 1 pending plans
+    # once and the commit tries none, G(G+1)/2 in all, the bound for a group of
+    # G, when no trial has idle 0.  A second task on resource 2, shorter than
+    # every first task and after it, keeps the idle sum above 0.  With the
+    # one-task plans alone every trial starts where resource 1 turns free,
+    # its idle sum is 0 and ends its round, so each round tries one plan.
     window = TimeWindow(0, 20 * size)
-    instance = build_instance(
-        [make_plan(plan_id, 1, [(1, 1 + plan_id % 3, 0, 20 * size, {1}, [])]) for plan_id in range(1, size + 1)],
-        window=window,
-    )
     calls = _spy_placements(monkeypatch)
-    s_w, busy = _fresh_state(instance.resources)
-    assert schedule_plan_set(list(instance.plans), s_w, busy, window) == set()
-    assert len(calls) == placements == size * (size + 1) // 2
-    assert len(s_w.scheduled_plans) == size
+    for second_task, expected in ((True, placements), (False, size)):
+        calls.clear()
+        plans = []
+        for plan_id in range(1, size + 1):
+            rows = [(1, 2 + plan_id % 3, 0, 20 * size, {1}, [])]
+            if second_task:
+                rows.append((2, 1, 0, 20 * size, {2}, [(1, 0)]))
+            plans.append(make_plan(plan_id, 1, rows))
+        instance = build_instance(plans, window=window)
+        s_w, busy = _fresh_state(instance.resources)
+        assert schedule_plan_set(list(instance.plans), s_w, busy, window) == set()
+        assert len(calls) == expected, second_task
+        assert len(s_w.scheduled_plans) == size
+    assert placements == size * (size + 1) // 2
 
 
 def test_disjoint_pair_is_placed_once_each(monkeypatch):
-    # the commit of plan 2 does not touch plan 1's kept trial, which is
-    # then committed as it was measured
+    # plan 2, tried first, has idle 0 and ends the round before plan 1 is
+    # tried; plan 1 is then alone and is committed by its one placement
     window = TimeWindow(0, 10)
     instance = build_instance(
         [
@@ -506,10 +557,51 @@ def test_disjoint_pair_is_placed_once_each(monkeypatch):
     calls = _spy_placements(monkeypatch)
     s_w, busy = _fresh_state(instance.resources)
     assert schedule_plan_set(list(instance.plans), s_w, busy, window) == set()
-    assert calls == [1, 2]
+    assert calls == [2, 1]
     assert s_w.scheduled_plans == [2, 1]
     assert s_w.starts == {(1, 1): 3, (2, 1): 0}
     assert busy_runs(busy) == {1: [(3, 5)], 2: [(0, 2)]}
+
+
+def test_zero_idle_trial_ends_the_round(monkeypatch):
+    # idle sums by plan: 1 cannot fit, 2: 4, 3: 3, 4: 0, 5: 1.  The first
+    # round scans from the end and stops at plan 4's idle sum of 0, so plans
+    # 3, 2 and 1 are not tried before plan 4 commits; plan 1's failure shows
+    # in the next round.  The commits are those of a full scan.
+    window = TimeWindow(0, 10)
+    instance = build_instance(
+        [
+            make_plan(1, 1, [(1, 5, 0, 3, {5}, [])]),
+            make_plan(2, 1, [(1, 2, 4, 10, {1}, [])]),
+            make_plan(3, 1, [(1, 2, 3, 10, {2}, [])]),
+            make_plan(4, 1, [(1, 2, 0, 10, {3}, [])]),
+            make_plan(5, 1, [(1, 2, 1, 10, {4}, [])]),
+        ],
+        window=window,
+    )
+    log = []
+    fit_plan, commit = engine._fit_plan, engine._commit
+
+    def spy_fit(plan, *args):
+        log.append(("fit", plan.id))
+        return fit_plan(plan, *args)
+
+    def spy_commit(plan, *args):
+        log.append(("commit", plan.id))
+        return commit(plan, *args)
+
+    monkeypatch.setattr(engine, "_fit_plan", spy_fit)
+    monkeypatch.setattr(engine, "_commit", spy_commit)
+    s_w, busy = _fresh_state(instance.resources)
+    assert schedule_plan_set(list(instance.plans), s_w, busy, window) == {1}
+    assert log == [  # one round per line
+        ("fit", 5), ("fit", 4), ("commit", 4),
+        ("fit", 3), ("fit", 2), ("fit", 1), ("commit", 5),
+        ("commit", 3),
+        ("commit", 2),
+    ]
+    assert s_w.scheduled_plans == [4, 5, 3, 2]
+    assert s_w.starts == {(2, 1): 4, (3, 1): 3, (4, 1): 0, (5, 1): 1}
 
 
 def test_group_trials_grow_with_what_commits_touch(monkeypatch):
@@ -545,25 +637,67 @@ def _ladder_instance(monkeypatch, k):
 
 def test_random_ladder_rung_takes_exact_placements(monkeypatch):
     # the benchmark's random generator at K = 64: six equal-priority groups
-    # take 72 placements, far inside the bound of G(G+1)/2 per group of G
+    # take 71 placements, far inside the bound of G(G+1)/2 per group of G
     instance = _ladder_instance(monkeypatch, 64)
     sizes = sorted(Counter(plan.priority for plan in instance.plans).values())
     assert sizes == [10, 10, 11, 11, 11, 11]
     calls = _spy_placements(monkeypatch)
     result = build_schedule(instance)
-    assert len(calls) == 72
+    assert len(calls) == 71
     assert len(result.scheduled_plans) == 52
     assert len(calls) <= sum(g * (g + 1) // 2 for g in sizes) == 374
 
 
 def test_random_ladder_rung_1024_takes_exact_placements(monkeypatch):
     # six groups of about 170 plans: a commit re-runs only the trials whose
-    # tasks it overlaps, so the count stays near 1.4 placements a plan,
-    # against a bound of 87,894 (G(G+1)/2 per group)
+    # tasks it overlaps, and a zero idle sum ends a round, so the count stays
+    # near 1.3 placements a plan, against a bound of 87,894 (G(G+1)/2 per group)
     instance = _ladder_instance(monkeypatch, 1024)
     calls = _spy_placements(monkeypatch)
     build_schedule(instance)
-    assert len(calls) == 1391
+    assert len(calls) == 1330
+
+
+def _one_resource_ladder(k):
+    """``K`` one-task plans of one priority on one resource, ``p = randint(1, 20)``, window and due ``[0, 20K]``."""
+    rng = random.Random(k)
+    window = TimeWindow(0, 20 * k)
+    plans = [make_plan(plan_id, 1, [(1, rng.randint(1, 20), 0, 20 * k, {1}, [])]) for plan_id in range(1, k + 1)]
+    return build_instance(plans, window=window)
+
+
+def _chain_ladder(k):
+    """``K`` two-task plans of one priority: ``p = randint(10, 20)`` on resource 1, then
+    ``p = randint(1, 5)`` on resource 2, window and due ``[0, 25K]``."""
+    rng = random.Random(k)
+    plans = []
+    for plan_id in range(1, k + 1):
+        first = (1, rng.randint(10, 20), 0, 25 * k, {1}, [])
+        second = (2, rng.randint(1, 5), 0, 25 * k, {2}, [(1, 0)])
+        plans.append(make_plan(plan_id, 1, [first, second]))
+    return build_instance(plans, window=TimeWindow(0, 25 * k))
+
+
+def test_one_resource_ladder_takes_one_fit_a_plan(monkeypatch):
+    # every trial starts where the resource turns free, so its idle sum is 0
+    # and ends its round: K fits, where a full scan takes K(K+1)/2 = 32,896
+    instance = _one_resource_ladder(256)
+    calls = _spy_placements(monkeypatch)
+    result = build_schedule(instance)
+    assert len(calls) == 256
+    assert len(result.scheduled_plans) == 256
+
+
+def test_chain_ladder_takes_triangular_fits(monkeypatch):
+    # a trial's second task starts p1 >= 10 after resource 1's packed run
+    # ends, and resource 2 turned free at most 5 after that end, so no idle
+    # sum is 0; each commit overlaps every kept trial on resource 1, so round
+    # k fits the K - k + 1 pending plans: K(K+1)/2 fits
+    instance = _chain_ladder(64)
+    calls = _spy_placements(monkeypatch)
+    result = build_schedule(instance)
+    assert len(calls) == 2080 == 64 * 65 // 2
+    assert len(result.scheduled_plans) == 64
 
 
 # -------------------------------------------------------------- build_schedule

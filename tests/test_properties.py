@@ -97,15 +97,17 @@ def test_every_group_takes_at_most_triangular_placements(monkeypatch):
     # (engine.schedule_plan_set); count them on every group of every build
     groups = []  # per schedule_plan_set call: [group size, placements]
 
+    fit_plan = engine._fit_plan
+
     def count_placement(plan, *args):
         groups[-1][1] += 1
-        return schedule_plan(plan, *args)
+        return fit_plan(plan, *args)
 
     def count_group(plans, *args):
         groups.append([len(plans), 0])
         return schedule_plan_set(plans, *args)
 
-    monkeypatch.setattr(engine, "schedule_plan", count_placement)
+    monkeypatch.setattr(engine, "_fit_plan", count_placement)
     monkeypatch.setattr(engine, "schedule_plan_set", count_group)
     rng = random.Random(base_seed() + 9)
     for _ in range(150):
@@ -116,6 +118,62 @@ def test_every_group_takes_at_most_triangular_placements(monkeypatch):
             assert count <= size * (size + 1) // 2, (instance, size, count)
     # some commits re-run kept trials, so groups take more than one placement a plan
     assert any(count > size > 2 for size, count in groups)
+
+
+def test_fits_write_nothing(monkeypatch):
+    # a trial is a pure read: every engine._fit_plan call of a build, trial or
+    # not, leaves the timelines and the start times as it found them
+    fit_plan, plan_set = engine._fit_plan, engine.schedule_plan_set
+    state = {}
+    fits = {"whole": 0, "failed": 0}
+
+    def spy_set(plans, s_w, busy, window):
+        state["s_w"] = s_w
+        return plan_set(plans, s_w, busy, window)
+
+    def spy_fit(plan, busy, window):
+        starts, timelines = dict(state["s_w"].starts), copy.deepcopy(busy)
+        fitted = fit_plan(plan, busy, window)
+        assert state["s_w"].starts == starts and busy == timelines, plan
+        fits["failed" if fitted is None else "whole"] += 1
+        return fitted
+
+    monkeypatch.setattr(engine, "schedule_plan_set", spy_set)
+    monkeypatch.setattr(engine, "_fit_plan", spy_fit)
+    rng = random.Random(base_seed() + 11)
+    for _ in range(150):
+        build_schedule(random_instance(rng, max_plans=10, priorities=(1, 3)))
+    assert fits["whole"] > 200 and fits["failed"] > 200, fits
+
+
+def test_fit_and_measure_equal_place_and_measure():
+    # on random states, with plans that may use one resource in several
+    # tasks, fitting and measuring a plan gives the starts, spans and idle
+    # sum that placing its tasks one by one (each written before the next is
+    # placed) and measuring the placed plan give
+    rng = random.Random(base_seed() + 12)
+    compared = shared = 0
+    for _ in range(150):
+        instance = random_instance(rng, max_plans=6)
+        window = instance.window
+        s_w, busy = Schedule(), empty_timelines(instance.resources)
+        for plan in sort_plans(instance):
+            fitted = engine._fit_plan(plan, busy, window)
+            fit_spans: list = []
+            fit_idle = None if fitted is None else engine._idle_sum(fitted, busy, window.start, fit_spans)
+            placed = all(schedule_task(task, s_w, busy, window, plan=plan) for task in plan.tasks)
+            assert placed == (fitted is not None), (instance, plan.id)
+            if not placed:
+                rollback_plan(plan, s_w, busy)
+                continue
+            placed_spans: list = []
+            placed_idle = idle_time_sum(plan, s_w, busy, window, placed_spans)
+            assert [start for _, start, _ in fitted] == [s_w.starts[t.id] for t in plan.tasks], (instance, plan.id)
+            assert (fit_idle, fit_spans) == (placed_idle, placed_spans), (instance, plan.id)
+            compared += 1
+            resources = [rho for task in plan.tasks for rho in task.resources]
+            shared += len(set(resources)) < len(resources)
+    assert compared > 200 and shared > 20, (compared, shared)
 
 
 def test_kept_trials_equal_a_fresh_placement_after_every_commit(monkeypatch):
