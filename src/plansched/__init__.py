@@ -18,7 +18,6 @@ from .model import (
     Instance,
     InstanceError,
     Plan,
-    PredecessorUnscheduled,
     Schedule,
     SchedulingError,
     Task,
@@ -71,7 +70,6 @@ __all__ = [
     "PLAN_ORDERING",
     "ParseError",
     "Plan",
-    "PredecessorUnscheduled",
     "RESOURCE_OVERLAP",
     "SCENARIOS",
     "Schedule",

@@ -5,13 +5,10 @@ instance (``Timelines``); every step below reads and writes only the
 timelines of its own tasks' resources.
 
 - :func:`_fit_plan` finds where a plan's tasks go, each at its earliest
-  feasible instant, and writes nothing; :func:`schedule_plan` writes a plan
-  only if it fits whole, so nothing is ever taken back out.
-  :func:`schedule_task` places one task after its placed predecessors and
-  :func:`rollback_plan` takes a placed plan out again, bit-exactly; the build
-  calls neither.
-- :func:`_idle_sum` measures the idle time a fitted plan would leave, and
-  :func:`idle_time_sum` a placed one, by the same rule.
+  feasible instant, and writes nothing.
+- :func:`_idle_sum` measures the idle time a fitted plan would leave.
+- :func:`schedule_plan`, the one public step that writes, fits a plan and
+  writes it only if it fits whole, so nothing is ever taken back out.
 - :func:`schedule_plan_set` commits a group of equal-priority plans, the
   smallest idle sum first, ends a round at an idle sum of 0, and states when
   a kept trial is patched or dropped.
@@ -30,7 +27,6 @@ from .model import (
     Event,
     Instance,
     Plan,
-    PredecessorUnscheduled,
     Schedule,
     Task,
     TimeWindow,
@@ -44,7 +40,7 @@ Timelines = dict[int, tuple[list[int], list[int]]]
 
 The intervals of one resource are disjoint because resources are unary, so
 the ends are sorted too.  Callers seed every resource of the instance with
-``([], [])``; a timeline stays in the map when it empties.
+``([], [])``; intervals are only ever added.
 """
 
 
@@ -69,21 +65,6 @@ class ScheduleResult:
         return self.schedule.discarded_plans
 
 
-def earliest_start(task: Task, plan: Plan, schedule: Schedule, window: TimeWindow) -> int:
-    """Lower bound for the start of ``task``: window, release and predecessors.
-
-    Every predecessor must already be placed in ``schedule``; each one pushes
-    the bound to its completion plus the pair's lag (:func:`_lower_bound`).
-    """
-    completions = {}
-    for j, _ in task.predecessors:
-        pred_start = schedule.starts.get((task.plan_id, j))
-        if pred_start is None:
-            raise PredecessorUnscheduled(f"task {task.id}: predecessor {j} has no start time")
-        completions[j] = completion_time(plan.task(j), pred_start)
-    return _lower_bound(task, window, completions)
-
-
 def _lower_bound(task: Task, window: TimeWindow, completions: dict[int, int]) -> int:
     """The latest of the window start, the release and each predecessor's completion (by index) plus lag."""
     # comparisons, not max(): this runs for every task of every fit
@@ -93,31 +74,6 @@ def _lower_bound(task: Task, window: TimeWindow, completions: dict[int, int]) ->
         if ready > bound:
             bound = ready
     return bound
-
-
-def schedule_task(
-    task: Task,
-    s_w: Schedule,
-    busy: Timelines,
-    window: TimeWindow,
-    *,
-    plan: Plan,
-) -> bool:
-    """Place ``task`` at its earliest feasible instant, or return False.
-
-    The start is the first instant from the task's temporal lower bound
-    (:func:`earliest_start`) at which every needed resource is free for the
-    whole duration, provided the task then completes by its due date and the
-    window end.  On success the start is recorded and the task's interval is
-    added to the timeline of each of its resources; the function returns True.
-    On failure nothing is written; the tasks of ``plan`` placed before this
-    one stay, and undoing them is the caller's job (:func:`rollback_plan`).
-    """
-    start = _earliest_fit(task, earliest_start(task, plan, s_w, window), busy, window)
-    if start is None:
-        return False
-    _occupy(task, start, s_w, busy)
-    return True
 
 
 def _occupy(task: Task, start: int, s_w: Schedule, busy: Timelines) -> None:
@@ -191,27 +147,10 @@ def _fit_plan(plan: Plan, busy: Timelines, window: TimeWindow) -> list[tuple[Tas
     return fitted
 
 
-def rollback_plan(plan: Plan, s_w: Schedule, busy: Timelines) -> None:
-    """Remove every placed task of ``plan`` from the start times and the timelines.
-
-    The state afterwards equals the state before the plan was placed;
-    ``scheduled_plans`` is not read or written.
-    """
-    for task in plan.tasks:
-        start = s_w.starts.pop(task.id, None)
-        if start is None:
-            continue
-        for rho in task.resources:
-            starts, ends = busy[rho]
-            i = bisect_left(starts, start)
-            del starts[i], ends[i]
-
-
 def schedule_plan(plan: Plan, s_w: Schedule, busy: Timelines, window: TimeWindow) -> bool:
-    """Insert all tasks of ``plan`` in order; False (and no state change) if any fails.
+    """Write ``plan`` at its fit (:func:`_fit_plan`); False, with nothing written, if a task does not fit.
 
-    The plan is fitted first (:func:`_fit_plan`), and written only if it fits
-    whole, so nothing is ever taken back out.  Only start times and timelines
+    This is the one public step that writes.  Only start times and timelines
     are written: recording the plan in ``scheduled_plans`` is the committing
     caller's job.
     """
@@ -221,23 +160,6 @@ def schedule_plan(plan: Plan, s_w: Schedule, busy: Timelines, window: TimeWindow
     for task, start, _ in fitted:
         _occupy(task, start, s_w, busy)
     return True
-
-
-def idle_time_sum(
-    plan: Plan, s_w: Schedule, busy: Timelines, window: TimeWindow, spans: list | None = None
-) -> int:
-    """Total idle time the placed ``plan`` leaves behind it.
-
-    Requires the plan to be placed in ``s_w``; the rule is :func:`_idle_sum`'s.
-    When ``spans`` is a list, one ``(lr, s, e)`` per task is appended to it.
-    """
-    fitted = []
-    for task in plan.tasks:
-        start = s_w.starts.get(task.id)
-        if start is None:
-            raise PredecessorUnscheduled(f"task {task.id} is not placed in the schedule")
-        fitted.append((task, start, completion_time(task, start)))
-    return _idle_sum(fitted, busy, window.start, [] if spans is None else spans)
 
 
 def _idle_sum(fitted: list[tuple[Task, int, int]], busy: Timelines, w_s: int, spans: list) -> int:
@@ -263,9 +185,8 @@ def _latest_release_on(busy: Timelines, task: Task, start: int, w_s: int, fitted
     That is the latest end ``e <= start`` of an interval on one of its
     resources: in the timelines, where one bisect per resource finds it, or
     among its plan's ``fitted`` tasks, earlier or later in the plan, that share
-    a resource with it.  The release is a maximum, so it does not matter
-    whether the plan is in the timelines as well.  Falls back to the window
-    start when no interval ends by ``start``.
+    a resource with it; the timelines do not hold the plan yet.  Falls back to
+    the window start when no interval ends by ``start``.
     """
     best = w_s
     for rho in task.resources:

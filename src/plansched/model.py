@@ -55,10 +55,6 @@ class BadWindow(InstanceError):
     """A time attribute is out of range (release after due, non-positive duration, ...)."""
 
 
-class PredecessorUnscheduled(SchedulingError):
-    """A task was placed before one of its predecessors; indicates an ordering bug."""
-
-
 class UnknownTask(SchedulingError):
     """A schedule references a task that does not exist in the instance."""
 

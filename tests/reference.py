@@ -4,7 +4,9 @@ It shares no code with the engine or the ordering: occupancy is a set of busy
 ticks per resource, a start is found by trying every instant in turn, the plan
 order is recomputed from ``plan_dag`` by rescanning frontier heads, and the
 idle metric is defined tick by tick.  The differential test in
-``test_reference.py`` holds :func:`plansched.build_schedule` to it.
+``test_reference.py`` holds :func:`plansched.build_schedule` to it, and the
+engine tests hold single fits and idle sums to :func:`_place`,
+:func:`_spans` and :func:`_idle`.
 """
 
 from __future__ import annotations
@@ -57,17 +59,35 @@ def _place(plan, busy, starts, window):
     return busy, starts
 
 
+def _release(task, busy, start, window):
+    """The latest tick t <= ``start`` where one of the task's resources is busy
+    at t - 1 and free at t (or t is the start itself); else the window start."""
+    return next((t for t in range(start, window.start, -1) if any(
+        t - 1 in busy.get(rho, ()) and (t not in busy.get(rho, ()) or t == start) for rho in task.resources
+    )), window.start)
+
+
+def _spans(plan, busy, starts, window):
+    """Per task of the placed ``plan``: its :func:`_release`, start and completion."""
+    return [
+        (_release(task, busy, starts[task.id], window), starts[task.id], starts[task.id] + task.processing_time)
+        for task in plan.tasks
+    ]
+
+
 def _idle(plan, busy, starts, window):
-    """Per task: start minus the latest tick t <= start where one of its resources
-    is busy at t - 1 and free at t (or t is the start itself); else the window start."""
-    total = 0
-    for task in plan.tasks:
-        start = starts[task.id]
-        release = next((t for t in range(start, window.start, -1) if any(
-            t - 1 in busy.get(rho, ()) and (t not in busy.get(rho, ()) or t == start) for rho in task.resources
-        )), window.start)
-        total += start - release
-    return total
+    """The gaps from each task's release to its start, summed over the placed ``plan``."""
+    return sum(start - release for release, start, _ in _spans(plan, busy, starts, window))
+
+
+def busy_ticks(instance, starts):
+    """The busy ticks per resource of the tasks placed at ``starts``."""
+    busy = {}
+    for task_id, start in starts.items():
+        task = instance.task(task_id)
+        for rho in task.resources:
+            busy.setdefault(rho, set()).update(range(start, start + task.processing_time))
+    return busy
 
 
 def reference_build(instance, descending=True, strict=False):

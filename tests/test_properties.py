@@ -11,15 +11,9 @@ from plansched import (
     validate_schedule,
 )
 from plansched import engine
-from plansched.engine import (
-    earliest_start,
-    idle_time_sum,
-    rollback_plan,
-    schedule_plan,
-    schedule_plan_set,
-    schedule_task,
-)
+from plansched.engine import schedule_plan, schedule_plan_set
 from plansched.serialize import instance_from_dict, instance_to_dict, schedule_from_dict, schedule_to_dict
+import reference
 from conftest import base_seed, empty_timelines, random_instance
 
 
@@ -55,14 +49,9 @@ def test_rollback_is_bit_exact_on_every_failure():
     assert failures > 50  # the generator must actually force failures
 
 
-def _brute_force_start(instance, task, s_w, lower, latest):
-    """First instant of ``[lower, latest]`` where no placed task holds a needed
-    resource over ``[t, t + p)``, found from the start times alone."""
-    held = [
-        (start, start + instance.task(tid).processing_time)
-        for tid, start in s_w.starts.items()
-        if instance.task(tid).resources & task.resources
-    ]
+def _first_free(task, held, lower, latest):
+    """First instant of ``[lower, latest]`` where no interval ``(s, e)`` of
+    ``held`` overlaps ``[t, t + p)``, or None."""
     for t in range(lower, latest + 1):
         if all(t + task.processing_time <= s or e <= t for s, e in held):
             return t
@@ -70,26 +59,50 @@ def _brute_force_start(instance, task, s_w, lower, latest):
 
 
 def test_every_placement_is_the_earliest_feasible_instant():
+    # the starts of engine._fit_plan against a brute force over start times:
+    # each task at the first instant where neither a placed task nor an
+    # earlier task of its own plan holds a needed resource
     rng = random.Random(base_seed() + 7)
-    delayed = failed = 0
-    for _ in range(150):
+    delayed = failed = own = 0
+    for _ in range(300):
         instance = random_instance(rng, max_plans=6)
         window = instance.window
         s_w, busy = Schedule(), empty_timelines(instance.resources)
         for plan in sort_plans(instance):
+            expected = {}  # task id -> brute-force start, in plan order
+            moved_by_own = False
             for task in plan.tasks:
-                lower = earliest_start(task, plan, s_w, window)
+                lower = max([window.start, task.release] + [
+                    expected[(plan.id, j)] + plan.task(j).processing_time + lag for j, lag in task.predecessors
+                ])
                 latest = min(task.due, window.end) - task.processing_time
-                expected = _brute_force_start(instance, task, s_w, lower, latest)
-                placed = schedule_task(task, s_w, busy, window, plan=plan)
-                assert placed == (expected is not None), (instance, task)
-                if not placed:
-                    failed += 1
-                    rollback_plan(plan, s_w, busy)
+                held = [
+                    (start, start + instance.task(tid).processing_time)
+                    for tid, start in s_w.starts.items()
+                    if instance.task(tid).resources & task.resources
+                ]
+                earlier = [
+                    (start, start + plan.task(index).processing_time)
+                    for (_, index), start in expected.items()
+                    if plan.task(index).resources & task.resources
+                ]
+                start = _first_free(task, held + earlier, lower, latest)
+                moved_by_own |= start != _first_free(task, held, lower, latest)
+                if start is None:
                     break
-                assert s_w.starts[task.id] == expected, (instance, task)
-                delayed += expected > lower
-    assert delayed > 20 and failed > 20  # resource conflicts and failures both occur
+                delayed += start > lower
+                expected[task.id] = start
+            own += moved_by_own
+            fitted = engine._fit_plan(plan, busy, window)
+            if len(expected) < len(plan.tasks):
+                assert fitted is None, (instance, plan.id)
+                failed += 1
+                continue
+            assert [(task.id, start) for task, start, _ in fitted] == list(expected.items()), (instance, plan.id)
+            assert schedule_plan(plan, s_w, busy, window)
+            assert {tid: s_w.starts[tid] for tid in expected} == expected
+    # resource conflicts, failures and tasks moved by their own plan all occur
+    assert delayed > 20 and failed > 20 and own > 20, (delayed, failed, own)
 
 
 def test_every_group_takes_at_most_triangular_placements(monkeypatch):
@@ -149,8 +162,9 @@ def test_fits_write_nothing(monkeypatch):
 def test_fit_and_measure_equal_place_and_measure():
     # on random states, with plans that may use one resource in several
     # tasks, fitting and measuring a plan gives the starts, spans and idle
-    # sum that placing its tasks one by one (each written before the next is
-    # placed) and measuring the placed plan give
+    # sum of the tick reference: reference._place puts the tasks one by one,
+    # each written before the next is placed, and reference._spans and
+    # reference._idle measure the placed plan
     rng = random.Random(base_seed() + 12)
     compared = shared = 0
     for _ in range(150):
@@ -159,17 +173,18 @@ def test_fit_and_measure_equal_place_and_measure():
         s_w, busy = Schedule(), empty_timelines(instance.resources)
         for plan in sort_plans(instance):
             fitted = engine._fit_plan(plan, busy, window)
-            fit_spans: list = []
-            fit_idle = None if fitted is None else engine._idle_sum(fitted, busy, window.start, fit_spans)
-            placed = all(schedule_task(task, s_w, busy, window, plan=plan) for task in plan.tasks)
-            assert placed == (fitted is not None), (instance, plan.id)
-            if not placed:
-                rollback_plan(plan, s_w, busy)
+            placed = reference._place(plan, reference.busy_ticks(instance, s_w.starts), s_w.starts, window)
+            assert (fitted is None) == (placed is None), (instance, plan.id)
+            if fitted is None:
                 continue
-            placed_spans: list = []
-            placed_idle = idle_time_sum(plan, s_w, busy, window, placed_spans)
-            assert [start for _, start, _ in fitted] == [s_w.starts[t.id] for t in plan.tasks], (instance, plan.id)
+            ticks, starts = placed
+            fit_spans: list = []
+            fit_idle = engine._idle_sum(fitted, busy, window.start, fit_spans)
+            assert [start for _, start, _ in fitted] == [starts[t.id] for t in plan.tasks], (instance, plan.id)
+            placed_spans = reference._spans(plan, ticks, starts, window)
+            placed_idle = reference._idle(plan, ticks, starts, window)
             assert (fit_idle, fit_spans) == (placed_idle, placed_spans), (instance, plan.id)
+            assert schedule_plan(plan, s_w, busy, window)
             compared += 1
             resources = [rho for task in plan.tasks for rho in task.resources]
             shared += len(set(resources)) < len(resources)
@@ -179,8 +194,8 @@ def test_fit_and_measure_equal_place_and_measure():
 def test_kept_trials_equal_a_fresh_placement_after_every_commit(monkeypatch):
     # the patch rule of engine.schedule_plan_set: after each commit every
     # surviving kept trial, patched or untouched, holds the starts, the idle
-    # sum and the latest release per task that placing and measuring its plan
-    # again on the current state gives
+    # sum and the latest release per task that a fresh fit and measurement of
+    # its plan on the current state give
     commit = engine._commit
     checked = {"kept": 0, "patched": 0}
 
@@ -188,11 +203,10 @@ def test_kept_trials_equal_a_fresh_placement_after_every_commit(monkeypatch):
         before = {plan_id: trial[0] for plan_id, trial in trials.items()}
         commit(plan, spans, s_w, busy, trials, watch)
         for plan_id, (idle, kept_spans) in trials.items():
-            fresh_plan = instance.plan(plan_id)
-            assert schedule_plan(fresh_plan, s_w, busy, instance.window), (instance, plan_id)
+            fitted = engine._fit_plan(instance.plan(plan_id), busy, instance.window)
+            assert fitted is not None, (instance, plan_id)
             fresh_spans: list = []
-            fresh_idle = idle_time_sum(fresh_plan, s_w, busy, instance.window, fresh_spans)
-            rollback_plan(fresh_plan, s_w, busy)
+            fresh_idle = engine._idle_sum(fitted, busy, instance.window.start, fresh_spans)
             assert (idle, kept_spans) == (fresh_idle, fresh_spans), (instance, plan_id)
             checked["patched" if idle != before[plan_id] else "kept"] += 1
 

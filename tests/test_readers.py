@@ -51,12 +51,14 @@ CASES = {
     "bool-scheduled": ({}, [True], [], SchedulingError, "listed plan ids must be integers, got True"),
     "fraction-start": ({(1, 1): 2.5}, [1], [], SchedulingError, f"start of task (1, 1): {_NOT_INT}, got 2.5"),
     "str-start": ({(1, 1): "x"}, [1], [], SchedulingError, f"start of task (1, 1): {_NOT_INT}, got 'x'"),
+    "digit-str-start": ({(1, 1): "3"}, [1], [], SchedulingError, f"start of task (1, 1): {_NOT_INT}, got '3'"),
     "list-scheduled": ({}, [[1]], [], SchedulingError, "listed plan ids must be integers, got [1]"),
     "id-not-a-pair": ({5: 2}, [], [], SchedulingError, f"task id 5: {_NOT_INT}"),
     "starts-none": (None, [], [], SchedulingError, "starts must be a dict, got NoneType"),
     "starts-pairs": ([((1, 1), 2)], [], [], SchedulingError, "starts must be a dict, got list"),
     "scheduled-none": ({}, None, [], SchedulingError, "scheduled_plans must be a list, got NoneType"),
     "unknown-task": ({(1, 1): 2, (9, 1): 0}, [1], [], UnknownTask, "schedule references unknown task (9, 1)"),
+    "unknown-task-alone": ({(9, 9): 0}, [], [], UnknownTask, "schedule references unknown task (9, 9)"),
     "unknown-scheduled": (_ALL, [1, 2, 999], [], UnknownTask, "schedule lists unknown plans [999]"),
     "unknown-discarded": (_ALL, [1, 2], [999], UnknownTask, "schedule lists unknown plans [999]"),
     "unknown-task-and-plan": ({(1, 1): 2, (9, 1): 0}, [1, 9], [], UnknownTask, "schedule references unknown task (9, 1)"),
