@@ -7,11 +7,13 @@ timelines of its own tasks' resources.
 - :func:`_fit_plan` finds where a plan's tasks go, each at its earliest
   feasible instant, and writes nothing.
 - :func:`_idle_sum` measures the idle time a fitted plan would leave.
-- :func:`schedule_plan`, the one public step that writes, fits a plan and
-  writes it only if it fits whole, so nothing is ever taken back out.
+- :func:`schedule_plan` fits a plan and writes it only if it fits whole, so
+  nothing is ever taken back out.
 - :func:`schedule_plan_set` commits a group of equal-priority plans, the
   smallest idle sum first, ends a round at an idle sum of 0, and states when
   a kept trial is patched or dropped.
+- :func:`_occupy` alone writes start times and timelines; its only callers
+  are :func:`schedule_plan` and :func:`_commit`, the commit step above.
 - :func:`build_schedule` groups the plans of
   :func:`plansched.ordering.sort_plans` and returns a :class:`ScheduleResult`,
   whose event list is derived from the final start times on first access.
@@ -150,9 +152,9 @@ def _fit_plan(plan: Plan, busy: Timelines, window: TimeWindow) -> list[tuple[Tas
 def schedule_plan(plan: Plan, s_w: Schedule, busy: Timelines, window: TimeWindow) -> bool:
     """Write ``plan`` at its fit (:func:`_fit_plan`); False, with nothing written, if a task does not fit.
 
-    This is the one public step that writes.  Only start times and timelines
-    are written: recording the plan in ``scheduled_plans`` is the committing
-    caller's job.
+    It writes through :func:`_occupy`, as :func:`_commit` does.  Only start
+    times and timelines are written: recording the plan in
+    ``scheduled_plans`` is the committing caller's job.
     """
     fitted = _fit_plan(plan, busy, window)
     if fitted is None:
@@ -207,13 +209,13 @@ def schedule_plan_set(plans: list[Plan], s_w: Schedule, busy: Timelines, window:
     would go and :func:`_idle_sum` measures the idle time they would leave.
     Each round scans the pending plans from the end.  A plan that does not
     fit leaves the group for good: more commitments only make fitting harder.
-    A plan without a kept trial that is the only one pending has no rival and
-    is placed at once (:func:`schedule_plan`); so is a group of one plan.  Any
-    other plan that fits keeps its trial: the idle sum and, per task, the
-    span ``(lr, s, e)``, the task's start ``s``, its completion ``e`` and
-    ``lr``, its latest release (:func:`_latest_release_on`).  The round takes
-    a new best only on a strictly smaller idle sum, so ties go to the plan
-    latest in ``pending``, and it stops at the first idle sum of 0: no plan
+    Only a group of one plan, which has no rival, is placed at once
+    (:func:`schedule_plan`).  Any other plan that fits keeps its trial: the
+    idle sum and, per task, the span ``(lr, s, e)``, the task's start ``s``,
+    its completion ``e`` and ``lr``, its latest release
+    (:func:`_latest_release_on`).  The round takes a new best only on a
+    strictly smaller idle sum, so ties go to the plan latest in
+    ``pending``, and it stops at the first idle sum of 0: no plan
     after that one beat it, and none before it can, as an idle sum is never
     negative.  The plans before it are not tried in that round, which changes
     no outcome: a kept trial is what a fresh fit would give, and a plan that
@@ -256,13 +258,6 @@ def schedule_plan_set(plans: list[Plan], s_w: Schedule, busy: Timelines, window:
             trial = trials.get(plan.id)
             if trial is not None:
                 idle = trial[0]
-            elif len(pending) == 1:
-                del pending[plan.id]
-                if schedule_plan(plan, s_w, busy, window):
-                    s_w.scheduled_plans.append(plan.id)
-                else:
-                    unscheduled.add(plan.id)
-                continue
             else:
                 fitted = _fit_plan(plan, busy, window)
                 if fitted is None:

@@ -160,7 +160,7 @@ def test_criterion_oracle_equivalence():
 
 def test_criterion_property_suite():
     rng = random.Random(base_seed() + 20)
-    rollback_failures = 0
+    forced_failures = 0
     for _ in range(1000):
         instance = random_instance(rng, impossible_prob=0.2)
         result = build_schedule(instance)
@@ -168,12 +168,12 @@ def test_criterion_property_suite():
         # (a) engine output validates feasible
         assert validate_schedule(instance, result.schedule).feasible
 
-        # (b) rollback exactness after every forced failure
+        # (b) a failed plan writes nothing, after every forced failure
         s_w, busy = Schedule(), empty_timelines(instance.resources)
         for plan in sort_plans(instance):
             snap_s, snap_busy = copy.deepcopy(s_w), copy.deepcopy(busy)
             if not schedule_plan(plan, s_w, busy, instance.window):
-                rollback_failures += 1
+                forced_failures += 1
                 assert s_w == snap_s and busy == snap_busy
 
         # (c) event-list size bound
@@ -192,11 +192,11 @@ def test_criterion_property_suite():
         assert instance_from_dict(instance_to_dict(instance)) == instance
         assert schedule_from_dict(schedule_to_dict(result.schedule, instance)) == result.schedule
 
-    ok = rollback_failures > 100
+    ok = forced_failures > 100
     assert _report(
         "property suite on 1000 random instances",
         ok,
-        f"{rollback_failures} forced failures exercised",
+        f"{forced_failures} forced failures exercised",
     )
 
 

@@ -62,7 +62,7 @@ def _load(instance, plan_ids):
         pytest.param((0, 20), 7, (2, 5, 20), 7, id="blocker-past-release"),
     ],
 )
-def test_schedule_task_bounds(window, blocker, row, expected):
+def test_schedule_plan_start_bounds(window, blocker, row, expected):
     window = TimeWindow(*window)
     s_w, busy = _fresh_state([1])
     if blocker is not None:
@@ -85,19 +85,19 @@ def test_schedule_task_bounds(window, blocker, row, expected):
         assert sum(b - a for a, b in runs) == sum(b - a for a, b in before) + p
 
 
-# ------------------------------------------------------------- earliest start
+# ---------------------------------------------------------------- lower bound
 
-def test_earliest_start_with_lag(example2):
+def test_lower_bound_with_lag(example2):
     task = example2.plan(4).task(2)
     assert engine._lower_bound(task, example2.window, {1: 4}) == 6  # task 1 completes at 4, lag 2
 
 
-def test_earliest_start_window_clamp():
+def test_lower_bound_window_clamp():
     plan = make_plan(1, 1, [(1, 2, 1, 20, {1}, [])])
     assert engine._lower_bound(plan.tasks[0], TimeWindow(5, 30), {}) == 5
 
 
-def test_earliest_start_predecessor_completion(example1):
+def test_lower_bound_predecessor_completion(example1):
     task = example1.plan(2).task(2)
     assert engine._lower_bound(task, example1.window, {1: 5}) == 5  # task 1 completes at 5, lag 0, r=4
 
@@ -146,7 +146,7 @@ def test_first_placement_on_empty_state():
 
 # -------------------------------------------------------------- task insertion
 
-def test_schedule_task_failure_leaves_no_trace():
+def test_schedule_plan_failure_leaves_no_trace():
     window = TimeWindow(0, 10)
     plan = make_plan(1, 1, [(1, 2, 12, 15, {1}, [])])  # entirely after the window
     s_w, busy = _fresh_state([1])
@@ -155,7 +155,7 @@ def test_schedule_task_failure_leaves_no_trace():
     assert s_w == Schedule()
 
 
-def test_schedule_task_scans_past_conflicts(example2):
+def test_schedule_plan_scans_past_conflicts(example2):
     # J5.2 needs resources 1 and 3 at once; first free slot is t=9
     s_w, busy = _load(example2, [1, 2, 3, 4])
     assert schedule_plan(example2.plan(5), s_w, busy, example2.window)
@@ -244,7 +244,7 @@ def test_schedule_plan_example1(example1):
 
 # ------------------------------------------------------------ failed plans
 
-def test_schedule_plan_rolls_back_partial_placement():
+def test_schedule_plan_writes_nothing_when_a_later_task_fails():
     window = TimeWindow(0, 10)
     instance = build_instance(
         [

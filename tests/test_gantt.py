@@ -1,7 +1,6 @@
 import pytest
 
-from plansched import Schedule, SchedulingError, UnknownTask, build_schedule, render_gantt
-from plansched.serialize import schedule_to_dict
+from plansched import Schedule, build_schedule, render_gantt
 
 
 def test_text_rows_per_resource(example1):
@@ -53,29 +52,3 @@ def test_text_bars_are_clipped_to_the_window(example1):
         "window [0,10]\n        |         \nrho 1 | ...##.....  J1.1 [-10,-7)  J2.2 [3,5)\n"
         "rho 2 | ..........  J2.1 [12,14)\n"
     )
-
-
-@pytest.mark.parametrize(
-    "write",
-    [
-        schedule_to_dict,
-        lambda schedule, instance: render_gantt(schedule, instance, "text"),
-        lambda schedule, instance: render_gantt(schedule, instance, "svg"),
-    ],
-    ids=["to_dict", "text", "svg"],
-)
-@pytest.mark.parametrize(
-    "starts, error, message",
-    [
-        ({(1, 1): True}, SchedulingError, r"start of task \(1, 1\): ids and start must be integers, got True"),
-        ({(1, 1): 2.5}, SchedulingError, r"start of task \(1, 1\): ids and start must be integers, got 2.5"),
-        ({(1, 1): "3"}, SchedulingError, r"start of task \(1, 1\): ids and start must be integers, got '3'"),
-        (None, SchedulingError, "starts must be a dict, got NoneType"),
-        ({(1, 1): 2, (9, 1): 0}, UnknownTask, r"schedule references unknown task \(9, 1\)"),
-    ],
-    ids=["bool", "float", "str", "none", "unknown-task"],
-)
-def test_dict_writer_and_renders_apply_the_schedule_checks(example1, write, starts, error, message):
-    # the rule dumps_schedule applies: every start an int, every task the instance's
-    with pytest.raises(error, match=f"^{message}$"):
-        write(Schedule(starts=starts, scheduled_plans=[1]), example1)

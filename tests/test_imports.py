@@ -1,13 +1,17 @@
-"""Every name a module of the package imports is used in that module or
-listed in its ``__all__``, read from the source with ``ast``."""
+"""Every name a module of the package, a test or a demo imports is used in
+that file or listed in its ``__all__``, read from the source with ``ast``."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "plansched"
-MODULES = sorted(PACKAGE.rglob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "plansched"
+# a package module is named from the package, a test or a demo from the root
+FILES = {path.relative_to(PACKAGE).as_posix(): path for path in sorted(PACKAGE.rglob("*.py"))}
+for folder in ("tests", "demos"):
+    FILES.update({path.relative_to(ROOT).as_posix(): path for path in sorted((ROOT / folder).glob("*.py"))})
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -25,7 +29,7 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return sorted(imported - used - exported)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.relative_to(PACKAGE).as_posix() for p in MODULES])
+@pytest.mark.parametrize("path", FILES.values(), ids=FILES.keys())
 def test_every_imported_name_is_used(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 

@@ -1,4 +1,4 @@
-"""Randomised invariants of the engine, validator and serialisation."""
+"""Randomised invariants of the engine and the validator."""
 
 import copy
 import random
@@ -12,7 +12,6 @@ from plansched import (
 )
 from plansched import engine
 from plansched.engine import schedule_plan, schedule_plan_set
-from plansched.serialize import instance_from_dict, instance_to_dict, schedule_from_dict, schedule_to_dict
 import reference
 from conftest import base_seed, empty_timelines, random_instance
 
@@ -30,7 +29,7 @@ def test_engine_output_always_validates():
         assert not scheduled & discarded
 
 
-def test_rollback_is_bit_exact_on_every_failure():
+def test_every_failed_plan_leaves_no_trace():
     rng = random.Random(base_seed() + 1)
     failures = 0
     for _ in range(150):
@@ -220,14 +219,6 @@ def test_kept_trials_equal_a_fresh_placement_after_every_commit(monkeypatch):
     assert checked["kept"] > 500 and checked["patched"] > 300, checked
 
 
-def test_event_list_size_bound():
-    rng = random.Random(base_seed() + 2)
-    for _ in range(150):
-        instance = random_instance(rng)
-        result = build_schedule(instance)
-        assert len(result.events) <= 2 * len(result.schedule.starts) + 2
-
-
 def test_objective_never_negative_and_consistent():
     rng = random.Random(base_seed() + 3)
     for _ in range(100):
@@ -302,12 +293,3 @@ def test_event_view_matches_start_times():
             # no task starts or completes strictly inside [t, next event)
             assert all(s <= event.time and until <= e for s, e, _ in overlapping), event
             assert event.usage == set().union(*(res for _, _, res in overlapping)), event
-
-
-def test_json_round_trips_are_lossless():
-    rng = random.Random(base_seed() + 5)
-    for _ in range(100):
-        instance = random_instance(rng)
-        assert instance_from_dict(instance_to_dict(instance)) == instance
-        schedule = build_schedule(instance).schedule
-        assert schedule_from_dict(schedule_to_dict(schedule, instance)) == schedule

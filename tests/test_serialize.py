@@ -17,7 +17,6 @@ from plansched import (
     SchedulingError,
     Task,
     TimeWindow,
-    UnknownTask,
     build_instance,
     build_schedule,
     dumps_instance,
@@ -590,46 +589,3 @@ def test_fuzzed_documents_raise_only_scheduling_errors(tmp_path, capsys):
             assert cli.main(argv) == 2, doc
             lines = capsys.readouterr().err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), (doc, lines)
-
-
-@pytest.mark.parametrize(
-    "starts, scheduled, discarded",
-    [
-        ({(1, 1): True}, [1], []),
-        ({(1, 1): 2.0}, [1], []),
-        ({("1", 1): 2}, [1], []),
-        ({(1, True): 2}, [1], []),
-        ({}, ["1"], []),
-        ({}, [], [1.0]),
-        ({}, [True], []),
-    ],
-    ids=["bool-start", "float-start", "str-plan", "bool-task", "str-scheduled", "float-discarded", "bool-scheduled"],
-)
-def test_dumps_schedule_rejects_non_integer_values(example1, starts, scheduled, discarded):
-    # the templates write values as they are: a bool would come out as True,
-    # which is not JSON
-    schedule = Schedule(starts=starts, scheduled_plans=scheduled, discarded_plans=discarded)
-    with pytest.raises(SchedulingError, match="must be integers"):
-        dumps_schedule(schedule, example1)
-
-
-@pytest.mark.parametrize(
-    "fields, message",
-    [
-        ({"starts": None}, "starts must be a dict, got NoneType"),
-        ({"starts": [((1, 1), 2)]}, "starts must be a dict, got list"),
-        ({"scheduled_plans": None}, "scheduled_plans must be a list, got NoneType"),
-    ],
-    ids=["starts-none", "starts-pairs", "scheduled-none"],
-)
-def test_dumps_schedule_rejects_fields_of_the_wrong_kind(example1, fields, message):
-    # reading such a field would raise AttributeError or TypeError instead
-    with pytest.raises(SchedulingError, match=f"^{message}$"):
-        dumps_schedule(Schedule(**fields), example1)
-
-
-@pytest.mark.parametrize("write", [dumps_schedule, schedule_to_dict], ids=["dumps", "to_dict"])
-def test_writers_reject_unknown_task(example1, write):
-    schedule = Schedule(starts={(1, 1): 2, (9, 1): 0}, scheduled_plans=[1, 9])
-    with pytest.raises(UnknownTask, match=r"schedule references unknown task \(9, 1\)"):
-        write(schedule, example1)
