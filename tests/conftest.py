@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +68,16 @@ def idle_instance() -> Instance:
     )
 
 
+def perfbench_module(monkeypatch, name):
+    """``perfbench/<name>.py`` loaded as a module, as the benchmark runs it from the repo root."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
+
+
 def empty_timelines(resources):
     """One empty busy timeline per resource, as ``engine.build_schedule`` seeds them."""
     return {rho: ([], []) for rho in resources}
@@ -121,13 +134,15 @@ def random_instance(
     impossible_prob: float = 0.15,
     disjoint_resources: bool = False,
     priorities: tuple[int, int] = (1, 6),
+    max_release: int | None = None,
 ) -> Instance:
     """A small random instance; with ``impossible_prob`` a task gets a window
     too tight for its duration, which forces plan failures downstream.
 
     ``disjoint_resources=True`` gives every task its own private resource, so
     no two tasks in the instance ever compete.  Plan priorities are drawn
-    uniformly from the inclusive range ``priorities``.
+    uniformly from the inclusive range ``priorities``, and releases from
+    ``[0, max_release]``, by default ``[0, horizon - 1]``.
     """
     n_plans = rng.randint(min_plans, max_plans)
     plans = []
@@ -137,7 +152,7 @@ def random_instance(
         rows = []
         for index in range(1, n_tasks + 1):
             p = rng.randint(1, max_processing)
-            release = rng.randint(0, horizon - 1)
+            release = rng.randint(0, horizon - 1 if max_release is None else max_release)
             if rng.random() < impossible_prob:
                 due = release + max(0, p - 1 - rng.randint(0, 1))  # cannot fit
             else:

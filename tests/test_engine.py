@@ -1,9 +1,7 @@
 import copy
-import importlib.util
+import importlib
 import random
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -19,7 +17,7 @@ from plansched import engine
 from plansched.engine import schedule_plan, schedule_plan_set
 from plansched.model import event_list
 import reference
-from conftest import busy_runs, empty_timelines, make_plan
+from conftest import busy_runs, empty_timelines, make_plan, perfbench_module
 
 
 def _fresh_state(resources):
@@ -589,11 +587,7 @@ def test_group_trials_grow_with_what_commits_touch(monkeypatch):
 
 def _ladder_instance(monkeypatch, k):
     """The benchmark's random generator at ``K`` plans, seeded ``"ladder:K"`` (groups of K/6 plans)."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look the module up
-    spec.loader.exec_module(workloads)
+    workloads = perfbench_module(monkeypatch, "workloads")
     params = workloads.Params(k, 12, 6, 4 * k, 4, 20, 1 / 3, 0.5, 2)
     return workloads.random_instance(random.Random(f"ladder:{k}"), params, plansched.model)
 
@@ -728,17 +722,14 @@ def test_priority_order_flag():
 
 # ------------------------------------------------------------ traced names
 
-def test_traced_engine_names_exist():
+def test_traced_engine_names_exist(monkeypatch):
     # the benchmark's per-layer metrics wrap program functions by name and
     # read 0 for a name that is gone, so a rename must fail here first; the
     # names below are already gone and their metrics read 0.  The metrics of
     # the first three (engine.task_calls, task_ms, rollbacks, rollback_ms and
     # idle_ms) read 0 on every build already since plans are fitted without
     # writing, as the build stopped calling them then
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = perfbench_module(monkeypatch, "tracing")
     names = ("model", "ordering", "engine", "serialize", "validate", "gantt", "oracle", "scenarios")
     modules = {"": plansched, **{name: importlib.import_module(f"plansched.{name}") for name in names}}
     tracer = tracing.Tracer(modules)

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 
+import plansched
 from plansched import (
     TimeWindow,
     build_instance,
@@ -8,7 +10,9 @@ from plansched import (
     objective,
     validate_schedule,
 )
-from conftest import make_plan, random_instance
+from plansched.oracle import DEFAULT_NODE_LIMIT
+from conftest import base_seed, make_plan, perfbench_module, random_instance
+from reference_oracle import reference_search
 
 
 def test_example1_optimum(example1):
@@ -187,6 +191,65 @@ def test_oracle_matches_independent_enumeration():
         instance = random_instance(rng, max_plans=2, max_tasks=2, horizon=6, max_processing=3)
         result = exact_max_weight(instance)
         assert result.optimum == _brute_optimum(instance), instance
+
+
+def test_oracle_matches_independent_enumeration_with_equal_releases():
+    # every task is released at 0, so tasks often start together and only
+    # one order of each equal-start pair is searched
+    rng = random.Random(base_seed() + 42)
+    for _ in range(40):
+        instance = random_instance(
+            rng, min_plans=2, max_plans=2, max_tasks=2, horizon=6, max_processing=3, max_release=0
+        )
+        result = exact_max_weight(instance)
+        assert result.optimum == _brute_optimum(instance), instance
+
+
+def _matches_reference_search(instance) -> bool:
+    """Assert both task-level searches find the same optimum within the node
+    limit; return whether two tasks of the witness start together."""
+    result = exact_max_weight(instance, node_limit=DEFAULT_NODE_LIMIT, time_limit=None)
+    reference = reference_search(instance, node_limit=DEFAULT_NODE_LIMIT)
+    assert not result.time_limit_hit and not reference.limit_hit, instance
+    assert result.optimum == reference.best_weight, instance
+    report = validate_schedule(instance, result.witness)
+    assert report.feasible and report.objective == result.optimum
+    return max(Counter(result.witness.starts.values()).values(), default=0) > 1
+
+
+def test_matches_reference_search_on_random_instances():
+    rng = random.Random(base_seed() + 40)
+    for _ in range(300):
+        _matches_reference_search(random_instance(rng, min_plans=3, max_plans=5))
+
+
+def test_matches_reference_search_when_starts_tie():
+    # releases 0 or 1 on a short horizon and three resources: tasks often
+    # start together, and the search tries only one order of each such pair
+    # (about 105 of 300 witnesses hold a tie, against about 45 above)
+    rng = random.Random(base_seed() + 41)
+    tied = 0
+    for _ in range(300):
+        instance = random_instance(
+            rng, min_plans=3, max_plans=5, horizon=10, n_resources=3, max_processing=3, max_release=1
+        )
+        tied += _matches_reference_search(instance)
+    assert tied > 75
+
+
+def test_reaches_six_plans_at_desk_density(monkeypatch):
+    # the benchmark's generator at desk density, scaled to 6 plans (horizon
+    # 45): every instance is solved well inside 5,000 nodes
+    workloads = perfbench_module(monkeypatch, "workloads")
+    params = workloads.Params(6, 3, 2, 45, 3, 5, 0.2, 0.5, 2)
+    rng = random.Random("reach:6")
+    for _ in range(20):
+        instance = workloads.random_instance(rng, params, plansched.model)
+        result = exact_max_weight(instance, node_limit=5_000, time_limit=None)
+        assert not result.time_limit_hit
+        assert result.optimum >= objective(instance, build_schedule(instance).schedule)
+        report = validate_schedule(instance, result.witness)
+        assert report.feasible and report.objective == result.optimum
 
 
 def test_dominates_engine_on_random_instances():
