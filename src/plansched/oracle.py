@@ -8,6 +8,17 @@ completions of already placed tasks that share a resource with it.  A flag
 widens the candidates to the full integer grid for belt-and-braces runs on
 tiny inputs.
 
+The bound on a branch is the weight chosen so far plus every remaining
+positive priority: a plan of priority zero or below never adds weight.  The
+set that would attain it, the chosen plans plus every remaining plan of
+positive priority, is probed before the branch splits, wherever no ancestor
+has probed the same set (in strict mode only when it holds every DAG
+predecessor of its plans).  A probe is one first descent of the task-level
+search, given up at its first backtrack.  A probe that completes is a
+feasible set of the bound's weight, so nothing below the branch can weigh
+more and the branch closes; one that fails decides nothing, and the branch
+splits as it would without it.
+
 At each node every ready task's candidates are gathered as ``(start,
 position)`` pairs, where a task's position is its place in the chosen plans'
 task list, and tried in sorted order, earliest start first; a pair that
@@ -15,7 +26,10 @@ overlaps a placed task on a shared resource is passed over when its turn
 comes.  The first descent is therefore list scheduling, and a set that fits
 rarely backtracks.  A pair whose start equals the last placed start is
 skipped when its position is lower than the last placed task's: tasks that
-start together are placed in position order only.
+start together are placed in position order only.  A node has no children
+at all once an unplaced task can no longer fit: its latest start is below
+the last placed start or its own lower bound, or below the completion plus
+lag of a placed predecessor, once all its predecessors are placed.
 
 Why this misses no feasible subset: every feasible schedule can be shifted
 left, one task and one tick at a time, until no task can move.  In that
@@ -25,8 +39,10 @@ task on a shared resource.  Processing times are at least 1 and lags at least
 0, so a pinning task and every predecessor start strictly earlier.  Sort the
 schedule by ``(start, position)``: each step of that order places a ready task
 at a candidate start, no earlier than the last start, and at an equal start
-with a higher position, so it is a child the search generates and the search
-reaches the whole schedule.
+with a higher position, so it is a child the search generates.  No prefix of
+that order meets the dead-node condition, since every task left starts no
+earlier than the last start and fits in its window after its predecessors;
+so the search reaches the whole schedule.
 
 This is exponential; it exists as ground truth for small instances, not as a
 solver.
@@ -41,9 +57,9 @@ from .model import Instance, Plan, Schedule
 
 # Measured reach, on 20 instances a size from the benchmark's generator at
 # desk density (3 resources, two priority levels, horizon 7.5 ticks a plan):
-# every 6-plan instance is solved within 2,611 nodes, and 19 of 20 8-plan
-# instances within 9,849, while the 20th exceeds the node limit below.
-# Callers wanting more should raise the limits explicitly.
+# every instance of 6, 8, 10, 12 and 16 plans is solved, the largest of each
+# size within 245, 338, 801, 42,648 and 27,154 nodes.  Callers wanting more
+# should raise the limits explicitly.
 DEFAULT_NODE_LIMIT = 500_000
 DEFAULT_TIME_LIMIT = 30.0
 
@@ -71,9 +87,26 @@ class _Search:
             self.plans = sorted(instance.plans, key=lambda p: (frontier_of[p.id], -p.priority, p.id))
         else:
             self.plans = sorted(instance.plans, key=lambda p: (-p.priority, p.id))
+        # the best weight the plans from idx on can add: a plan of priority
+        # zero or below never adds any
         self.suffix_weight = [0] * (len(self.plans) + 1)
         for i in range(len(self.plans) - 1, -1, -1):
-            self.suffix_weight[i] = self.suffix_weight[i + 1] + self.plans[i].priority
+            self.suffix_weight[i] = self.suffix_weight[i + 1] + max(self.plans[i].priority, 0)
+
+        # the task table, by task number: every task of the instance, numbered once
+        tasks = [task for plan in instance.plans for task in plan.tasks]
+        number = {task.id: k for k, task in enumerate(tasks)}
+        self.task_ids = [task.id for task in tasks]
+        self.numbers_of = {plan.id: [number[task.id] for task in plan.tasks] for plan in instance.plans}
+        self.length = [task.processing_time for task in tasks]
+        self.lowest = [max(self.window.start, task.release) for task in tasks]
+        self.latest = [min(task.due, self.window.end) - task.processing_time for task in tasks]
+        self.preds = [[(number[task.plan_id, j], lag) for j, lag in task.predecessors] for task in tasks]
+        self.neighbours = [
+            [m for m, other in enumerate(tasks) if m != k and not task.resources.isdisjoint(other.resources)]
+            for k, task in enumerate(tasks)
+        ]
+
         self.explored = 0
         self.limit_hit = False
         self.best_weight = 0  # the empty selection is always feasible
@@ -89,62 +122,79 @@ class _Search:
             self.limit_hit = True
         return self.limit_hit
 
-    def choose(self, idx: int, chosen: list[Plan], weight: int) -> None:
+    def choose(self, idx: int, chosen: list[Plan], weight: int, probe: bool = True) -> None:
+        """Branch on ``self.plans[idx:]`` below the feasible set ``chosen``.
+
+        ``probe`` says that ``chosen`` plus every remaining plan of positive
+        priority is a set no ancestor has tried; its weight is the bound.
+        """
         if self.out_of_budget():
             return
         if idx == len(self.plans):
             return
-        if weight + self.suffix_weight[idx] <= self.best_weight:
+        bound = weight + self.suffix_weight[idx]
+        if bound <= self.best_weight:
             return  # even taking everything left cannot beat the incumbent
+        if probe:
+            attempt = chosen + [p for p in self.plans[idx:] if p.priority > 0]
+            if not self.strict_precedence or self._closed(attempt):
+                starts = self._feasible_assignment(attempt, probe=True)
+                if starts is not None:
+                    self._record(attempt, bound, starts)
+                    return  # nothing below can weigh more than the bound
         plan = self.plans[idx]
-        if not self.strict_precedence or self._predecessors_chosen(plan, chosen):
-            attempt = chosen + [plan]
+        attempt = chosen + [plan]
+        if not self.strict_precedence or self._closed(attempt):
             starts = self._feasible_assignment(attempt)
             if starts is not None:
                 new_weight = weight + plan.priority
                 if new_weight > self.best_weight:
-                    self.best_weight = new_weight
-                    self.best_plans = sorted(p.id for p in attempt)
-                    self.best_starts = starts
-                self.choose(idx + 1, attempt, new_weight)
-        self.choose(idx + 1, chosen, weight)
+                    self._record(attempt, new_weight, starts)
+                self.choose(idx + 1, attempt, new_weight, probe=False)
+        # excluding a plan of positive priority leaves a probe set not yet tried
+        self.choose(idx + 1, chosen, weight, probe=plan.priority > 0)
 
-    def _predecessors_chosen(self, plan: Plan, chosen: list[Plan]) -> bool:
-        chosen_ids = {p.id for p in chosen}
-        return chosen_ids.issuperset(self.instance.predecessors_of_plan(plan.id))
+    def _record(self, plans: list[Plan], weight: int, starts: dict) -> None:
+        self.best_weight = weight
+        self.best_plans = sorted(p.id for p in plans)
+        self.best_starts = starts
 
-    def _feasible_assignment(self, plans: list[Plan]) -> dict | None:
-        tasks = [task for plan in plans for task in plan.tasks]
-        n = len(tasks)
-        position = {task.id: k for k, task in enumerate(tasks)}
-        length = [task.processing_time for task in tasks]
-        lowest = [max(self.window.start, task.release) for task in tasks]
-        latest = [min(task.due, self.window.end) - task.processing_time for task in tasks]
-        preds = [[(position[task.plan_id, j], lag) for j, lag in task.predecessors] for task in tasks]
-        neighbours = [
-            [m for m, other in enumerate(tasks) if m != k and not task.resources.isdisjoint(other.resources)]
-            for k, task in enumerate(tasks)
-        ]
-        start: list = [None] * n
-        end: list = [None] * n
+    def _closed(self, plans: list[Plan]) -> bool:
+        """Whether ``plans`` holds every DAG predecessor of its plans."""
+        ids = {p.id for p in plans}
+        return all(ids.issuperset(self.instance.predecessors_of_plan(p.id)) for p in plans)
+
+    def _feasible_assignment(self, plans: list[Plan], probe: bool = False) -> dict | None:
+        """Start times that fit every task of ``plans``, or None.
+
+        With ``probe`` only the first descent is made: None at its first
+        backtrack.
+        """
+        order = [k for plan in plans for k in self.numbers_of[plan.id]]  # task numbers by position
+        n = len(order)
+        length, lowest, latest, preds, neighbours = self.length, self.lowest, self.latest, self.preds, self.neighbours
+        start: list = [None] * len(length)  # by task number; None outside ``order``
+        end: list = [None] * len(length)
         grid = self.grid
 
-        def children(last_start: int, last_k: int) -> list[tuple[int, int]]:
-            """Candidate ``(start, position)`` pairs at this node in the order they are tried."""
+        def children(last_start: int, last_pos: int) -> list[tuple[int, int, int]]:
+            """Candidate ``(start, position, task)`` triples at this node in the order they are tried."""
             found = []
-            for k in range(n):
+            for pos, k in enumerate(order):
                 if start[k] is not None:
                     continue
                 lo = lowest[k] if lowest[k] > last_start else last_start
+                hi = latest[k]
+                if lo > hi:
+                    return []  # starts never fall along a branch: this task can no longer fit
                 for j, lag in preds[k]:
                     if end[j] is None:
                         break  # a predecessor is not placed yet
                     if end[j] + lag > lo:
                         lo = end[j] + lag
                 else:
-                    hi = latest[k]
                     if lo > hi:
-                        continue
+                        return []
                     if grid:
                         cands = range(lo, hi + 1)
                     else:
@@ -153,8 +203,8 @@ class _Search:
                             if end[m] is not None and lo < end[m] <= hi:
                                 cands.add(end[m])
                     for s in cands:
-                        if s > last_start or k > last_k:  # an equal-start pair is tried in position order
-                            found.append((s, k))
+                        if s > last_start or pos > last_pos:  # an equal-start pair is tried in position order
+                            found.append((s, pos, k))
             found.sort()
             return found
 
@@ -171,11 +221,13 @@ class _Search:
         placed: list[int] = []
         open_nodes = [iter(children(self.window.start, -1))]
         while open_nodes:
-            for s, k in open_nodes[-1]:
+            for s, pos, k in open_nodes[-1]:
                 e = s + length[k]
                 if not clashes(k, s, e):
                     break
             else:
+                if probe:
+                    return None
                 open_nodes.pop()
                 if placed:
                     k = placed.pop()
@@ -188,8 +240,8 @@ class _Search:
             if self.out_of_budget():
                 return None
             if len(placed) == n:
-                return {task.id: s for task, s in zip(tasks, start)}
-            open_nodes.append(iter(children(s, k)))
+                return {self.task_ids[k]: start[k] for k in order}
+            open_nodes.append(iter(children(s, pos)))
         return None
 
 

@@ -3,9 +3,10 @@
 For a chosen plan set it places tasks in nondecreasing start order, trying
 the ready tasks in their order in the plan list and each task's candidate
 starts in increasing order, and it scans every placed task for a shared
-resource.  It tries every order of tasks that start together.  Its plan-level
-branch and bound is the library's own, so a differential test compares the
-two task-level searches alone.
+resource.  It tries every order of tasks that start together.  It answers
+no probe, so the library's branch and bound runs without its probes of the
+bound-attaining set: a differential test compares the library's search with
+the plain branch and bound over this task-level search.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ class ReferenceSearch(_Search):
         super().__init__(instance, node_limit, time_limit=None, grid=False, strict_precedence=False)
         self.task_by_id = {task.id: task for plan in instance.plans for task in plan.tasks}
 
-    def _feasible_assignment(self, plans: list[Plan]) -> dict | None:
+    def _feasible_assignment(self, plans: list[Plan], probe: bool = False) -> dict | None:
+        if probe:
+            return None
         tasks = [(plan, task) for plan in plans for task in plan.tasks]
         placed: dict = {}
 

@@ -1,6 +1,8 @@
 import random
 from collections import Counter
 
+import pytest
+
 import plansched
 from plansched import (
     TimeWindow,
@@ -135,8 +137,10 @@ def test_grid_mode_agrees_with_candidate_mode():
         assert fast.optimum == slow.optimum, instance
 
 
-def _brute_optimum(instance):
-    """Cartesian enumeration over plan subsets and grid start tuples."""
+def _brute_optimum(instance, strict=False):
+    """Cartesian enumeration over plan subsets and grid start tuples; with
+    ``strict`` a subset counts only when it holds every DAG predecessor of
+    its plans."""
     from itertools import product
 
     w = instance.window
@@ -166,6 +170,9 @@ def _brute_optimum(instance):
     options = [[None] + placements(plan) for plan in instance.plans]
     best = 0
     for combo in product(*options):
+        chosen = {plan.id for plan, choice in zip(instance.plans, combo) if choice is not None}
+        if strict and any(not chosen.issuperset(instance.predecessors_of_plan(p)) for p in chosen):
+            continue
         intervals = []
         weight = 0
         for plan, choice in zip(instance.plans, combo):
@@ -205,6 +212,65 @@ def test_oracle_matches_independent_enumeration_with_equal_releases():
         assert result.optimum == _brute_optimum(instance), instance
 
 
+def test_negative_priority_does_not_lower_the_bound():
+    # the bound once added the -20, so at most -10 looked reachable and the
+    # search pruned the optimum
+    instance = build_instance(
+        [
+            make_plan(1, 5, [(1, 2, 0, 10, {1}, [])]),
+            make_plan(2, 5, [(1, 2, 0, 10, {2}, [])]),
+            make_plan(3, -20, [(1, 2, 0, 10, {3}, [])]),
+        ],
+        window=TimeWindow(0, 10),
+    )
+    result = exact_max_weight(instance)
+    assert result.optimum == 10
+    assert result.witness.scheduled_plans == [1, 2]
+
+
+def test_oracle_matches_independent_enumeration_with_non_positive_priorities():
+    rng = random.Random(base_seed() + 43)
+    non_positive = 0
+    for _ in range(40):
+        instance = random_instance(
+            rng, min_plans=2, max_plans=3, max_tasks=2, horizon=6, max_processing=3, priorities=(-3, 4)
+        )
+        non_positive += any(plan.priority <= 0 for plan in instance.plans)
+        result = exact_max_weight(instance)
+        assert result.optimum == _brute_optimum(instance), instance
+    assert non_positive > 20
+
+
+def test_strict_mode_skips_a_probe_missing_a_predecessor():
+    # plans are decided 2, 1, 3.  Below "take 2", plan 1 clashes with it and
+    # is excluded, so {2, 3} lacks plan 3's predecessor 1 and is not probed;
+    # it fits and would weigh 6, but the strict optimum is {1, 3} at 5
+    instance = build_instance(
+        [
+            make_plan(1, 3, [(1, 10, 0, 10, {1}, [])]),
+            make_plan(2, 4, [(1, 10, 0, 10, {1}, [])]),
+            make_plan(3, 2, [(1, 2, 0, 10, {2}, [])]),
+        ],
+        plan_dag={(1, 3)},
+        window=TimeWindow(0, 10),
+    )
+    assert _brute_optimum(instance, strict=True) == 5
+    result = exact_max_weight(instance, strict_plan_precedence=True)
+    assert result.optimum == 5
+    assert result.witness.scheduled_plans == [1, 3]
+    assert exact_max_weight(instance).optimum == _brute_optimum(instance) == 6
+
+
+def test_strict_mode_matches_independent_enumeration():
+    rng = random.Random(base_seed() + 44)
+    for _ in range(40):
+        instance = random_instance(
+            rng, min_plans=2, max_plans=3, max_tasks=2, horizon=6, max_processing=3, edge_prob=0.5, priorities=(-1, 5)
+        )
+        result = exact_max_weight(instance, strict_plan_precedence=True)
+        assert result.optimum == _brute_optimum(instance, strict=True), instance
+
+
 def _matches_reference_search(instance) -> bool:
     """Assert both task-level searches find the same optimum within the node
     limit; return whether two tasks of the witness start together."""
@@ -237,15 +303,20 @@ def test_matches_reference_search_when_starts_tie():
     assert tied > 75
 
 
-def test_reaches_six_plans_at_desk_density(monkeypatch):
-    # the benchmark's generator at desk density, scaled to 6 plans (horizon
-    # 45): every instance is solved well inside 5,000 nodes
+@pytest.mark.parametrize(
+    "plans, node_limit",
+    # the largest instance of each size takes 245, 338, 42,648 and 27,154 nodes
+    [(6, 5_000), (8, 1_000), (12, 50_000), (16, 35_000)],
+)
+def test_reaches_plans_at_desk_density(monkeypatch, plans, node_limit):
+    # the benchmark's generator at desk density (horizon 7.5 ticks a plan),
+    # scaled to ``plans``: all 20 instances are solved within ``node_limit``
     workloads = perfbench_module(monkeypatch, "workloads")
-    params = workloads.Params(6, 3, 2, 45, 3, 5, 0.2, 0.5, 2)
-    rng = random.Random("reach:6")
+    params = workloads.Params(plans, 3, 2, plans * 15 // 2, 3, 5, 0.2, 0.5, 2)
+    rng = random.Random(f"reach:{plans}")
     for _ in range(20):
         instance = workloads.random_instance(rng, params, plansched.model)
-        result = exact_max_weight(instance, node_limit=5_000, time_limit=None)
+        result = exact_max_weight(instance, node_limit=node_limit, time_limit=None)
         assert not result.time_limit_hit
         assert result.optimum >= objective(instance, build_schedule(instance).schedule)
         report = validate_schedule(instance, result.witness)
