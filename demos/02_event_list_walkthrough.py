@@ -2,9 +2,9 @@
 
 The paper describes a schedule as a sequence of events; each event knows which
 tasks start and complete at its instant and which resources are occupied until
-the next event.  The engine itself keeps only the busy intervals of each
-resource and finds every task the earliest run of free time long enough for
-it; the event list is derived from the start times, here after every plan.
+the next event.  The engine itself keeps only the maximal busy runs of each
+resource and finds every task the earliest stretch of free time long enough
+for it; the event list is derived from the start times, here after every plan.
 
 This walkthrough uses the bundled five-plan example: plans 1 and 2 go in
 first, then 3, 4 and 5 squeeze into the gaps.
@@ -18,7 +18,7 @@ from plansched.model import event_list
 instance = load_bundled("example2.json")
 window = instance.window
 
-# resource -> (sorted interval starts, their ends); every resource starts empty
+# resource -> (sorted busy-run starts, their ends); every resource starts empty
 busy = {rho: ([], []) for rho in instance.resources}
 working = Schedule()
 

@@ -1,8 +1,8 @@
 """The scheduling engine: serial insertion of plans on per-resource busy timelines.
 
 The working state is the start times plus one timeline per resource of the
-instance (``Timelines``); every step below reads and writes only the
-timelines of its own tasks' resources.
+instance (``Timelines``), which holds the resource's maximal busy runs; every
+step below reads and writes only the timelines of its own tasks' resources.
 
 - :func:`_fit_plan` finds where a plan's tasks go, each at its earliest
   feasible instant, and writes nothing.
@@ -32,17 +32,18 @@ from .model import (
     Schedule,
     Task,
     TimeWindow,
-    completion_time,
     event_list,
 )
 from .ordering import sort_plans
 
 Timelines = dict[int, tuple[list[int], list[int]]]
-"""Busy intervals per resource: sorted starts and the parallel ends.
+"""Maximal busy runs per resource: sorted starts and the parallel ends.
 
-The intervals of one resource are disjoint because resources are unary, so
-the ends are sorted too.  Callers seed every resource of the instance with
-``([], [])``; intervals are only ever added.
+A run is a stretch of back-to-back task intervals.  Two runs of one resource
+neither overlap, as resources are unary, nor touch, as :func:`_occupy` merges
+them, so ``ends[i] < starts[i + 1]`` and the ends are sorted too.  Callers
+seed every resource of the instance with ``([], [])``; intervals are only
+ever added, so a run is never split.
 """
 
 
@@ -79,36 +80,55 @@ def _lower_bound(task: Task, window: TimeWindow, completions: dict[int, int]) ->
 
 
 def _occupy(task: Task, start: int, s_w: Schedule, busy: Timelines) -> None:
-    """Record ``start`` for ``task`` and add its interval to each of its resources' timelines."""
+    """Record ``start`` for ``task`` and add its interval to each of its resources' timelines.
+
+    The interval ``[start, end)`` is free, so it joins the run that ends at
+    ``start`` and the run that starts at ``end``: it extends the one, the
+    other, or bridges both into one run; next to neither, it is a new run.
+    """
     s_w.starts[task.id] = start
-    end = completion_time(task, start)
+    end = start + task.processing_time
     for rho in task.resources:
         starts, ends = busy[rho]
-        i = bisect_left(starts, start)
-        starts.insert(i, start)
-        ends.insert(i, end)
+        i = bisect_left(starts, start)  # runs before i end by start, runs from i start at end or later
+        if i < len(starts) and starts[i] == end:
+            if i and ends[i - 1] == start:  # bridges runs i - 1 and i
+                ends[i - 1] = ends[i]
+                del starts[i], ends[i]
+            else:
+                starts[i] = start
+        elif i and ends[i - 1] == start:
+            ends[i - 1] = end
+        else:
+            starts.insert(i, start)
+            ends.insert(i, end)
 
 
 def _earliest_fit(task: Task, lower: int, busy: Timelines, window: TimeWindow, own=()) -> int | None:
     """First ``t >= lower`` with ``task``'s resources free over ``[t, t + p)``, or None.
 
     The task must complete by its due date and the window end.  On each
-    resource only the last interval that starts before ``t + p`` needs a
-    look: ends are sorted as well, so if any interval overlaps ``[t, t + p)``
-    that one does, and no start before its end fits.  ``own`` holds further
-    intervals ``(s, e)`` the task must avoid, those of its plan's tasks fitted
-    before it on a shared resource, which no timeline holds yet; they are
-    read once the timelines leave the candidate in place.  The candidate
-    jumps to the end of any interval that overlaps it, and all are checked
-    again, until none moves it or it passes the latest start.
+    resource only the last run that starts before ``t + p`` needs a look:
+    ends are sorted as well, so if any run overlaps ``[t, t + p)`` that one
+    does, and no start before its end fits.  ``own`` holds further intervals
+    ``(s, e)`` the task must avoid, those of its plan's tasks fitted before it
+    on a shared resource, which no timeline holds yet; they are read once the
+    timelines leave the candidate in place.  The candidate jumps to the end of
+    any run or interval that overlaps it, and all are checked again, until
+    none moves it or it passes the latest start.  The candidate never moves
+    back, so each jump passes one run or own interval for good: the jumps of
+    one call are at most the runs on the task's resources plus its ``own``
+    intervals, and its passes over them at most one more.
     """
     p = task.processing_time
-    latest = min(task.due, window.end) - p
-    lines = [busy[rho] for rho in task.resources]
+    # comparisons, not min(), and no per-call list: this runs for every task of every fit
+    latest = (task.due if task.due < window.end else window.end) - p
+    resources = task.resources
     t = lower
     while t <= latest:
         moved = False
-        for starts, ends in lines:
+        for rho in resources:
+            starts, ends = busy[rho]
             i = bisect_left(starts, t + p)
             if i and ends[i - 1] > t:
                 t = ends[i - 1]
@@ -185,7 +205,8 @@ def _latest_release_on(busy: Timelines, task: Task, start: int, w_s: int, fitted
     """Latest instant <= ``start`` at which one of ``task``'s resources turned free.
 
     That is the latest end ``e <= start`` of an interval on one of its
-    resources: in the timelines, where one bisect per resource finds it, or
+    resources: in the timelines, where one bisect per resource finds it (the
+    latest task end by ``start`` is a run end, as no run covers ``start``), or
     among its plan's ``fitted`` tasks, earlier or later in the plan, that share
     a resource with it; the timelines do not hold the plan yet.  Falls back to
     the window start when no interval ends by ``start``.

@@ -15,8 +15,11 @@ The DAG orders insertion only; it places no constraint on times.
 from __future__ import annotations
 
 import heapq
+from operator import attrgetter
 
 from .model import Instance, Plan
+
+_priority = attrgetter("priority")
 
 
 def sort_plans(instance: Instance, *, descending: bool = True) -> list[Plan]:
@@ -32,37 +35,51 @@ def sort_plans(instance: Instance, *, descending: bool = True) -> list[Plan]:
     every precedence edge points forward, and an instance without a plan DAG
     (a single frontier) is ordered by priority alone.
 
-    Ready heads sit in a heap and each plan counts its untaken predecessors,
-    so the merge costs O(K log K + E) for K plans and E DAG edges.
+    Ready heads sit in a heap and each plan counts its untaken predecessors.
+    A frontier taken from the heap keeps its turn: its next head is taken at
+    once while it is ready and its ``(priority key, frontier)`` still beats
+    the heap's top, and it is pushed back only when it yields.  The order is
+    the same as one pop per plan, as the head kept out of the heap is the one
+    the heap would return next.  Beyond the sort, the merge costs O(1) per
+    plan and per DAG edge, and O(log K) for K plans per heap push, made only
+    when a frontier yields or a successor becomes a ready head; an instance
+    without a plan DAG makes none and takes one pass.
     """
 
-    def key(plan: Plan) -> int:
-        return -plan.priority if descending else plan.priority
-
+    sign = -1 if descending else 1  # heap keys: smaller goes first
     frontier_of = instance.frontier_of
     frontiers: list[list[Plan]] = [[] for _ in range(max(frontier_of.values(), default=-1) + 1)]
     for plan in instance.plans:  # input order within each frontier
         frontiers[frontier_of[plan.id]].append(plan)
     for layer in frontiers:
-        layer.sort(key=key)
-    unmet = {p.id: len(instance.predecessors_of_plan(p.id)) for p in instance.plans}
+        layer.sort(key=_priority, reverse=descending)  # a reversed sort stays stable
+    unmet = dict.fromkeys(frontier_of, 0)
+    for _, b in instance.plan_dag:
+        unmet[b] += 1
+    successors_of = instance.successors_of_plan
 
     heads = [0] * len(frontiers)  # position of each frontier's head
-    ready = [(key(layer[0]), f) for f, layer in enumerate(frontiers) if unmet[layer[0].id] == 0]
+    ready = [(sign * layer[0].priority, f) for f, layer in enumerate(frontiers) if unmet[layer[0].id] == 0]
     heapq.heapify(ready)
     out: list[Plan] = []
     while ready:
         _, f = heapq.heappop(ready)
-        plan = frontiers[f][heads[f]]
-        out.append(plan)
-        heads[f] += 1
-        for succ in instance.successors_of_plan(plan.id):
-            unmet[succ] -= 1
-            g = frontier_of[succ]
-            if unmet[succ] == 0 and frontiers[g][heads[g]].id == succ:
-                heapq.heappush(ready, (key(frontiers[g][heads[g]]), g))
-        if heads[f] < len(frontiers[f]):
-            head = frontiers[f][heads[f]]
-            if unmet[head.id] == 0:
-                heapq.heappush(ready, (key(head), f))
+        layer = frontiers[f]
+        h = heads[f]
+        while True:  # take f's heads while f holds the best ready head
+            plan = layer[h]
+            out.append(plan)
+            h += 1
+            for succ in successors_of(plan.id):  # each in a higher frontier than f
+                unmet[succ] -= 1
+                g = frontier_of[succ]
+                if unmet[succ] == 0 and frontiers[g][heads[g]].id == succ:
+                    heapq.heappush(ready, (sign * frontiers[g][heads[g]].priority, g))
+            if h == len(layer) or unmet[layer[h].id]:  # an unready head is pushed by its last predecessor
+                break
+            entry = (sign * layer[h].priority, f)
+            if ready and ready[0] < entry:
+                heapq.heappush(ready, entry)
+                break
+        heads[f] = h
     return out

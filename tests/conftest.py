@@ -84,21 +84,8 @@ def empty_timelines(resources):
 
 
 def busy_runs(busy):
-    """Each resource's busy set as its maximal runs ``[(a, b), ...]`` in time order.
-
-    Tests compare these instead of the timelines, so they do not depend on
-    the form in which the engine stores the busy intervals.
-    """
-    runs = {}
-    for rho, (starts, ends) in busy.items():
-        merged = []
-        for a, b in zip(starts, ends):
-            if merged and merged[-1][1] == a:
-                merged[-1] = (merged[-1][0], b)
-            else:
-                merged.append((a, b))
-        runs[rho] = merged
-    return runs
+    """Each resource's maximal busy runs ``[(a, b), ...]`` in time order, as the engine keeps them."""
+    return {rho: list(zip(starts, ends)) for rho, (starts, ends) in busy.items()}
 
 
 @pytest.fixture

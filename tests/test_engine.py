@@ -102,6 +102,29 @@ def test_lower_bound_predecessor_completion(example1):
 
 # ------------------------------------------------------- busy timelines and view
 
+@pytest.mark.parametrize(
+    "start, p, expected",
+    [
+        # resource 1 holds the runs [2, 4) and [10, 12)
+        pytest.param(6, 2, ([2, 6, 10], [4, 8, 12]), id="alone"),
+        pytest.param(0, 1, ([0, 2, 10], [1, 4, 12]), id="alone-first"),
+        pytest.param(4, 3, ([2, 10], [7, 12]), id="joins-left"),
+        pytest.param(12, 5, ([2, 10], [4, 17]), id="joins-left-last"),
+        pytest.param(7, 3, ([2, 7], [4, 12]), id="joins-right"),
+        pytest.param(0, 2, ([0, 10], [4, 12]), id="joins-right-first"),
+        pytest.param(4, 6, ([2], [12]), id="bridges"),
+    ],
+)
+def test_occupy_keeps_maximal_runs(start, p, expected):
+    task = make_plan(1, 1, [(1, p, 0, 20, {1, 2}, [])]).tasks[0]
+    s_w, busy = _fresh_state([1, 2])
+    busy[1] = ([2, 10], [4, 12])
+    engine._occupy(task, start, s_w, busy)
+    assert busy[1] == expected
+    assert busy[2] == ([start], [start + p])  # alone on an empty timeline
+    assert s_w.starts == {(1, 1): start}
+
+
 def test_back_to_back_tasks_share_one_event():
     window = TimeWindow(2, 10)
     instance = build_instance(
@@ -655,6 +678,15 @@ def test_chain_ladder_takes_triangular_fits(monkeypatch):
     result = build_schedule(instance)
     assert len(calls) == 2080 == 64 * 65 // 2
     assert len(result.scheduled_plans) == 64
+
+
+def test_chain_ladder_packs_resource_1_into_one_run():
+    # every commit lands at the end of resource 1's packed run and extends it
+    instance = _chain_ladder(64)
+    s_w, busy = _fresh_state(instance.resources)
+    assert schedule_plan_set(list(instance.plans), s_w, busy, instance.window) == set()
+    assert s_w.starts == build_schedule(instance).schedule.starts
+    assert busy[1] == ([0], [sum(plan.tasks[0].processing_time for plan in instance.plans)])
 
 
 # -------------------------------------------------------------- build_schedule

@@ -64,10 +64,27 @@ def test_precedence_beats_priority():
         # frontier 1 is [4 (prio 9), 3 (prio 2)]; 4 waits for the priority-1
         # root 2, and 3 may not jump ahead of its frontier's head
         ([(1, 8), (2, 1), (3, 2), (4, 9)], {(1, 3), (2, 4)}, [1, 2, 4, 3]),
+        # sort_plans takes one frontier's heads without the heap while it keeps
+        # the best ready head; the cases below end such a run, or do not.
+        # 3 beats 2 after 1 is taken; frontier 1's next head 4 ties with
+        # frontier 0's head 2, and the lower frontier goes first
+        pytest.param([(1, 9), (2, 5), (3, 8), (4, 5)], {(1, 3), (1, 4)}, [1, 3, 2, 4], id="equal-lower-head-stops-run"),
+        # taking 1 readies 4, which beats frontier 0's next head 2
+        pytest.param([(1, 5), (2, 4), (3, 3), (4, 9)], {(1, 4)}, [1, 4, 2, 3], id="better-successor-stops-run"),
+        # the successor readied by 1 is worse, so frontier 0 keeps its turn
+        pytest.param([(1, 5), (2, 4), (3, 3), (4, 1)], {(1, 4)}, [1, 2, 3, 4], id="worse-successor-waits"),
+        # frontier 1's next head 4 waits for 2: the run ends there, and 4
+        # goes in once 2 is taken
+        pytest.param([(1, 7), (2, 1), (3, 9), (4, 8)], {(1, 3), (2, 4)}, [1, 3, 2, 4], id="unready-head-ends-run"),
     ],
 )
 def test_priority_merge_of_frontiers(priorities, edges, expected):
-    assert [p.id for p in sort_plans(_instance(priorities, edges))] == expected
+    instance = _instance(priorities, edges)
+    assert [p.id for p in sort_plans(instance)] == expected
+    for descending in (True, False):  # the rescan reference agrees both ways
+        assert [p.id for p in sort_plans(instance, descending=descending)] == [
+            p.id for p, _ in plan_order(instance, descending)
+        ]
 
 
 def _brute_depth(n_plans, edges):

@@ -2,6 +2,7 @@
 
 import copy
 import random
+from itertools import groupby
 
 from plansched import (
     Schedule,
@@ -217,6 +218,29 @@ def test_kept_trials_equal_a_fresh_placement_after_every_commit(monkeypatch):
         )
         build_schedule(instance)
     assert checked["kept"] > 500 and checked["patched"] > 300, checked
+
+
+def test_timelines_hold_the_maximal_runs_of_the_placed_tasks():
+    # built group by group as build_schedule does, on timelines the test holds:
+    # each timeline is sorted runs that neither overlap nor touch, and together
+    # they cover exactly the ticks of the tasks placed on that resource
+    rng = random.Random(base_seed() + 13)
+    merged = 0
+    for _ in range(150):
+        instance = random_instance(rng, max_plans=10, n_resources=3, priorities=(1, 3), edge_prob=0.1)
+        s_w, busy = Schedule(), empty_timelines(instance.resources)
+        frontier_of = instance.frontier_of
+        for _, group in groupby(sort_plans(instance), key=lambda plan: (plan.priority, frontier_of[plan.id])):
+            schedule_plan_set(list(group), s_w, busy, instance.window)
+        assert s_w.starts == build_schedule(instance).schedule.starts
+        for rho, (starts, ends) in busy.items():
+            assert all(a < b for a, b in zip(starts, ends)), (instance, rho)
+            assert all(ends[i] < starts[i + 1] for i in range(len(starts) - 1)), (instance, rho)
+            held = [instance.task(tid) for tid in s_w.starts if rho in instance.task(tid).resources]
+            ticks = {t for task in held for t in range(s_w.starts[task.id], s_w.starts[task.id] + task.processing_time)}
+            assert {t for a, b in zip(starts, ends) for t in range(a, b)} == ticks, (instance, rho)
+            merged += len(held) - len(starts)
+    assert merged > 50, merged  # tasks did go in back to back
 
 
 def test_objective_never_negative_and_consistent():
