@@ -1,20 +1,22 @@
-"""Command-line interface: schedule, validate, bench and oracle subcommands.
+"""Command-line interface.
+
+Subcommands: ``schedule`` builds a schedule for an instance file, ``validate``
+checks a schedule file against an instance file, and ``oracle`` computes the
+exact optimum of a small instance file.
 
 Exit codes: 0 success, 1 a validated schedule is infeasible, 2 usage or
-input errors (missing files, malformed documents, bad scenario numbers).
+input errors (missing files, malformed documents).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from .engine import build_schedule
 from .gantt import render_gantt
 from .model import SchedulingError
-from .oracle import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, exact_max_weight
-from .scenarios import SCENARIOS, BadScenario, generate_scenario
+from .oracle import DEFAULT_NODE_LIMIT, exact_max_weight
 from .serialize import emit_schedule, parse_instance, parse_schedule
 from .validate import validate_schedule
 
@@ -38,17 +40,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("instance")
     p_val.add_argument("schedule")
 
-    p_bench = sub.add_parser("bench", help="run the benchmark scenarios")
-    p_bench.set_defaults(handler=_cmd_bench)
-    p_bench.add_argument("--scenario", default="all", help="1..8 or 'all'")
-    p_bench.add_argument("--repeat", type=int, default=10, help="runs per scenario (mean is reported)")
-
     p_oracle = sub.add_parser("oracle", help="exact optimum for a small instance file")
     p_oracle.set_defaults(handler=_cmd_oracle)
     p_oracle.add_argument("instance")
     p_oracle.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
-    p_oracle.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT)
-    p_oracle.add_argument("--grid", action="store_true", help="try every integer start instant")
+    p_oracle.add_argument("--time-limit", type=float, help="seconds; no wall-clock limit by default")
     return parser
 
 
@@ -88,44 +84,9 @@ def _cmd_validate(args) -> int:
     return 0 if report.feasible else 1
 
 
-def _cmd_bench(args) -> int:
-    if args.scenario == "all":
-        numbers = list(SCENARIOS)
-    else:
-        try:
-            numbers = [int(args.scenario)]
-        except ValueError as exc:
-            raise BadScenario(f"scenario must be 1..8 or 'all', got {args.scenario!r}") from exc
-    if args.repeat < 1:
-        print("error: --repeat must be at least 1", file=sys.stderr)
-        return 2
-    print(f"{'scenario':>8} {'K':>4} {'sum_n':>6} {'scheduled':>9} {'sched_n':>8} {'mean_ms':>9}")
-    for n in numbers:
-        instance = generate_scenario(n)
-        timings = []
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            result = build_schedule(instance)
-            timings.append(time.perf_counter() - t0)
-        scheduled = set(result.scheduled_plans)
-        sched_tasks = sum(p.task_count for p in instance.plans if p.id in scheduled)
-        total_tasks = sum(p.task_count for p in instance.plans)
-        mean_ms = 1000.0 * sum(timings) / len(timings)
-        print(
-            f"{n:>8} {len(instance.plans):>4} {total_tasks:>6} "
-            f"{len(scheduled):>9} {sched_tasks:>8} {mean_ms:>9.2f}"
-        )
-    return 0
-
-
 def _cmd_oracle(args) -> int:
     instance = parse_instance(args.instance)
-    result = exact_max_weight(
-        instance,
-        node_limit=args.node_limit,
-        time_limit=args.time_limit,
-        exhaustive_grid=args.grid,
-    )
+    result = exact_max_weight(instance, node_limit=args.node_limit, time_limit=args.time_limit)
     # a tripped search only knows a feasible value, not that none is higher
     print(f"{'lower bound' if result.time_limit_hit else 'optimum'} {result.optimum}")
     print(f"plans {result.witness.scheduled_plans}")

@@ -4,9 +4,7 @@ The search branches on including or excluding each plan (pruned by the best
 achievable remaining weight) and, for an included set, places its tasks one
 at a time in nondecreasing start order; each tentative placement is one
 search node.  Candidate starts are the task's temporal lower bound and the
-completions of already placed tasks that share a resource with it.  A flag
-widens the candidates to the full integer grid for belt-and-braces runs on
-tiny inputs.
+completions of already placed tasks that share a resource with it.
 
 The bound on a branch is the weight chosen so far plus every remaining
 positive priority: a plan of priority zero or below never adds weight.  The
@@ -59,13 +57,20 @@ from .model import Instance, Plan, Schedule
 # desk density (3 resources, two priority levels, horizon 7.5 ticks a plan):
 # every instance of 6, 8, 10, 12 and 16 plans is solved, the largest of each
 # size within 245, 338, 801, 42,648 and 27,154 nodes.  Callers wanting more
-# should raise the limits explicitly.
+# should raise the limit explicitly.
 DEFAULT_NODE_LIMIT = 500_000
-DEFAULT_TIME_LIMIT = 30.0
 
 
 @dataclass
 class OracleResult:
+    """The best selection found, its witness and the search nodes explored.
+
+    ``time_limit_hit`` is set when either limit, nodes or wall clock, stopped
+    the search; ``optimum`` is then only a feasible lower bound.  The name
+    predates the node limit and stays because callers outside the package
+    read it.
+    """
+
     optimum: int
     witness: Schedule
     explored: int
@@ -73,12 +78,11 @@ class OracleResult:
 
 
 class _Search:
-    def __init__(self, instance: Instance, node_limit, time_limit, grid, strict_precedence):
+    def __init__(self, instance: Instance, node_limit, time_limit, strict_precedence):
         self.instance = instance
         self.window = instance.window
         self.node_limit = node_limit
         self.deadline = time.perf_counter() + time_limit if time_limit is not None else None
-        self.grid = grid
         self.strict_precedence = strict_precedence
         if strict_precedence:
             # a plan is decided only after its DAG predecessors: every edge
@@ -175,7 +179,6 @@ class _Search:
         length, lowest, latest, preds, neighbours = self.length, self.lowest, self.latest, self.preds, self.neighbours
         start: list = [None] * len(length)  # by task number; None outside ``order``
         end: list = [None] * len(length)
-        grid = self.grid
 
         def children(last_start: int, last_pos: int) -> list[tuple[int, int, int]]:
             """Candidate ``(start, position, task)`` triples at this node in the order they are tried."""
@@ -195,13 +198,10 @@ class _Search:
                 else:
                     if lo > hi:
                         return []
-                    if grid:
-                        cands = range(lo, hi + 1)
-                    else:
-                        cands = {lo}
-                        for m in neighbours[k]:
-                            if end[m] is not None and lo < end[m] <= hi:
-                                cands.add(end[m])
+                    cands = {lo}
+                    for m in neighbours[k]:
+                        if end[m] is not None and lo < end[m] <= hi:
+                            cands.add(end[m])
                     for s in cands:
                         if s > last_start or pos > last_pos:  # an equal-start pair is tried in position order
                             found.append((s, pos, k))
@@ -248,21 +248,19 @@ class _Search:
 def exact_max_weight(
     instance: Instance,
     node_limit: int | None = DEFAULT_NODE_LIMIT,
-    time_limit: float | None = DEFAULT_TIME_LIMIT,
+    time_limit: float | None = None,
     *,
-    exhaustive_grid: bool = False,
     strict_plan_precedence: bool = False,
 ) -> OracleResult:
     """Maximum achievable priority sum, with a witness schedule.
 
     When a limit trips, the best selection found so far is returned and
-    ``time_limit_hit`` is set.  ``exhaustive_grid=True`` tries every integer
-    start instant instead of the completion-aligned candidates; use it only
-    on very small instances.  ``strict_plan_precedence=True`` allows a plan
-    only when all its DAG predecessors are selected too, mirroring the
-    engine's strict mode.
+    ``time_limit_hit`` is set.  ``time_limit`` is in seconds and off by
+    default, so that the default answer does not depend on host speed.
+    ``strict_plan_precedence=True`` allows a plan only when all its DAG
+    predecessors are selected too, mirroring the engine's strict mode.
     """
-    search = _Search(instance, node_limit, time_limit, exhaustive_grid, strict_plan_precedence)
+    search = _Search(instance, node_limit, time_limit, strict_plan_precedence)
     search.choose(0, [], 0)
     scheduled = set(search.best_plans)
     witness = Schedule(

@@ -6,7 +6,9 @@ starts in increasing order, and it scans every placed task for a shared
 resource.  It tries every order of tasks that start together.  It answers
 no probe, so the library's branch and bound runs without its probes of the
 bound-attaining set: a differential test compares the library's search with
-the plain branch and bound over this task-level search.
+the plain branch and bound over this task-level search.  With ``grid`` it
+tries every integer start instead of the completion-aligned candidates, a
+cross-check of the library's candidate rule on tiny inputs.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from plansched.oracle import _Search
 
 
 class ReferenceSearch(_Search):
-    def __init__(self, instance, node_limit):
-        super().__init__(instance, node_limit, time_limit=None, grid=False, strict_precedence=False)
+    def __init__(self, instance, node_limit, grid=False):
+        super().__init__(instance, node_limit, time_limit=None, strict_precedence=False)
+        self.grid = grid
         self.task_by_id = {task.id: task for plan in instance.plans for task in plan.tasks}
 
     def _feasible_assignment(self, plans: list[Plan], probe: bool = False) -> dict | None:
@@ -83,8 +86,8 @@ class ReferenceSearch(_Search):
         return None
 
 
-def reference_search(instance, node_limit) -> ReferenceSearch:
+def reference_search(instance, node_limit, grid=False) -> ReferenceSearch:
     """The finished search over ``instance``: read ``best_weight`` and ``limit_hit``."""
-    search = ReferenceSearch(instance, node_limit)
+    search = ReferenceSearch(instance, node_limit, grid)
     search.choose(0, [], 0)
     return search

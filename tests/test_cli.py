@@ -14,7 +14,7 @@ from plansched import (
 )
 from plansched import cli
 from plansched.cli import main
-from plansched.oracle import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT
+from plansched.oracle import DEFAULT_NODE_LIMIT
 from conftest import example1_instance, example2_instance, make_plan
 
 
@@ -132,28 +132,6 @@ def test_task_not_an_object_exit_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_bench_single_scenario(capsys):
-    assert main(["bench", "--scenario", "1", "--repeat", "2"]) == 0
-    out = capsys.readouterr().out
-    row = next(line for line in out.splitlines() if line.strip().startswith("1"))
-    fields = row.split()
-    assert fields[1] == "32" and fields[2] == "91"
-
-
-def test_bench_all_scenarios(capsys):
-    assert main(["bench", "--scenario", "all", "--repeat", "1"]) == 0
-    rows = [line for line in capsys.readouterr().out.splitlines() if line.strip()[0:1].isdigit()]
-    assert len(rows) == 8
-
-
-def test_bench_rejects_bad_scenario(capsys):
-    assert main(["bench", "--scenario", "11"]) == 2
-    assert main(["bench", "--scenario", "zero"]) == 2
-    capsys.readouterr()
-    assert main(["bench", "--scenario", "1", "--repeat", "0"]) == 2
-    assert "--repeat" in capsys.readouterr().err
-
-
 def test_oracle_subcommand(tmp_path, capsys):
     instance_path = tmp_path / "example1.json"
     instance_path.write_text(dumps_instance(example1_instance()))
@@ -174,7 +152,7 @@ def test_oracle_subcommand_uses_library_limits(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "exact_max_weight", spy)
     assert main(["oracle", str(instance_path)]) == 0
     assert main(["oracle", str(instance_path), "--node-limit", "7", "--time-limit", "2.5"]) == 0
-    assert limits == [(DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT), (7, 2.5)]
+    assert limits == [(DEFAULT_NODE_LIMIT, None), (7, 2.5)]
     assert "optimum 3" in capsys.readouterr().out
 
 
@@ -188,10 +166,15 @@ def test_oracle_subcommand_reports_lower_bound_when_limit_trips(tmp_path, capsys
     assert "(limit hit)" in out
 
 
-def test_usage_error_exit_two():
-    with pytest.raises(SystemExit) as err:
-        main(["schedule"])  # missing positional argument
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["schedule", "instance.json", "--idle-metric", "prev-event"])  # unknown flag
-    assert err.value.code == 2
+def test_usage_error_exit_two(tmp_path):
+    instance_path = tmp_path / "example1.json"
+    instance_path.write_text(dumps_instance(example1_instance()))
+    for argv in (
+        ["schedule"],  # missing positional argument
+        ["schedule", "instance.json", "--idle-metric", "prev-event"],  # unknown flag
+        ["bench"],  # no such subcommand
+        ["oracle", str(instance_path), "--grid"],  # no such flag
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv

@@ -1,5 +1,7 @@
 import random
 from collections import Counter
+from itertools import count
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +14,7 @@ from plansched import (
     objective,
     validate_schedule,
 )
+from plansched.data import load_bundled
 from plansched.oracle import DEFAULT_NODE_LIMIT
 from conftest import base_seed, make_plan, perfbench_module, random_instance
 from reference_oracle import reference_search
@@ -128,13 +131,22 @@ def test_expired_time_limit_flags_result(example2):
     assert objective(example2, result.witness) == result.optimum
 
 
+def test_default_call_reads_no_clock(monkeypatch):
+    # a clock that jumps 100 s a read would trip any default wall-clock limit
+    ticks = count(0, 100)
+    monkeypatch.setattr(plansched.oracle, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    result = exact_max_weight(load_bundled("example2.json"))
+    assert (result.optimum, result.explored, result.time_limit_hit) == (15, 9, False)
+
+
 def test_grid_mode_agrees_with_candidate_mode():
     rng = random.Random(7)
     for _ in range(25):
         instance = random_instance(rng, max_plans=3, max_tasks=2, horizon=12)
         fast = exact_max_weight(instance)
-        slow = exact_max_weight(instance, exhaustive_grid=True)
-        assert fast.optimum == slow.optimum, instance
+        slow = reference_search(instance, node_limit=None, grid=True)
+        assert not slow.limit_hit
+        assert fast.optimum == slow.best_weight, instance
 
 
 def _brute_optimum(instance, strict=False):
