@@ -32,7 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sched.add_argument("--gantt", help="write a gantt rendering here")
     p_sched.add_argument("--gantt-format", choices=["text", "svg"], default="text")
     p_sched.add_argument("--strict-plan-precedence", action="store_true")
-    p_sched.add_argument("--priority-order", choices=["desc", "asc"], default="desc")
     p_sched.add_argument("--debug-events", action="store_true", help="include the event list in --out")
 
     p_val = sub.add_parser("validate", help="check a schedule file against an instance file")
@@ -50,11 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_schedule(args) -> int:
     instance = parse_instance(args.instance)
-    result = build_schedule(
-        instance,
-        strict_plan_precedence=args.strict_plan_precedence,
-        priority_descending=args.priority_order == "desc",
-    )
+    result = build_schedule(instance, strict_plan_precedence=args.strict_plan_precedence)
     report = validate_schedule(instance, result.schedule)
     print(
         f"scheduled {len(result.scheduled_plans)}/{len(instance.plans)} plans, "

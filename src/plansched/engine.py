@@ -331,20 +331,17 @@ def _commit(
             watch[rho] = live
 
 
-def build_schedule(
-    instance: Instance, *, strict_plan_precedence: bool = False, priority_descending: bool = True
-) -> ScheduleResult:
+def build_schedule(instance: Instance, *, strict_plan_precedence: bool = False) -> ScheduleResult:
     """Build a feasible schedule for the whole instance.
 
     ``strict_plan_precedence``: when True, a plan whose DAG predecessor was
     discarded is discarded as well instead of being attempted.
-    ``priority_descending``: a larger priority value is scheduled earlier.
 
-    Plans are processed in :func:`plansched.ordering.sort_plans` order, which
-    merges the priority-sorted DAG frontiers (``instance.frontier_of``) by
-    priority, the lower frontier first on ties.  Each run of consecutive plans
-    of one frontier that share a priority, a single plan included, is handed
-    to :func:`schedule_plan_set`.
+    Plans are processed in the one :func:`plansched.ordering.sort_plans`
+    order, highest priority first: it merges the priority-sorted DAG frontiers
+    (``instance.frontier_of``) by priority, the lower frontier first on ties.
+    Each run of consecutive plans of one frontier that share a priority, a
+    single plan included, is handed to :func:`schedule_plan_set`.
     In strict mode the members with a discarded DAG predecessor are discarded
     first; members of one frontier never precede each other, so one look at
     the discards made before the group suffices.  Because only plans that fit
@@ -358,7 +355,7 @@ def build_schedule(
     frontier_of = instance.frontier_of
     groups: list[list[Plan]] = []
     key = None
-    for plan in sort_plans(instance, descending=priority_descending):
+    for plan in sort_plans(instance):
         plan_key = (plan.priority, frontier_of[plan.id])
         if plan_key == key:
             groups[-1].append(plan)

@@ -3,10 +3,10 @@
 The frontiers come from :attr:`plansched.model.Instance.frontier_of`: a plan's
 frontier is its longest edge distance from any root, so every edge crosses
 from a lower frontier to a strictly higher one.  Within one frontier plans are
-mutually unordered and get sorted by priority.
+mutually unordered and get sorted by priority, highest first.
 
-The scheduling order merges those per-frontier lists by priority: at each
-step it takes the best-priority head among the frontier heads whose DAG
+The one scheduling order merges those per-frontier lists by priority: at each
+step it takes the highest-priority head among the frontier heads whose DAG
 predecessors have all been taken, the lower frontier first on equal priority.
 A high-priority successor is thus inserted as soon as its predecessors are.
 The DAG orders insertion only; it places no constraint on times.
@@ -22,22 +22,21 @@ from .model import Instance, Plan
 _priority = attrgetter("priority")
 
 
-def sort_plans(instance: Instance, *, descending: bool = True) -> list[Plan]:
+def sort_plans(instance: Instance) -> list[Plan]:
     """Plans in scheduling order: a priority merge of the sorted frontiers.
 
-    Each frontier is sorted by priority; higher priority first by default,
-    ``descending=False`` inverts that for experiments.  The sort is stable, so
-    equal-priority plans of one frontier keep their input order and runs are
-    reproducible.  The merge then repeatedly takes the best-priority frontier
-    head whose DAG predecessors have all been taken; on equal priority the
-    lower frontier goes first.  The lowest non-empty frontier's head is always
-    ready, so the merge never stalls.  Each frontier's priority order is kept,
-    every precedence edge points forward, and an instance without a plan DAG
-    (a single frontier) is ordered by priority alone.
+    Each frontier is sorted by priority, highest first.  The sort is stable,
+    so equal-priority plans of one frontier keep their input order and runs
+    are reproducible.  The merge then repeatedly takes the highest-priority
+    frontier head whose DAG predecessors have all been taken; on equal
+    priority the lower frontier goes first.  The lowest non-empty frontier's
+    head is always ready, so the merge never stalls.  Each frontier's priority
+    order is kept, every precedence edge points forward, and an instance
+    without a plan DAG (a single frontier) is ordered by priority alone.
 
     Ready heads sit in a heap and each plan counts its untaken predecessors.
     A frontier taken from the heap keeps its turn: its next head is taken at
-    once while it is ready and its ``(priority key, frontier)`` still beats
+    once while it is ready and its ``(-priority, frontier)`` still beats
     the heap's top, and it is pushed back only when it yields.  The order is
     the same as one pop per plan, as the head kept out of the heap is the one
     the heap would return next.  Beyond the sort, the merge costs O(1) per
@@ -46,20 +45,19 @@ def sort_plans(instance: Instance, *, descending: bool = True) -> list[Plan]:
     without a plan DAG makes none and takes one pass.
     """
 
-    sign = -1 if descending else 1  # heap keys: smaller goes first
     frontier_of = instance.frontier_of
     frontiers: list[list[Plan]] = [[] for _ in range(max(frontier_of.values(), default=-1) + 1)]
     for plan in instance.plans:  # input order within each frontier
         frontiers[frontier_of[plan.id]].append(plan)
     for layer in frontiers:
-        layer.sort(key=_priority, reverse=descending)  # a reversed sort stays stable
+        layer.sort(key=_priority, reverse=True)  # a reversed sort stays stable
     unmet = dict.fromkeys(frontier_of, 0)
     for _, b in instance.plan_dag:
         unmet[b] += 1
     successors_of = instance.successors_of_plan
 
     heads = [0] * len(frontiers)  # position of each frontier's head
-    ready = [(sign * layer[0].priority, f) for f, layer in enumerate(frontiers) if unmet[layer[0].id] == 0]
+    ready = [(-layer[0].priority, f) for f, layer in enumerate(frontiers) if unmet[layer[0].id] == 0]
     heapq.heapify(ready)
     out: list[Plan] = []
     while ready:
@@ -74,10 +72,10 @@ def sort_plans(instance: Instance, *, descending: bool = True) -> list[Plan]:
                 unmet[succ] -= 1
                 g = frontier_of[succ]
                 if unmet[succ] == 0 and frontiers[g][heads[g]].id == succ:
-                    heapq.heappush(ready, (sign * frontiers[g][heads[g]].priority, g))
+                    heapq.heappush(ready, (-frontiers[g][heads[g]].priority, g))
             if h == len(layer) or unmet[layer[h].id]:  # an unready head is pushed by its last predecessor
                 break
-            entry = (sign * layer[h].priority, f)
+            entry = (-layer[h].priority, f)
             if ready and ready[0] < entry:
                 heapq.heappush(ready, entry)
                 break

@@ -240,11 +240,15 @@ def dumps_instance(instance: Instance) -> str:
 
 
 def _read_json(path):
-    """The JSON document in ``path``; a syntax error names the line and column."""
+    """The JSON document in ``path``; a syntax error names the line and column.
+    Text that is not UTF-8, or too long an integer or too deep to decode, is
+    a :class:`ParseError` too."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def parse_instance(path) -> Instance:

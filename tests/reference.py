@@ -12,7 +12,7 @@ engine tests hold single fits and idle sums to :func:`_place`,
 from __future__ import annotations
 
 
-def plan_order(instance, descending=True):
+def plan_order(instance):
     """Plans merged by priority across DAG frontiers, rescanning every head at each pick.
 
     A plan's frontier is its longest edge distance from a root, computed here
@@ -22,15 +22,14 @@ def plan_order(instance, descending=True):
     for _ in instance.plans:
         for a, b in instance.plan_dag:
             depth[b] = max(depth[b], depth[a] + 1)
-    sign = -1 if descending else 1
     lists = [
-        sorted((p for p in instance.plans if depth[p.id] == f), key=lambda p: sign * p.priority)
+        sorted((p for p in instance.plans if depth[p.id] == f), key=lambda p: -p.priority)
         for f in range(max(depth.values(), default=-1) + 1)
     ]
     taken = []
     while any(lists):
         ready = [
-            (sign * layer[0].priority, f)
+            (-layer[0].priority, f)
             for f, layer in enumerate(lists)
             if layer and all(a in {p.id for p, _ in taken} for a, b in instance.plan_dag if b == layer[0].id)
         ]
@@ -90,10 +89,10 @@ def busy_ticks(instance, starts):
     return busy
 
 
-def reference_build(instance, descending=True, strict=False):
+def reference_build(instance, strict=False):
     """``(starts, commit order, discards)`` as the heuristic defines them."""
     busy, starts, scheduled, discarded = {}, {}, [], []
-    order = plan_order(instance, descending)
+    order = plan_order(instance)
     while order:
         group = [order.pop(0)]
         while order and order[0][0].priority == group[0][0].priority and order[0][1] == group[0][1]:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -54,7 +55,6 @@ def test_schedule_respects_flags(tmp_path, example2_file):
     out = tmp_path / "schedule.json"
     assert main([
         "schedule", str(example2_file), "--out", str(out),
-        "--priority-order", "asc",
         "--strict-plan-precedence",
     ]) == 0
     doc = json.loads(out.read_text())
@@ -117,11 +117,28 @@ def test_missing_file_exit_two(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_malformed_file_exit_two(tmp_path, capsys):
+def _long_integer() -> bytes:
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not digits:
+        pytest.skip("this Python has no integer string length limit")
+    return b"1" * (digits + 1)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(lambda: b"{", id="unclosed"),
+        pytest.param(lambda: b"\xff\xfe{}", id="not-utf8"),
+        pytest.param(_long_integer, id="long-integer"),
+        pytest.param(lambda: b"[" * 200_000 + b"]" * 200_000, id="deep-nesting"),
+    ],
+)
+def test_malformed_file_exit_two(tmp_path, capsys, content):
     path = tmp_path / "broken.json"
-    path.write_text("{")
-    assert main(["schedule", str(path)]) == 2
-    assert "error" in capsys.readouterr().err
+    path.write_bytes(content())
+    for argv in (["schedule", str(path)], ["validate", str(path), str(path)]):
+        assert main(argv) == 2, argv
+        assert f"error: {path}:" in capsys.readouterr().err
 
 
 def test_task_not_an_object_exit_two(tmp_path, capsys):
@@ -174,6 +191,7 @@ def test_usage_error_exit_two(tmp_path):
         ["schedule", "instance.json", "--idle-metric", "prev-event"],  # unknown flag
         ["bench"],  # no such subcommand
         ["oracle", str(instance_path), "--grid"],  # no such flag
+        ["schedule", str(instance_path), "--priority-order", "asc"],  # no such flag
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)

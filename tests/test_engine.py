@@ -748,8 +748,6 @@ def test_priority_order_flag():
     )
     descending = build_schedule(instance)
     assert descending.schedule.starts == {(2, 1): 0, (1, 1): 2}
-    ascending = build_schedule(instance, priority_descending=False)
-    assert ascending.schedule.starts == {(1, 1): 0, (2, 1): 2}
 
 
 # ------------------------------------------------------------ traced names

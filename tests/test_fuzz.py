@@ -91,9 +91,7 @@ def _round(rng: random.Random) -> int:
     for instance in instances:
         if instance is None:
             continue
-        result = build_schedule(
-            instance, strict_plan_precedence=rng.random() < 0.5, priority_descending=rng.random() < 0.5
-        )
+        result = build_schedule(instance, strict_plan_precedence=rng.random() < 0.5)
         assert validate_schedule(instance, result.schedule).feasible
         assert len(result.events) >= 1
         built += 1

@@ -3,7 +3,7 @@
 ``tests/golden/schedules.json`` maps every ``<instance>/<config>`` name to the
 sha256 of ``dumps_schedule(schedule, instance, events)``.  The corpus is the
 eight scenarios, the three bundled examples and 300 random draws from a fixed
-seed (independent of ``PLANSCHED_SEED``), each under three engine configs.
+seed (independent of ``PLANSCHED_SEED``), each under two engine configs.
 ``tests/golden/gantt.json`` maps ``<instance>/<format>`` to the sha256 of
 ``render_gantt`` for the default-config schedule of every scenario and
 example, as text and as svg.  Regenerate both files only for a deliberate,
@@ -28,7 +28,6 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "schedules.json"
 GOLDEN_GANTT = GOLDEN.with_name("gantt.json")
 CONFIGS = {
     "default": {},
-    "asc": {"priority_descending": False},
     "strict": {"strict_plan_precedence": True},
 }
 EXAMPLES = ("example1", "example2", "idle_time")

@@ -38,7 +38,7 @@ def test_longest_path_wins():
 def test_sort_by_priority_within_frontier():
     instance = _instance([(1, 3), (2, 8), (3, 1)])
     assert [p.id for p in sort_plans(instance)] == [2, 1, 3]
-    assert [p.id for p in sort_plans(instance, descending=False)] == [3, 1, 2]
+    assert [p.id for p, _ in plan_order(instance)] == [2, 1, 3]
 
 
 def test_sort_stable_on_priority_ties():
@@ -81,10 +81,7 @@ def test_precedence_beats_priority():
 def test_priority_merge_of_frontiers(priorities, edges, expected):
     instance = _instance(priorities, edges)
     assert [p.id for p in sort_plans(instance)] == expected
-    for descending in (True, False):  # the rescan reference agrees both ways
-        assert [p.id for p in sort_plans(instance, descending=descending)] == [
-            p.id for p, _ in plan_order(instance, descending)
-        ]
+    assert [p.id for p, _ in plan_order(instance)] == expected  # the rescan reference agrees
 
 
 def _brute_depth(n_plans, edges):
@@ -147,6 +144,4 @@ def test_random_dags_merge_matches_rescan(data):
     }
     priorities = [(i, data.draw(st.integers(min_value=1, max_value=4))) for i in range(1, n + 1)]
     instance = _instance(priorities, edges)
-    for descending in (True, False):
-        expected = [p.id for p, _ in plan_order(instance, descending)]
-        assert [p.id for p in sort_plans(instance, descending=descending)] == expected
+    assert [p.id for p in sort_plans(instance)] == [p.id for p, _ in plan_order(instance)]
