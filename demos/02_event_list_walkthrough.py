@@ -12,7 +12,7 @@ first, then 3, 4 and 5 squeeze into the gaps.
 
 from plansched import Schedule
 from plansched.data import load_bundled
-from plansched.engine import schedule_plan
+from plansched.engine import schedule_plan_set
 from plansched.model import event_list
 
 instance = load_bundled("example2.json")
@@ -33,7 +33,7 @@ def show(events, resources=(1, 2, 3)):
 
 
 for plan in instance.plans:
-    ok = schedule_plan(plan, working, busy, window)
+    ok = not schedule_plan_set([plan], working, busy, window)  # the ids it could not place
     print(f"\nafter inserting plan {plan.id} ({'placed' if ok else 'rejected'}):")
     show(event_list(working, instance))
 

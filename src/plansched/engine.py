@@ -7,13 +7,12 @@ step below reads and writes only the timelines of its own tasks' resources.
 - :func:`_fit_plan` finds where a plan's tasks go, each at its earliest
   feasible instant, and writes nothing.
 - :func:`_idle_sum` measures the idle time a fitted plan would leave.
-- :func:`schedule_plan` fits a plan and writes it only if it fits whole, so
-  nothing is ever taken back out.
-- :func:`schedule_plan_set` commits a group of equal-priority plans, the
-  smallest idle sum first, ends a round at an idle sum of 0, and states when
-  a kept trial is patched or dropped.
-- :func:`_occupy` alone writes start times and timelines; its only callers
-  are :func:`schedule_plan` and :func:`_commit`, the commit step above.
+- :func:`schedule_plan_set`, the one public step, commits a group of
+  equal-priority plans, a group of one included, the smallest idle sum
+  first, ends a round at an idle sum of 0, and states when a kept trial is
+  patched or dropped.
+- :func:`_commit` alone writes: it records a plan and writes its tasks
+  through :func:`_occupy`, the only writer of start times and timelines.
 - :func:`build_schedule` groups the plans of
   :func:`plansched.ordering.sort_plans` and returns a :class:`ScheduleResult`,
   whose event list is derived from the final start times on first access.
@@ -24,17 +23,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
-from .model import (
-    Event,
-    Instance,
-    Plan,
-    Schedule,
-    Task,
-    TimeWindow,
-    event_list,
-)
+from .model import Event, Instance, Plan, Schedule, Task, TimeWindow, event_list
 from .ordering import sort_plans
+
+_NO_TRIALS = MappingProxyType({})  # the trials and watch lists of a group of one: read-only, empty
 
 Timelines = dict[int, tuple[list[int], list[int]]]
 """Maximal busy runs per resource: sorted starts and the parallel ends.
@@ -85,6 +79,7 @@ def _occupy(task: Task, start: int, s_w: Schedule, busy: Timelines) -> None:
     The interval ``[start, end)`` is free, so it joins the run that ends at
     ``start`` and the run that starts at ``end``: it extends the one, the
     other, or bridges both into one run; next to neither, it is a new run.
+    Only :func:`_commit` calls it.
     """
     s_w.starts[task.id] = start
     end = start + task.processing_time
@@ -169,21 +164,6 @@ def _fit_plan(plan: Plan, busy: Timelines, window: TimeWindow) -> list[tuple[Tas
     return fitted
 
 
-def schedule_plan(plan: Plan, s_w: Schedule, busy: Timelines, window: TimeWindow) -> bool:
-    """Write ``plan`` at its fit (:func:`_fit_plan`); False, with nothing written, if a task does not fit.
-
-    It writes through :func:`_occupy`, as :func:`_commit` does.  Only start
-    times and timelines are written: recording the plan in
-    ``scheduled_plans`` is the committing caller's job.
-    """
-    fitted = _fit_plan(plan, busy, window)
-    if fitted is None:
-        return False
-    for task, start, _ in fitted:
-        _occupy(task, start, s_w, busy)
-    return True
-
-
 def _idle_sum(fitted: list[tuple[Task, int, int]], busy: Timelines, w_s: int, spans: list) -> int:
     """Total idle time the fitted plan leaves behind it, and its spans.
 
@@ -230,19 +210,18 @@ def schedule_plan_set(plans: list[Plan], s_w: Schedule, busy: Timelines, window:
     would go and :func:`_idle_sum` measures the idle time they would leave.
     Each round scans the pending plans from the end.  A plan that does not
     fit leaves the group for good: more commitments only make fitting harder.
-    Only a group of one plan, which has no rival, is placed at once
-    (:func:`schedule_plan`).  Any other plan that fits keeps its trial: the
-    idle sum and, per task, the span ``(lr, s, e)``, the task's start ``s``,
-    its completion ``e`` and ``lr``, its latest release
+    Only a group of one plan, which has no rival, is committed at its fit at
+    once, with no idle sum and no round.  Any other plan that fits keeps its
+    trial: the idle sum, the fit and, per task, the span ``(lr, s, e)``, the
+    task's start ``s``, its completion ``e`` and ``lr``, its latest release
     (:func:`_latest_release_on`).  The round takes a new best only on a
-    strictly smaller idle sum, so ties go to the plan latest in
-    ``pending``, and it stops at the first idle sum of 0: no plan
-    after that one beat it, and none before it can, as an idle sum is never
-    negative.  The plans before it are not tried in that round, which changes
-    no outcome: a kept trial is what a fresh fit would give, and a plan that
-    does not fit now fits no better later.  The best plan is committed by
-    writing the starts of its trial.  These two commits are the only places
-    where a plan is appended to ``scheduled_plans``.
+    strictly smaller idle sum, so ties go to the plan latest in ``pending``,
+    and it stops at the first idle sum of 0: no plan after that one beat it,
+    and none before it can, as an idle sum is never negative.  The plans
+    before it are not tried in that round, which changes no outcome: a kept
+    trial is what a fresh fit would give, and a plan that does not fit now
+    fits no better later.  The best plan is committed (:func:`_commit`) at
+    the fit of its trial.
 
     A trial reads nothing but the plan's own tasks and the timelines of their
     resources, and a commit only adds intervals.  An added interval
@@ -253,24 +232,25 @@ def schedule_plan_set(plans: list[Plan], s_w: Schedule, busy: Timelines, window:
     trial is patched in place: ``lr := b``, and the idle sum falls by
     ``b - lr``.  So a kept trial is always exactly what a fresh fit and
     measurement would give.  Each kept span is entered, as ``(plan id,
-    trial, span index)``, in a watch list per resource, and a commit visits
-    only the lists of its own resources; an entry whose plan was committed,
-    dropped or tried again since is stale and is purged on the visit.  The
-    next round fits again only the plans without a kept trial and reads a
-    kept trial as if it had been fitted again.  A group of ``G`` plans thus
-    takes at most ``G(G+1)/2`` fits, and exactly that many when every plan
-    fits, every commit overlaps every kept start and no idle sum is 0.
+    trial, span index)``, in a watch list per resource, which the commits on
+    that resource visit; an entry whose plan was committed, dropped or tried
+    again since is stale.  The next round fits again only the plans without
+    a kept trial and reads a kept trial as if it had been fitted again.  A
+    group of ``G`` plans thus takes at most ``G(G+1)/2`` fits, and exactly
+    that many when every plan fits, every commit overlaps every kept start
+    and no idle sum is 0.
     Returns the ids of the plans that could not be scheduled.
     """
-    if len(plans) == 1:  # most groups: no rival, so no trial and no round
+    if len(plans) == 1:  # most groups: no rival, so no idle sum, no trial and no round
         plan = plans[0]
-        if not schedule_plan(plan, s_w, busy, window):
+        fitted = _fit_plan(plan, busy, window)
+        if fitted is None:
             return {plan.id}
-        s_w.scheduled_plans.append(plan.id)
+        _commit(plan, fitted, s_w, busy, _NO_TRIALS, _NO_TRIALS)
         return set()
     pending = {plan.id: plan for plan in plans}
     unscheduled: set[int] = set()
-    trials: dict[int, list] = {}  # plan id -> [idle sum, spans]
+    trials: dict[int, list] = {}  # plan id -> [idle sum, spans, fit]
     watch: dict[int, list] = {}  # resource -> [(plan id, trial, span index)]
     while pending:
         best: Plan | None = None
@@ -287,7 +267,7 @@ def schedule_plan_set(plans: list[Plan], s_w: Schedule, busy: Timelines, window:
                     continue
                 spans: list = []
                 idle = _idle_sum(fitted, busy, window.start, spans)
-                trial = trials[plan.id] = [idle, spans]
+                trial = trials[plan.id] = [idle, spans, fitted]
                 for k, task in enumerate(plan.tasks):
                     for rho in task.resources:
                         watch.setdefault(rho, []).append((plan.id, trial, k))
@@ -298,19 +278,28 @@ def schedule_plan_set(plans: list[Plan], s_w: Schedule, busy: Timelines, window:
                     break
         if best is not None:
             del pending[best.id]
-            _commit(best, trials.pop(best.id)[1], s_w, busy, trials, watch)
+            _commit(best, trials.pop(best.id)[2], s_w, busy, trials, watch)
     return unscheduled
 
 
 def _commit(
-    plan: Plan, spans: list, s_w: Schedule, busy: Timelines, trials: dict[int, list], watch: dict[int, list]
+    plan: Plan, fitted: list, s_w: Schedule, busy: Timelines, trials: dict[int, list], watch: dict[int, list]
 ) -> None:
-    """Commit ``plan`` at the starts of its kept trial ``spans``, then patch or
-    drop the kept trials in the watch lists of its resources, by the rule
-    :func:`schedule_plan_set` states.
+    """Record ``plan`` in ``scheduled_plans``, write its tasks (:func:`_occupy`)
+    and patch or drop the kept trials in the watch lists of its resources, by
+    the rule :func:`schedule_plan_set` states.
+
+    ``fitted`` holds per task a triple ``(task, s, e)`` whose last two entries
+    are the task's start and completion: the fit (:func:`_fit_plan`) of a
+    lone plan, or the one a kept trial holds, still exact as a patch moves
+    no start.  A group of one passes ``_NO_TRIALS`` for both maps, so no
+    watch list is visited.  One commit costs, for each committed task, one
+    visit to every entry in the watch lists of its resources, stale entries
+    included, and each visit purges the stale entry it finds; nothing is
+    rolled back.
     """
     s_w.scheduled_plans.append(plan.id)
-    for task, (_, a, b) in zip(plan.tasks, spans):
+    for task, a, b in fitted:
         _occupy(task, a, s_w, busy)
         if not trials:
             continue

@@ -14,11 +14,11 @@ type test.  ``Instance`` is the only place that reads the plan DAG: one pass
 rejects cycles and records each plan's frontier and DAG neighbours, which
 the ordering and the engine look up.  ``Schedule`` is the mutable result of
 a single scheduler run and checks nothing itself.  Every reader of a schedule
-(the validator, both writers, both Gantt renders and :func:`event_list`)
-reads it through :func:`placed_tasks`, which applies the schedule rule
-once: integer starts and ids, a plan listed at most once per list, and only
-tasks and plans of the instance.  :func:`event_list` derives the paper's
-event list, a tuple of ``Event``s, from those starts.
+(the validator and its objective, both writers, both Gantt renders and
+:func:`event_list`) reads it through :func:`placed_tasks`, which applies the
+schedule rule once: integer starts and ids, a plan listed at most once per
+list, and only tasks and plans of the instance.  :func:`event_list` derives
+the paper's event list, a tuple of ``Event``s, from those starts.
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ from .model import (
     TimeWindow,
     placed_tasks,
 )
-from .validate import objective as _objective
+from .validate import placed_objective
 
 
 class ParseError(SchedulingError):
@@ -260,22 +260,24 @@ def emit_instance(instance: Instance, path) -> None:
     Path(path).write_text(dumps_instance(instance), encoding="utf-8")
 
 
-def _start_rows(schedule: Schedule, instance: Instance) -> list[tuple[int, int, int, int]]:
-    """The sorted ``(plan, task, start, completion)`` rows of ``schedule``,
-    read through :func:`plansched.model.placed_tasks`."""
+def _start_rows(schedule: Schedule, instance: Instance) -> tuple[list[tuple[int, int, int, int]], int]:
+    """The sorted ``(plan, task, start, completion)`` rows of ``schedule`` and its
+    objective, from one read through :func:`plansched.model.placed_tasks`."""
     placed = placed_tasks(schedule, instance)
-    return sorted([(task.plan_id, task.index, start, start + task.processing_time) for task, start in placed])
+    rows = sorted([(task.plan_id, task.index, start, start + task.processing_time) for task, start in placed])
+    return rows, placed_objective(instance, placed)
 
 
 def schedule_to_dict(schedule: Schedule, instance: Instance, events: tuple[Event, ...] | None = None) -> dict:
+    rows, objective = _start_rows(schedule, instance)
     doc = {
         "starts": [
             {"plan": plan_id, "task": index, "start": start, "completion": completion}
-            for plan_id, index, start, completion in _start_rows(schedule, instance)
+            for plan_id, index, start, completion in rows
         ],
         "scheduled": list(schedule.scheduled_plans),
         "discarded": list(schedule.discarded_plans),
-        "objective": _objective(instance, schedule),
+        "objective": objective,
     }
     if events is not None:
         doc["events"] = [
@@ -331,11 +333,12 @@ def _event_text(event: Event) -> str:
 
 
 def dumps_schedule(schedule: Schedule, instance: Instance, events: tuple[Event, ...] | None = None) -> str:
+    rows, objective = _start_rows(schedule, instance)
     starts = _array(
         [
             f'    {{\n      "plan": {plan_id},\n      "task": {index},\n      "start": {start},\n'
             f'      "completion": {completion}\n    }}'
-            for plan_id, index, start, completion in _start_rows(schedule, instance)
+            for plan_id, index, start, completion in rows
         ],
         "  ",
     )
@@ -343,7 +346,7 @@ def dumps_schedule(schedule: Schedule, instance: Instance, events: tuple[Event, 
     discarded = _array([f"    {plan_id}" for plan_id in schedule.discarded_plans], "  ")
     text = (
         f'{{\n  "starts": {starts},\n  "scheduled": {scheduled},\n  "discarded": {discarded},\n'
-        f'  "objective": {_objective(instance, schedule)}'
+        f'  "objective": {objective}'
     )
     if events is None:
         return text + "\n}\n"

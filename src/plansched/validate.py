@@ -13,9 +13,10 @@ only: that relation directs insertion order, it does not constrain times.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .model import Instance, Schedule, TaskId, completion_time, placed_tasks
+from .model import Instance, Schedule, Task, TaskId, completion_time, placed_tasks
 
 TEMPORAL_WINDOW = "TemporalWindow"
 GLOBAL_WINDOW = "GlobalWindow"
@@ -48,19 +49,25 @@ class ValidationReport:
 
 
 def objective(instance: Instance, schedule: Schedule) -> int:
-    """Sum of priorities over fully placed plans."""
-    starts = schedule.starts
-    return sum(plan.priority for plan in instance.plans if all(task.id in starts for task in plan.tasks))
+    """Sum of priorities over fully placed plans, read through :func:`plansched.model.placed_tasks`."""
+    return placed_objective(instance, placed_tasks(schedule, instance))
+
+
+def placed_objective(instance: Instance, placed: list[tuple[Task, int]]) -> int:
+    """Sum of priorities over the plans whose every task is in ``placed``, a :func:`placed_tasks` list."""
+    placed_of = Counter([task.plan_id for task, _ in placed])
+    return sum(plan.priority for plan in instance.plans if placed_of[plan.id] == plan.task_count)
 
 
 def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationReport:
     """Check every constraint for ``schedule`` against ``instance``.
 
     The schedule is read through :func:`plansched.model.placed_tasks`, as
-    every writer and render reads it: a start, task id or listed plan id that
-    is not an ``int``, or a plan listed twice in one list, raises
-    :class:`SchedulingError`, and a task or plan the instance does not have
-    raises :class:`UnknownTask`.  Every other problem lands in the report.
+    :func:`objective` and every writer and render read it: a start, task id
+    or listed plan id that is not an ``int``, or a plan listed twice in one
+    list, raises :class:`SchedulingError`, and a task or plan the instance
+    does not have raises :class:`UnknownTask`.  Every other problem lands in
+    the report.
     """
     report = ValidationReport()
     window = instance.window

@@ -16,7 +16,7 @@ from plansched import (
     sort_plans,
     validate_schedule,
 )
-from plansched.engine import schedule_plan
+from plansched.engine import schedule_plan_set
 from plansched.serialize import (
     instance_from_dict,
     instance_to_dict,
@@ -172,7 +172,7 @@ def test_criterion_property_suite():
         s_w, busy = Schedule(), empty_timelines(instance.resources)
         for plan in sort_plans(instance):
             snap_s, snap_busy = copy.deepcopy(s_w), copy.deepcopy(busy)
-            if not schedule_plan(plan, s_w, busy, instance.window):
+            if schedule_plan_set([plan], s_w, busy, instance.window):
                 forced_failures += 1
                 assert s_w == snap_s and busy == snap_busy
 

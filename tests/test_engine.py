@@ -14,7 +14,7 @@ from plansched import (
     validate_schedule,
 )
 from plansched import engine
-from plansched.engine import schedule_plan, schedule_plan_set
+from plansched.engine import schedule_plan_set
 from plansched.model import event_list
 import reference
 from conftest import busy_runs, empty_timelines, make_plan, perfbench_module
@@ -38,10 +38,10 @@ def _view(s_w, instance):
 
 
 def _load(instance, plan_ids):
-    """Place the given plans in order on a fresh state (placing records no plan)."""
+    """Commit the given plans in order, each as a group of one, on a fresh state."""
     s_w, busy = _fresh_state(instance.resources)
     for pid in plan_ids:
-        assert schedule_plan(instance.plan(pid), s_w, busy, instance.window)
+        assert schedule_plan_set([instance.plan(pid)], s_w, busy, instance.window) == set()
     return s_w, busy
 
 
@@ -64,18 +64,18 @@ def test_schedule_plan_start_bounds(window, blocker, row, expected):
     window = TimeWindow(*window)
     s_w, busy = _fresh_state([1])
     if blocker is not None:
-        assert schedule_plan(make_plan(1, 9, [(1, blocker, 0, 100, {1}, [])]), s_w, busy, window)
+        assert schedule_plan_set([make_plan(1, 9, [(1, blocker, 0, 100, {1}, [])])], s_w, busy, window) == set()
     p, release, due = row
     plan = make_plan(2, 1, [(1, p, release, due, {1}, [])])
     task = plan.tasks[0]
     before_schedule, before_busy = copy.deepcopy(s_w), copy.deepcopy(busy)
-    placed = schedule_plan(plan, s_w, busy, window)
+    unscheduled = schedule_plan_set([plan], s_w, busy, window)
     if expected is None:
-        assert not placed
+        assert unscheduled == {2}
         assert s_w == before_schedule
         assert busy == before_busy
     else:
-        assert placed
+        assert unscheduled == set()
         assert s_w.starts[task.id] == expected
         # the resource is busy over [expected, expected + p), and p ticks longer than before
         runs, before = busy_runs(busy)[1], busy_runs(before_busy)[1]
@@ -171,7 +171,7 @@ def test_schedule_plan_failure_leaves_no_trace():
     window = TimeWindow(0, 10)
     plan = make_plan(1, 1, [(1, 2, 12, 15, {1}, [])])  # entirely after the window
     s_w, busy = _fresh_state([1])
-    assert not schedule_plan(plan, s_w, busy, window)
+    assert schedule_plan_set([plan], s_w, busy, window) == {1}
     assert busy_runs(busy) == {1: []}
     assert s_w == Schedule()
 
@@ -179,7 +179,7 @@ def test_schedule_plan_failure_leaves_no_trace():
 def test_schedule_plan_scans_past_conflicts(example2):
     # J5.2 needs resources 1 and 3 at once; first free slot is t=9
     s_w, busy = _load(example2, [1, 2, 3, 4])
-    assert schedule_plan(example2.plan(5), s_w, busy, example2.window)
+    assert schedule_plan_set([example2.plan(5)], s_w, busy, example2.window) == set()
     assert s_w.starts[(5, 2)] == 9
     for rho in (1, 3):
         assert any(a <= 9 and 10 <= b for a, b in busy_runs(busy)[rho])
@@ -193,7 +193,7 @@ def test_abandoned_candidate_event_is_pruned():
     mover = make_plan(2, 1, [(1, 2, 3, 20, {1}, [])])  # lower bound 3 sits inside [0,6)
     instance = build_instance([blocker, mover], window=window)
     s_w, busy = _load(instance, [1])
-    assert schedule_plan(instance.plan(2), s_w, busy, window)
+    assert schedule_plan_set([instance.plan(2)], s_w, busy, window) == set()
     assert s_w.starts[(2, 1)] == 6
     assert busy_runs(busy) == {1: [(0, 8)]}  # nothing was written at the candidate t=3
     assert list(_view(s_w, instance)) == [0, 6, 8]
@@ -234,15 +234,15 @@ def test_insertion_progression_matches_worked_tables(example2):
     s_w, busy = _load(example2, [1, 2])
     assert s_w.starts == {(1, 1): 2, (1, 2): 7, (2, 1): 4, (2, 2): 6}
 
-    assert schedule_plan(example2.plan(3), s_w, busy, example2.window)
+    assert schedule_plan_set([example2.plan(3)], s_w, busy, example2.window) == set()
     assert s_w.starts[(3, 1)] == 2
     assert _snapshot(event_list(s_w, example2)) == TABLE_AFTER_PLAN_3
 
-    assert schedule_plan(example2.plan(4), s_w, busy, example2.window)
+    assert schedule_plan_set([example2.plan(4)], s_w, busy, example2.window) == set()
     assert s_w.starts[(4, 1)] == 2 and s_w.starts[(4, 2)] == 6
     assert _snapshot(event_list(s_w, example2)) == TABLE_AFTER_PLAN_4
 
-    assert schedule_plan(example2.plan(5), s_w, busy, example2.window)
+    assert schedule_plan_set([example2.plan(5)], s_w, busy, example2.window) == set()
     assert s_w.starts[(5, 1)] == 6 and s_w.starts[(5, 2)] == 9
     assert _snapshot(event_list(s_w, example2)) == TABLE_AFTER_PLAN_5
 
@@ -258,7 +258,7 @@ def test_build_schedule_full_example(example2):
 
 def test_schedule_plan_example1(example1):
     s_w, busy = _load(example1, [1])
-    assert schedule_plan(example1.plan(2), s_w, busy, example1.window)
+    assert schedule_plan_set([example1.plan(2)], s_w, busy, example1.window) == set()
     assert s_w.starts[(2, 1)] == 3
     assert s_w.starts[(2, 2)] == 5
 
@@ -278,16 +278,9 @@ def test_schedule_plan_writes_nothing_when_a_later_task_fails():
     s_w, busy = _load(instance, [1])
     before_schedule = copy.deepcopy(s_w)
     before_busy = copy.deepcopy(busy)
-    assert not schedule_plan(instance.plan(2), s_w, busy, window)
+    assert schedule_plan_set([instance.plan(2)], s_w, busy, window) == {2}
     assert s_w == before_schedule
     assert busy == before_busy
-
-
-def test_schedule_plan_records_no_plan(example2):
-    s_w, busy = _load(example2, [1, 2])
-    assert s_w.scheduled_plans == []
-    assert schedule_plan(example2.plan(3), s_w, busy, example2.window)
-    assert s_w.scheduled_plans == []
 
 
 # --------------------------------------------------------------- idle metric
@@ -370,7 +363,7 @@ def test_plan_set_commits_lowest_idle_first(idle_example):
         [idle_example.plan(3), idle_example.plan(4)], s_w, busy, window
     )
     assert unscheduled == set()
-    assert s_w.scheduled_plans == [4, 3]  # 4 first: idle 1 beats idle 2
+    assert s_w.scheduled_plans == [1, 2, 4, 3]  # the set-up plans, then 4: idle 1 beats idle 2
 
 
 def test_plan_set_single_infeasible_plan():
@@ -418,6 +411,20 @@ def test_lone_survivor_is_placed_once(monkeypatch):
     assert s_w.scheduled_plans == [2]
     assert s_w.starts == {(2, 1): 0}
     assert busy_runs(busy) == {1: [(0, 2)]}
+
+
+def test_group_of_one_fits_once_and_measures_no_idle(monkeypatch):
+    # a lone plan has no rival: one fit, committed at once, with no idle sum,
+    # trial or watch list, work a round would spend on every one-plan group
+    calls = _spy_placements(monkeypatch)
+    monkeypatch.setattr(engine, "_idle_sum", lambda *args: pytest.fail("a group of one measured its idle sum"))
+    window = TimeWindow(0, 10)
+    plan = make_plan(1, 1, [(1, 2, 3, 10, {1}, []), (2, 1, 0, 10, {2}, [(1, 0)])])
+    s_w, busy = _fresh_state([1, 2])
+    assert schedule_plan_set([plan], s_w, busy, window) == set()
+    assert calls == [1]
+    assert s_w.scheduled_plans == [1]
+    assert s_w.starts == {(1, 1): 3, (1, 2): 5}
 
 
 def _spy_placements(monkeypatch):
@@ -489,12 +496,12 @@ def test_commit_ending_at_latest_release_keeps_the_trial(monkeypatch, commit_rel
         window=window,
     )
     s_w, busy = _fresh_state(instance.resources)
-    assert schedule_plan(instance.plan(4), s_w, busy, window)
+    assert schedule_plan_set([instance.plan(4)], s_w, busy, window) == set()
     calls = _spy_placements(monkeypatch)
     group = [instance.plan(1), instance.plan(2), instance.plan(3)]
     assert schedule_plan_set(group, s_w, busy, window) == set()
     assert calls == expected_calls
-    assert s_w.scheduled_plans == [2, 1, 3]
+    assert s_w.scheduled_plans == [4, 2, 1, 3]
     assert s_w.starts[(1, 1)] == 7
     # plan 1's idle sum at the end, by the tick reference: unchanged by the commit, or lowered by it
     assert reference._idle(instance.plan(1), reference.busy_ticks(instance, s_w.starts), s_w.starts, window) == plan1_idle
@@ -737,7 +744,7 @@ def test_strict_plan_precedence_discards_successors():
     assert strict.discarded_plans == [1, 2]
 
 
-def test_priority_order_flag():
+def test_highest_priority_goes_first():
     window = TimeWindow(0, 10)
     instance = build_instance(
         [
@@ -755,15 +762,17 @@ def test_priority_order_flag():
 def test_traced_engine_names_exist(monkeypatch):
     # the benchmark's per-layer metrics wrap program functions by name and
     # read 0 for a name that is gone, so a rename must fail here first; the
-    # names below are already gone and their metrics read 0.  The metrics of
-    # the first three (engine.task_calls, task_ms, rollbacks, rollback_ms and
-    # idle_ms) read 0 on every build already since plans are fitted without
-    # writing, as the build stopped calling them then
+    # names below are already gone and their metrics read 0.  Those of
+    # schedule_plan (engine.trials, trial_yield) read 0 since a group of one
+    # is committed through engine._commit like any other group; those of the
+    # next three (engine.task_calls, task_ms, rollbacks, rollback_ms and
+    # idle_ms) since plans are fitted without writing
     tracing = perfbench_module(monkeypatch, "tracing")
     names = ("model", "ordering", "engine", "serialize", "validate", "gantt", "oracle", "scenarios")
     modules = {"": plansched, **{name: importlib.import_module(f"plansched.{name}") for name in names}}
     tracer = tracing.Tracer(modules)
     assert tracer.absent == [
+        "engine.schedule_plan",
         "engine.schedule_task",
         "engine.rollback_plan",
         "engine.idle_time_sum",

@@ -12,7 +12,7 @@ from plansched import (
     validate_schedule,
 )
 from plansched import engine
-from plansched.engine import schedule_plan, schedule_plan_set
+from plansched.engine import schedule_plan_set
 import reference
 from conftest import base_seed, empty_timelines, random_instance
 
@@ -39,7 +39,7 @@ def test_every_failed_plan_leaves_no_trace():
         last_objective = 0
         for plan in sort_plans(instance):
             snapshot_s, snapshot_busy = copy.deepcopy(s_w), copy.deepcopy(busy)
-            if not schedule_plan(plan, s_w, busy, instance.window):
+            if schedule_plan_set([plan], s_w, busy, instance.window):
                 failures += 1
                 assert s_w == snapshot_s
                 assert busy == snapshot_busy
@@ -99,7 +99,7 @@ def test_every_placement_is_the_earliest_feasible_instant():
                 failed += 1
                 continue
             assert [(task.id, start) for task, start, _ in fitted] == list(expected.items()), (instance, plan.id)
-            assert schedule_plan(plan, s_w, busy, window)
+            assert schedule_plan_set([plan], s_w, busy, window) == set()
             assert {tid: s_w.starts[tid] for tid in expected} == expected
     # resource conflicts, failures and tasks moved by their own plan all occur
     assert delayed > 20 and failed > 20 and own > 20, (delayed, failed, own)
@@ -184,7 +184,7 @@ def test_fit_and_measure_equal_place_and_measure():
             placed_spans = reference._spans(plan, ticks, starts, window)
             placed_idle = reference._idle(plan, ticks, starts, window)
             assert (fit_idle, fit_spans) == (placed_idle, placed_spans), (instance, plan.id)
-            assert schedule_plan(plan, s_w, busy, window)
+            assert schedule_plan_set([plan], s_w, busy, window) == set()
             compared += 1
             resources = [rho for task in plan.tasks for rho in task.resources]
             shared += len(set(resources)) < len(resources)
@@ -199,15 +199,15 @@ def test_kept_trials_equal_a_fresh_placement_after_every_commit(monkeypatch):
     commit = engine._commit
     checked = {"kept": 0, "patched": 0}
 
-    def spy(plan, spans, s_w, busy, trials, watch):
+    def spy(plan, fitted, s_w, busy, trials, watch):
         before = {plan_id: trial[0] for plan_id, trial in trials.items()}
-        commit(plan, spans, s_w, busy, trials, watch)
-        for plan_id, (idle, kept_spans) in trials.items():
-            fitted = engine._fit_plan(instance.plan(plan_id), busy, instance.window)
-            assert fitted is not None, (instance, plan_id)
+        commit(plan, fitted, s_w, busy, trials, watch)
+        for plan_id, (idle, kept_spans, kept_fit) in trials.items():
+            fresh_fit = engine._fit_plan(instance.plan(plan_id), busy, instance.window)
+            assert fresh_fit is not None, (instance, plan_id)
             fresh_spans: list = []
-            fresh_idle = engine._idle_sum(fitted, busy, instance.window.start, fresh_spans)
-            assert (idle, kept_spans) == (fresh_idle, fresh_spans), (instance, plan_id)
+            fresh_idle = engine._idle_sum(fresh_fit, busy, instance.window.start, fresh_spans)
+            assert (idle, kept_spans, kept_fit) == (fresh_idle, fresh_spans, fresh_fit), (instance, plan_id)
             checked["patched" if idle != before[plan_id] else "kept"] += 1
 
     monkeypatch.setattr(engine, "_commit", spy)

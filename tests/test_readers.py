@@ -1,7 +1,7 @@
 """Every reader of a schedule against its instance applies one rule.
 
-The validator, both writers, the event list and both Gantt renders read a
-schedule through ``model.placed_tasks``.  One table checks each of them
+The validator, the objective, both writers, the event list and both Gantt
+renders read a schedule through ``model.placed_tasks``.  One table checks each of them
 against each case of that rule with its exact message, and one extreme
 instance goes through all of them.
 """
@@ -23,6 +23,7 @@ from plansched import (
     build_schedule,
     dumps_instance,
     dumps_schedule,
+    objective,
     render_gantt,
     validate_schedule,
 )
@@ -31,6 +32,7 @@ from plansched.serialize import instance_from_dict, schedule_from_dict, schedule
 
 READERS = {
     "validate": lambda schedule, instance: validate_schedule(instance, schedule),
+    "objective": lambda schedule, instance: objective(instance, schedule),
     "dumps": dumps_schedule,
     "to_dict": schedule_to_dict,
     "events": event_list,

@@ -44,12 +44,12 @@ def test_engine_matches_reference_model_on_large_groups(monkeypatch):
     kept = patched = dropped = discards = 0
     commit = engine._commit
 
-    def spy(plan, spans, s_w, busy, trials, watch):
+    def spy(plan, fitted, s_w, busy, trials, watch):
         # every trial kept before a commit is afterwards kept as it was,
         # patched (a lower idle sum) or dropped
         nonlocal kept, patched, dropped
         before = [(plan_id, trial, trial[0]) for plan_id, trial in trials.items()]
-        commit(plan, spans, s_w, busy, trials, watch)
+        commit(plan, fitted, s_w, busy, trials, watch)
         for plan_id, trial, idle in before:
             if trials.get(plan_id) is not trial:
                 dropped += 1
