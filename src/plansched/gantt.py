@@ -3,11 +3,15 @@
 Both formats draw one row per resource with one bar per task over
 ``[start, start + p)``.  Output is a pure function of the inputs: rendering
 the same schedule twice yields byte-identical documents.
+
+A render costs work per bar, plus the characters it outputs: each task gets
+one bar tuple, shared by the rows of all its resources, and a text row is
+written as runs of ``.`` and ``#``, not tick by tick.
 """
 
 from __future__ import annotations
 
-from .model import Instance, Schedule, completion_time, placed_tasks
+from .model import Instance, Schedule, placed_tasks
 
 _SVG_PX_PER_TICK = 6
 _SVG_ROW_HEIGHT = 26
@@ -25,10 +29,9 @@ def _bars_by_resource(schedule: Schedule, instance: Instance) -> dict[int, list[
     """
     bars: dict[int, list[tuple[int, int, str]]] = {rho: [] for rho in sorted(instance.resources)}
     for task, start in placed_tasks(schedule, instance):
-        label = f"J{task.plan_id}.{task.index}"
-        end = completion_time(task, start)
+        bar = (start, start + task.processing_time, f"J{task.plan_id}.{task.index}")
         for rho in task.resources:
-            bars[rho].append((start, end, label))
+            bars[rho].append(bar)
     for rows in bars.values():
         rows.sort()
     return bars
@@ -50,21 +53,24 @@ def _render_text(schedule: Schedule, instance: Instance) -> str:
     lines = [f"window [{w.start},{w.end}]"]
     if not schedule.starts:
         return "\n".join(lines) + "\n"
-    ruler = [" "] * span
-    for t in range(w.start, w.end + 1, 10):
-        pos = t - w.start
-        if pos < span:
-            ruler[pos] = "|"
     label_width = max(len(f"rho {rho}") for rho in bars)
-    lines.append(" " * (label_width + 3) + "".join(ruler))
+    lines.append(" " * (label_width + 3) + (("|" + " " * 9) * (span // 10 + 1))[:span])
     for rho, rows in bars.items():
-        timeline = ["."] * span
-        for start, end, _label in rows:
-            lo, hi = max(start, w.start) - w.start, min(end, w.end) - w.start
+        line = [f"{f'rho {rho}':<{label_width}} | "]
+        drawn = 0  # ticks [0, drawn) of the window are written
+        for start, end, _label in rows:  # sorted by start: each bar extends the union or adds to it
+            lo, hi = start - w.start, end - w.start
+            if hi > span:
+                hi = span
+            if lo < drawn:
+                lo = drawn
             if lo < hi:
-                timeline[lo:hi] = "#" * (hi - lo)
-        legend = "  ".join(f"{label} [{start},{end})" for start, end, label in rows)
-        lines.append(f"{f'rho {rho}':<{label_width}} | " + "".join(timeline) + ("  " + legend if legend else ""))
+                line.append("." * (lo - drawn) + "#" * (hi - lo))
+                drawn = hi
+        line.append("." * (span - drawn))
+        if rows:
+            line.append("  " + "  ".join([f"{label} [{start},{end})" for start, end, label in rows]))
+        lines.append("".join(line))
     return "\n".join(lines) + "\n"
 
 
@@ -74,9 +80,7 @@ def _render_svg(schedule: Schedule, instance: Instance) -> str:
     rows = sorted(bars)
     width = _SVG_LEFT_MARGIN + (w.end - w.start) * _SVG_PX_PER_TICK + 20
     height = _SVG_TOP_MARGIN + len(rows) * _SVG_ROW_HEIGHT + 10
-
-    def x(t: int) -> int:
-        return _SVG_LEFT_MARGIN + (t - w.start) * _SVG_PX_PER_TICK
+    origin = _SVG_LEFT_MARGIN - w.start * _SVG_PX_PER_TICK  # the x of tick 0
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -85,12 +89,11 @@ def _render_svg(schedule: Schedule, instance: Instance) -> str:
     ]
     tick_step = max(1, (w.end - w.start) // 18)
     for t in range(w.start, w.end + 1, tick_step):
+        x = origin + t * _SVG_PX_PER_TICK
         parts.append(
-            f'<line x1="{x(t)}" y1="{_SVG_TOP_MARGIN - 6}" x2="{x(t)}" y2="{height - 10}" '
-            'stroke="#cccccc" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x(t)}" y="{_SVG_TOP_MARGIN - 10}" font-family="monospace" font-size="9" '
+            f'<line x1="{x}" y1="{_SVG_TOP_MARGIN - 6}" x2="{x}" y2="{height - 10}" '
+            'stroke="#cccccc" stroke-width="1"/>\n'
+            f'<text x="{x}" y="{_SVG_TOP_MARGIN - 10}" font-family="monospace" font-size="9" '
             f'text-anchor="middle">{t}</text>'
         )
     for row, rho in enumerate(rows):
@@ -99,12 +102,11 @@ def _render_svg(schedule: Schedule, instance: Instance) -> str:
             f'<text x="4" y="{y + 15}" font-family="monospace" font-size="11">rho {rho}</text>'
         )
         for start, end, label in bars[rho]:
+            x = origin + start * _SVG_PX_PER_TICK
             parts.append(
-                f'<rect x="{x(start)}" y="{y + 4}" width="{(end - start) * _SVG_PX_PER_TICK}" '
-                f'height="{_SVG_ROW_HEIGHT - 8}" fill="#7aa6d6" stroke="#2b4c73" stroke-width="1"/>'
-            )
-            parts.append(
-                f'<text x="{x(start) + 2}" y="{y + 16}" font-family="monospace" font-size="9">{label}</text>'
+                f'<rect x="{x}" y="{y + 4}" width="{(end - start) * _SVG_PX_PER_TICK}" '
+                f'height="{_SVG_ROW_HEIGHT - 8}" fill="#7aa6d6" stroke="#2b4c73" stroke-width="1"/>\n'
+                f'<text x="{x + 2}" y="{y + 16}" font-family="monospace" font-size="9">{label}</text>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -403,12 +403,16 @@ class Instance:
 build_instance = Instance
 
 
-@dataclass(frozen=True, slots=True)
+_NOTHING: frozenset = frozenset()
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Event:
     """A time instant of the schedule, with the tasks starting/completing there.
 
     ``usage`` holds exactly the resources occupied during the interval from
-    this event to the next one.
+    this event to the next one.  ``__init__`` is written out, as
+    ``Task.__init__`` is: it sets each slot once and checks nothing.
     """
 
     time: int
@@ -416,8 +420,18 @@ class Event:
     completing: frozenset[TaskId] = frozenset()
     usage: frozenset[int] = frozenset()
 
+    def __init__(self, time, starting=_NOTHING, completing=_NOTHING, usage=_NOTHING):
+        _set_time(self, time)
+        _set_starting(self, starting)
+        _set_completing(self, completing)
+        _set_usage(self, usage)
 
-_NOTHING: frozenset = frozenset()
+
+# The slot setters of Event; only ``Event.__init__`` calls them.
+_set_time = Event.time.__set__
+_set_starting = Event.starting.__set__
+_set_completing = Event.completing.__set__
+_set_usage = Event.usage.__set__
 
 
 def event_list(schedule: Schedule, instance: Instance) -> tuple[Event, ...]:
@@ -432,8 +446,17 @@ def event_list(schedule: Schedule, instance: Instance) -> tuple[Event, ...]:
     starting: dict[int, list[Task]] = {}
     completing: dict[int, list[Task]] = {}
     for task, start in placed_tasks(schedule, instance):
-        starting.setdefault(start, []).append(task)
-        completing.setdefault(completion_time(task, start), []).append(task)
+        begins = starting.get(start)
+        if begins is None:
+            starting[start] = [task]
+        else:
+            begins.append(task)
+        end = start + task.processing_time
+        ends = completing.get(end)
+        if ends is None:
+            completing[end] = [task]
+        else:
+            ends.append(task)
     events: list[Event] = []
     held: set[int] = set()  # resources are unary: a release and a take at t never clash
     for t in sorted({instance.window.start, *starting, *completing}):

@@ -321,15 +321,25 @@ def _event_tasks(task_ids) -> str:
     return _array([f"        [\n          {p},\n          {k}\n        ]" for p, k in sorted(task_ids)], "      ")
 
 
-def _event_text(event: Event) -> str:
-    if event.usage:
-        usage = "{\n" + ",\n".join([f'        "{rho}": 1' for rho in sorted(event.usage)]) + "\n      }"
-    else:
-        usage = "{}"
-    return (
-        f'    {{\n      "t": {event.time},\n      "starting": {_event_tasks(event.starting)},\n'
-        f'      "completing": {_event_tasks(event.completing)},\n      "usage": {usage}\n    }}'
-    )
+def _events_text(events: tuple[Event, ...]) -> str:
+    """The ``events`` array, written in one loop.
+
+    The ``usage`` object of each distinct held set is formatted once per
+    call: a held set recurs across events (about 56 sets in 185 events of a
+    ``congested`` benchmark schedule).
+    """
+    usages = {frozenset(): "{}"}
+    items = []
+    for event in events:
+        usage = usages.get(event.usage)
+        if usage is None:
+            rows = ",\n".join([f'        "{rho}": 1' for rho in sorted(event.usage)])
+            usage = usages[event.usage] = "{\n" + rows + "\n      }"
+        items.append(
+            f'    {{\n      "t": {event.time},\n      "starting": {_event_tasks(event.starting)},\n'
+            f'      "completing": {_event_tasks(event.completing)},\n      "usage": {usage}\n    }}'
+        )
+    return _array(items, "  ")
 
 
 def dumps_schedule(schedule: Schedule, instance: Instance, events: tuple[Event, ...] | None = None) -> str:
@@ -350,7 +360,7 @@ def dumps_schedule(schedule: Schedule, instance: Instance, events: tuple[Event, 
     )
     if events is None:
         return text + "\n}\n"
-    return text + f',\n  "events": {_array([_event_text(event) for event in events], "  ")}\n}}\n'
+    return text + f',\n  "events": {_events_text(events)}\n}}\n'
 
 
 def emit_schedule(schedule: Schedule, instance: Instance, path, *, events: tuple[Event, ...] | None = None) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .model import Instance, Schedule, Task, TaskId, completion_time, placed_tasks
+from .model import Instance, Schedule, Task, TaskId, placed_tasks
 
 TEMPORAL_WINDOW = "TemporalWindow"
 GLOBAL_WINDOW = "GlobalWindow"
@@ -71,18 +71,20 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
     """
     report = ValidationReport()
     window = instance.window
-    starts = schedule.starts
 
     # One pass over the placed tasks; each kind of violation keeps its own
-    # list, and the report lists the kinds in a fixed order.
+    # list, and the report lists the kinds in a fixed order.  ``placed_tasks``
+    # yields each plan's tasks in precedence order (``Plan`` sorts them), so a
+    # placed predecessor's completion is in ``ends`` before a successor reads it.
     windows: list[Violation] = []
     precedences: list[Violation] = []
-    by_resource: dict[int, list[tuple[int, int, TaskId]]] = {}
+    by_resource: dict[int, list[tuple[int, int, TaskId]]] = {rho: [] for rho in instance.resources}
     placed_of: dict[int, int] = {}  # plan id -> how many of its tasks have a start
+    ends: dict[TaskId, int] = {}
     for task, start in placed_tasks(schedule, instance):
-        plan_id, index = task.id
+        plan_id, index = task_id = task.id
         placed_of[plan_id] = placed_of.get(plan_id, 0) + 1
-        end = completion_time(task, start)
+        end = ends[task_id] = start + task.processing_time
         if start < task.release or end > task.due:
             detail = f"[{start},{end}) outside task window [{task.release},{task.due}]"
             windows.append(Violation(TEMPORAL_WINDOW, plan_id, index, detail))
@@ -90,10 +92,9 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
             detail = f"[{start},{end}) outside global window [{window.start},{window.end}]"
             windows.append(Violation(GLOBAL_WINDOW, plan_id, index, detail))
         for j, lag in task.predecessors:
-            pred_start = starts.get((plan_id, j))
-            if pred_start is None:
+            pred_end = ends.get((plan_id, j))
+            if pred_end is None:
                 continue  # the partial-plan check reports this
-            pred_end = completion_time(instance.task((plan_id, j)), pred_start)
             if start < pred_end:
                 detail = f"starts at {start} before predecessor {j} completes at {pred_end}"
                 precedences.append(Violation(INTRA_PLAN_PRECEDENCE, plan_id, index, detail))
@@ -101,7 +102,7 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationRepor
                 detail = f"starts at {start}, needs lag {lag} after {pred_end}"
                 precedences.append(Violation(TIME_LAG, plan_id, index, detail))
         for rho in task.resources:
-            by_resource.setdefault(rho, []).append((start, end, task.id))
+            by_resource[rho].append((start, end, task_id))
     report.violations = windows + precedences
 
     for rho in sorted(by_resource):

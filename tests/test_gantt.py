@@ -1,6 +1,7 @@
 import pytest
 
-from plansched import Schedule, build_schedule, render_gantt
+from plansched import Schedule, TimeWindow, build_instance, build_schedule, render_gantt
+from conftest import make_plan
 
 
 def test_text_rows_per_resource(example1):
@@ -51,4 +52,22 @@ def test_text_bars_are_clipped_to_the_window(example1):
     assert text == (
         "window [0,10]\n        |         \nrho 1 | ...##.....  J1.1 [-10,-7)  J2.2 [3,5)\n"
         "rho 2 | ..........  J2.1 [12,14)\n"
+    )
+    # overlapping and nested bars on one resource draw their union
+    three = build_instance(
+        [make_plan(1, 1, [(1, 6, 0, 12, {1}, []), (2, 2, 0, 12, {1}, []), (3, 3, 0, 12, {1, 2}, [])])],
+        window=TimeWindow(0, 12),
+    )
+    ruler = "window [0,12]\n        |         | \n"
+    text = render_gantt(Schedule(starts={(1, 1): 1, (1, 2): 3, (1, 3): 6}), three, "text")
+    assert text == ruler + (
+        "rho 1 | .########...  J1.1 [1,7)  J1.2 [3,5)  J1.3 [6,9)\nrho 2 | ......###...  J1.3 [6,9)\n"
+    )
+    text = render_gantt(Schedule(starts={(1, 1): -2, (1, 2): 0, (1, 3): 10}), three, "text")
+    assert text == ruler + (
+        "rho 1 | ####......##  J1.1 [-2,4)  J1.2 [0,2)  J1.3 [10,13)\nrho 2 | ..........##  J1.3 [10,13)\n"
+    )
+    text = render_gantt(Schedule(starts={(1, 1): 5, (1, 2): 5, (1, 3): 2}), three, "text")
+    assert text == ruler + (
+        "rho 1 | ..#########.  J1.3 [2,5)  J1.2 [5,7)  J1.1 [5,11)\nrho 2 | ..###.......  J1.3 [2,5)\n"
     )

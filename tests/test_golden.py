@@ -5,8 +5,8 @@ sha256 of ``dumps_schedule(schedule, instance, events)``.  The corpus is the
 eight scenarios, the three bundled examples and 300 random draws from a fixed
 seed (independent of ``PLANSCHED_SEED``), each under two engine configs.
 ``tests/golden/gantt.json`` maps ``<instance>/<format>`` to the sha256 of
-``render_gantt`` for the default-config schedule of every scenario and
-example, as text and as svg.  Regenerate both files only for a deliberate,
+``render_gantt`` for the default-config schedule of every instance of that
+corpus, as text and as svg.  Regenerate both files only for a deliberate,
 recorded change of the output:
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -35,15 +35,11 @@ RANDOM_SEED = 20261018
 RANDOM_DRAWS = 300
 
 
-def _named_instances():
+def _instances():
     for n in SCENARIOS:
         yield f"scenario{n}", generate_scenario(n)
     for name in EXAMPLES:
         yield name, load_bundled(f"{name}.json")
-
-
-def _instances():
-    yield from _named_instances()
     rng = random.Random(RANDOM_SEED)
     for i in range(RANDOM_DRAWS):
         yield f"random{i:03d}", random_instance(rng, max_plans=8, horizon=30)
@@ -61,7 +57,7 @@ def schedule_digests() -> dict[str, str]:
 
 def gantt_digests() -> dict[str, str]:
     digests = {}
-    for name, instance in _named_instances():
+    for name, instance in _instances():
         schedule = build_schedule(instance).schedule
         for fmt in ("text", "svg"):
             text = render_gantt(schedule, instance, fmt)

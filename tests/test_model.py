@@ -228,6 +228,18 @@ def test_event_keeps_equality_and_hash():
     assert not hasattr(event, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         event.time = 4
+    # the written-out __init__ keeps the dataclass contract
+    assert repr(event) == "Event(time=3, starting=frozenset({(1, 1)}), completing=frozenset(), usage=frozenset({2}))"
+    assert [(f.name, f.init, f.compare, f.default) for f in dataclasses.fields(Event)] == [
+        ("time", True, True, dataclasses.MISSING),
+        ("starting", True, True, frozenset()),
+        ("completing", True, True, frozenset()),
+        ("usage", True, True, frozenset()),
+    ]
+    moved = dataclasses.replace(event, time=5)
+    assert moved == Event(5, frozenset({(1, 1)}), frozenset(), frozenset({2})) and event.time == 3
+    assert Event(time=4) == Event(4, frozenset(), frozenset(), frozenset())
+    assert Event(2, usage=frozenset({1})).completing == frozenset()
 
 
 @pytest.mark.parametrize("bad", [True, 1.0, "1"])

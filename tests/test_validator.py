@@ -106,6 +106,18 @@ def test_time_lag_separated_from_precedence():
     assert _kinds(report) == {INTRA_PLAN_PRECEDENCE}
     report = validate_schedule(instance, Schedule(starts={(1, 1): 0, (1, 2): 5}))
     assert report.feasible
+    # the same plan with its successor given first: the reports do not change
+    reordered = build_instance(
+        [make_plan(1, 1, [(2, 2, 0, 10, {2}, [(1, 3)]), (1, 2, 0, 10, {1}, [])])],
+        window=TimeWindow(0, 10),
+    )
+    assert [task.index for task in reordered.plan(1).tasks] == [1, 2]
+    report = validate_schedule(reordered, Schedule(starts={(1, 2): 3, (1, 1): 0}))
+    assert _kinds(report) == {TIME_LAG}
+    report = validate_schedule(reordered, Schedule(starts={(1, 2): 1, (1, 1): 0}))
+    assert _kinds(report) == {INTRA_PLAN_PRECEDENCE}
+    report = validate_schedule(reordered, Schedule(starts={(1, 2): 5, (1, 1): 0}))
+    assert report.feasible
 
 
 def test_partial_plan_detection(example1):
