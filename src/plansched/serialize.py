@@ -282,12 +282,12 @@ def schedule_to_dict(schedule: Schedule, instance: Instance, events: tuple[Event
     if events is not None:
         doc["events"] = [
             {
-                "t": event.time,
-                "starting": [list(tid) for tid in sorted(event.starting)],
-                "completing": [list(tid) for tid in sorted(event.completing)],
-                "usage": {str(rho): 1 for rho in sorted(event.usage)},
+                "t": time,
+                "starting": [list(tid) for tid in sorted(starting)],
+                "completing": [list(tid) for tid in sorted(completing)],
+                "usage": {str(rho): 1 for rho in sorted(usage)},
             }
-            for event in events
+            for time, starting, completing, usage in events
         ]
     return doc
 
@@ -330,14 +330,14 @@ def _events_text(events: tuple[Event, ...]) -> str:
     """
     usages = {frozenset(): "{}"}
     items = []
-    for event in events:
-        usage = usages.get(event.usage)
-        if usage is None:
-            rows = ",\n".join([f'        "{rho}": 1' for rho in sorted(event.usage)])
-            usage = usages[event.usage] = "{\n" + rows + "\n      }"
+    for time, starting, completing, usage in events:
+        text = usages.get(usage)
+        if text is None:
+            rows = ",\n".join([f'        "{rho}": 1' for rho in sorted(usage)])
+            text = usages[usage] = "{\n" + rows + "\n      }"
         items.append(
-            f'    {{\n      "t": {event.time},\n      "starting": {_event_tasks(event.starting)},\n'
-            f'      "completing": {_event_tasks(event.completing)},\n      "usage": {usage}\n    }}'
+            f'    {{\n      "t": {time},\n      "starting": {_event_tasks(starting)},\n'
+            f'      "completing": {_event_tasks(completing)},\n      "usage": {text}\n    }}'
         )
     return _array(items, "  ")
 

@@ -192,6 +192,7 @@ def test_usage_error_exit_two(tmp_path):
         ["bench"],  # no such subcommand
         ["oracle", str(instance_path), "--grid"],  # no such flag
         ["schedule", str(instance_path), "--priority-order", "asc"],  # no such flag
+        ["oracle", str(instance_path), "--node-limit", "-1"],  # a budget below 0
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
