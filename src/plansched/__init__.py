@@ -26,7 +26,6 @@ from .model import (
     UnknownResource,
     UnknownTask,
     build_instance,
-    completion_time,
 )
 from .oracle import OracleResult, exact_max_weight
 from .ordering import sort_plans
@@ -86,7 +85,6 @@ __all__ = [
     "Violation",
     "build_instance",
     "build_schedule",
-    "completion_time",
     "dumps_instance",
     "dumps_schedule",
     "emit_instance",

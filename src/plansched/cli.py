@@ -23,7 +23,10 @@ from .validate import validate_schedule
 
 def _node_limit(text: str) -> int:
     """The ``--node-limit`` value: an ``int`` of 0 or more (0 is an empty budget)."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
     return value
@@ -51,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.set_defaults(handler=_cmd_oracle)
     p_oracle.add_argument("instance")
     p_oracle.add_argument("--node-limit", type=_node_limit, default=DEFAULT_NODE_LIMIT)
-    p_oracle.add_argument("--time-limit", type=float, help="seconds; no wall-clock limit by default")
     return parser
 
 
@@ -89,7 +91,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     instance = parse_instance(args.instance)
-    result = exact_max_weight(instance, node_limit=args.node_limit, time_limit=args.time_limit)
+    result = exact_max_weight(instance, node_limit=args.node_limit)
     # a tripped search only knows a feasible value, not that none is higher
     print(f"{'lower bound' if result.time_limit_hit else 'optimum'} {result.optimum}")
     print(f"plans {result.witness.scheduled_plans}")

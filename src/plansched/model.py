@@ -10,15 +10,18 @@ that cannot be iterated raises :class:`InstanceError` too.  ``Instance``
 checks that its window is a ``TimeWindow``, and ``Plan`` and ``Instance``
 name an entry that is not a ``Task`` or a ``Plan`` at no cost to a valid
 construction: only the error that reading such an entry raises leads to a
-type test.  ``Instance`` is the only place that reads the plan DAG: one pass
-rejects cycles and records each plan's frontier and DAG neighbours, which
-the ordering and the engine look up.  ``Schedule`` is the mutable result of
-a single scheduler run and checks nothing itself.  Every reader of a schedule
-(the validator and its objective, both writers, both Gantt renders and
-:func:`event_list`) reads it through :func:`placed_tasks`, which applies the
-schedule rule once: integer starts and ids, a plan listed at most once per
-list, and only tasks and plans of the instance.  :func:`event_list` derives
-the paper's event list, a tuple of ``Event`` named tuples, from those starts.
+type test.  ``Instance`` checks the plan DAG: one pass rejects cycles and
+records each plan's frontier and DAG neighbours, which the ordering, the
+engine, the oracle and the instance writers look up.  Two readers also read
+``plan_dag`` itself: :func:`plansched.ordering.sort_plans` counts in-degrees
+from it, and the validator reads it for its ordering warnings.  ``Schedule``
+is the mutable result of a single scheduler run and checks nothing itself.
+Every reader of a schedule (the validator and its objective, both writers,
+both Gantt renders and :func:`event_list`) reads it through
+:func:`placed_tasks`, which applies the schedule rule once: integer starts
+and ids, a plan listed at most once per list, and only tasks and plans of
+the instance.  :func:`event_list` derives the paper's event list, a tuple of
+``Event`` named tuples, from those starts.
 """
 
 from __future__ import annotations
@@ -196,11 +199,6 @@ def _reject_entry(entries, kind: type, owner: str) -> None:
     for entry in entries:
         if not isinstance(entry, kind):
             raise InstanceError(f"{owner}: {entry!r} is not a {kind.__name__}") from None
-
-
-def completion_time(task: Task, start: int) -> int:
-    """Completion instant of ``task`` when started at ``start``."""
-    return start + task.processing_time
 
 
 @dataclass(frozen=True)

@@ -34,15 +34,12 @@ def sort_plans(instance: Instance) -> list[Plan]:
     order is kept, every precedence edge points forward, and an instance
     without a plan DAG (a single frontier) is ordered by priority alone.
 
-    Ready heads sit in a heap and each plan counts its untaken predecessors.
-    A frontier taken from the heap keeps its turn: its next head is taken at
-    once while it is ready and its ``(-priority, frontier)`` still beats
-    the heap's top, and it is pushed back only when it yields.  The order is
-    the same as one pop per plan, as the head kept out of the heap is the one
-    the heap would return next.  Beyond the sort, the merge costs O(1) per
-    plan and per DAG edge, and O(log K) for K plans per heap push, made only
-    when a frontier yields or a successor becomes a ready head; an instance
-    without a plan DAG makes none and takes one pass.
+    Ready heads sit in a heap keyed by ``(-priority, frontier)``, and each
+    plan counts its untaken predecessors.  Each step pops one entry, takes
+    that frontier's head, pushes the frontier of every successor that became
+    a ready head, and pushes the frontier back if its next head is ready.
+    The cost is one sort per frontier, then O(log F) per plan for F
+    frontiers, and O(1) per DAG edge.
     """
 
     frontier_of = instance.frontier_of
@@ -63,21 +60,14 @@ def sort_plans(instance: Instance) -> list[Plan]:
     while ready:
         _, f = heapq.heappop(ready)
         layer = frontiers[f]
-        h = heads[f]
-        while True:  # take f's heads while f holds the best ready head
-            plan = layer[h]
-            out.append(plan)
-            h += 1
-            for succ in successors_of(plan.id):  # each in a higher frontier than f
-                unmet[succ] -= 1
-                g = frontier_of[succ]
-                if unmet[succ] == 0 and frontiers[g][heads[g]].id == succ:
-                    heapq.heappush(ready, (-frontiers[g][heads[g]].priority, g))
-            if h == len(layer) or unmet[layer[h].id]:  # an unready head is pushed by its last predecessor
-                break
-            entry = (-layer[h].priority, f)
-            if ready and ready[0] < entry:
-                heapq.heappush(ready, entry)
-                break
-        heads[f] = h
+        plan = layer[heads[f]]
+        out.append(plan)
+        for succ in successors_of(plan.id):  # each in a higher frontier than f
+            unmet[succ] -= 1
+            g = frontier_of[succ]
+            if unmet[succ] == 0 and frontiers[g][heads[g]].id == succ:
+                heapq.heappush(ready, (-frontiers[g][heads[g]].priority, g))
+        h = heads[f] = heads[f] + 1
+        if h < len(layer) and unmet[layer[h].id] == 0:  # an unready head is pushed by its last predecessor
+            heapq.heappush(ready, (-layer[h].priority, f))
     return out

@@ -26,7 +26,7 @@ from .model import Instance, Plan, SchedulingError, Task, TimeWindow
 
 
 class BadScenario(SchedulingError):
-    """Scenario number outside 1..8."""
+    """Scenario number that is not an int in 1..8."""
 
 
 # (plan id, priority, resources, release, due, processing times, serial pairs)
@@ -102,8 +102,8 @@ def _duplicate(rows, edges, wanted) -> tuple[list, set[tuple[int, int]]]:
 
 def generate_scenario(n: int) -> Instance:
     """Build benchmark scenario ``n`` (1..8)."""
-    if n not in SCENARIOS:
-        raise BadScenario(f"scenario must be in 1..8, got {n}")
+    if type(n) is not int or n not in SCENARIOS:  # True == 1 and 2.0 == 2, yet neither is a scenario number
+        raise BadScenario(f"scenario must be an int in 1..8, got {n!r}")
     rows = list(_BASE_ROWS)
     edges: set[tuple[int, int]] = set(_BASE_EDGES)
     window = TimeWindow(0, 180)

@@ -13,7 +13,7 @@ cross-check of the library's candidate rule on tiny inputs.
 
 from __future__ import annotations
 
-from plansched.model import Plan, Task, completion_time
+from plansched.model import Plan, Task
 from plansched.oracle import _Search
 
 
@@ -71,7 +71,7 @@ class ReferenceSearch(_Search):
                 if bound is None:
                     continue
                 for start in candidates(plan, task, bound, last_start):
-                    end = completion_time(task, start)
+                    end = start + task.processing_time
                     if conflicts(task, start, end):
                         continue
                     self.explored += 1

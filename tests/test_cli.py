@@ -162,14 +162,14 @@ def test_oracle_subcommand_uses_library_limits(tmp_path, monkeypatch, capsys):
     instance_path.write_text(dumps_instance(example1_instance()))
     limits = []
 
-    def spy(instance, node_limit, time_limit, **kwargs):
-        limits.append((node_limit, time_limit))
-        return exact_max_weight(instance, node_limit, time_limit, **kwargs)
+    def spy(instance, **kwargs):
+        limits.append(kwargs)
+        return exact_max_weight(instance, **kwargs)
 
     monkeypatch.setattr(cli, "exact_max_weight", spy)
     assert main(["oracle", str(instance_path)]) == 0
-    assert main(["oracle", str(instance_path), "--node-limit", "7", "--time-limit", "2.5"]) == 0
-    assert limits == [(DEFAULT_NODE_LIMIT, None), (7, 2.5)]
+    assert main(["oracle", str(instance_path), "--node-limit", "7"]) == 0
+    assert limits == [{"node_limit": DEFAULT_NODE_LIMIT}, {"node_limit": 7}]  # no wall-clock limit
     assert "optimum 3" in capsys.readouterr().out
 
 
@@ -193,7 +193,22 @@ def test_usage_error_exit_two(tmp_path):
         ["oracle", str(instance_path), "--grid"],  # no such flag
         ["schedule", str(instance_path), "--priority-order", "asc"],  # no such flag
         ["oracle", str(instance_path), "--node-limit", "-1"],  # a budget below 0
+        ["oracle", str(instance_path), "--time-limit", "1"],  # no such flag
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2, argv
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("-1", "must be 0 or more, got -1"), ("abc", "must be an integer, got 'abc'")],
+    ids=["negative", "text"],
+)
+def test_node_limit_error_names_the_flag(tmp_path, capsys, value, message):
+    instance_path = tmp_path / "example1.json"
+    instance_path.write_text(dumps_instance(example1_instance()))
+    with pytest.raises(SystemExit) as err:
+        main(["oracle", str(instance_path), "--node-limit", value])
+    assert err.value.code == 2
+    assert f"error: argument --node-limit: {message}\n" in capsys.readouterr().err

@@ -15,19 +15,9 @@ from plansched import (
     UnknownResource,
     UnknownTask,
     build_instance,
-    completion_time,
 )
 from plansched.model import Event
 from conftest import example1_instance, make_plan
-
-
-@pytest.mark.parametrize(
-    "p, start, expected",
-    [(3, 2, 5), (1, 0, 1), (20, 80, 100)],
-)
-def test_completion_time(p, start, expected):
-    task = Task(plan_id=1, index=1, processing_time=p, release=0, due=start + p, resources={1})
-    assert completion_time(task, start) == expected
 
 
 def test_window_rejects_inverted():

@@ -90,7 +90,7 @@ def test_scenario_8_duplicates_everything():
     }
 
 
-@pytest.mark.parametrize("n", [0, 9, -1])
+@pytest.mark.parametrize("n", [0, 9, -1, True, 2.0, "1"])
 def test_bad_scenario(n):
     with pytest.raises(BadScenario):
         generate_scenario(n)
