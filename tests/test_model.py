@@ -210,6 +210,65 @@ def test_task_replace_rechecks_and_rederives_id():
         dataclasses.replace(task, id=(1, 3))  # id is derived, never passed
 
 
+def test_plan_keeps_its_dataclass_contract():
+    first = Task(1, 1, 2, 0, 9, {1})
+    second = Task(1, 2, 3, 0, 9, {2}, ((1, 0),))
+    plan = Plan(1, 5, (second, first))  # sorted into precedence order
+    assert repr(plan) == f"Plan(id=1, priority=5, tasks=({first!r}, {second!r}))"
+    same = Plan(id=1, priority=5, tasks=[first, second])
+    assert plan == same and hash(plan) == hash(same)
+    assert plan.task(2) is second  # builds this plan's map only; it is not compared
+    assert plan == same and hash(plan) == hash(same)
+    assert plan != dataclasses.replace(plan, priority=4)
+    assert [(f.name, f.init, f.compare) for f in dataclasses.fields(Plan)] == [
+        ("id", True, True),
+        ("priority", True, True),
+        ("tasks", True, True),
+        ("_by_index", False, False),
+    ]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.priority = 4
+    assert not hasattr(plan, "__dict__")
+    # replace goes through __init__: it re-checks, re-sorts and starts an empty map
+    with pytest.raises(InstanceError, match="^plan 1: task 2 names unknown predecessor 1$"):
+        dataclasses.replace(plan, tasks=(second,))
+    with pytest.raises(InstanceError, match="^plan 2 contains task tagged for plan 1$"):
+        dataclasses.replace(plan, id=2)
+    with pytest.raises(InstanceError, match="priority must be an integer"):
+        dataclasses.replace(plan, priority=True)
+    with pytest.raises(ValueError):
+        dataclasses.replace(plan, _by_index={})  # the map is derived, never passed
+    third = Task(1, 3, 1, 0, 9, {1}, ((2, 0),))
+    grown = dataclasses.replace(plan, tasks=(third, second, first))
+    assert grown.tasks == (first, second, third)
+    assert grown.task(3) is third and grown.task(1) is first
+    with pytest.raises(UnknownTask, match="^plan 1 has no task 3$"):
+        plan.task(3)
+
+
+@pytest.mark.parametrize(
+    "tasks, message",
+    [
+        # an unknown predecessor comes before a later task's faults
+        (lambda a, b, c: (a, c, Task(2, 3, 1, 0, 9, {1})), "plan 1: task 3 names unknown predecessor 9"),
+        # a wrong tag comes before a later duplicate index
+        (lambda a, b, c: (b, Task(2, 3, 1, 0, 9, {1}), a, a), "plan 1 contains task tagged for plan 2"),
+        # an out-of-order plan names its unknown predecessors too
+        (lambda a, b, c: (b, a, c), "plan 1: task 3 names unknown predecessor 9"),
+        # a repeated index is named last
+        (lambda a, b, c: (a, b, b), "plan 1 has duplicate task indices"),
+        # an entry that is not a task is named first
+        (lambda a, b, c: (Task(2, 3, 1, 0, 9, {1}), a, None), "plan 1: tasks: None is not a Task"),
+    ],
+)
+def test_plan_names_its_first_fault_in_task_order(tasks, message):
+    a = Task(1, 1, 2, 0, 9, {1})
+    b = Task(1, 2, 2, 0, 9, {1}, ((1, 0),))
+    c = Task(1, 3, 2, 0, 9, {1}, ((9, 0),))
+    with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+        Plan(1, 1, tasks(a, b, c))
+
+
 def test_event_keeps_equality_and_hash():
     event = Event(3, frozenset({(1, 1)}), usage=frozenset({2}))
     same = Event(3, starting=frozenset({(1, 1)}), completing=frozenset(), usage=frozenset({2}))

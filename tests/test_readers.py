@@ -3,10 +3,13 @@
 The validator, the objective, both writers, the event list and both Gantt
 renders read a schedule through ``model.placed_tasks``.  One table checks each of them
 against each case of that rule with its exact message, and one extreme
-instance goes through all of them.
+instance goes through all of them.  Random hand-built schedules check the
+event list against a literal sweep and the schedule writer against
+``json.dumps``.
 """
 
 import json
+import random
 import re
 
 import pytest
@@ -27,8 +30,9 @@ from plansched import (
     render_gantt,
     validate_schedule,
 )
-from plansched.model import event_list, placed_tasks
+from plansched.model import Event, event_list, placed_tasks
 from plansched.serialize import instance_from_dict, schedule_from_dict, schedule_to_dict
+from conftest import base_seed, random_instance
 
 READERS = {
     "validate": lambda schedule, instance: validate_schedule(instance, schedule),
@@ -109,3 +113,51 @@ def test_one_task_on_five_thousand_resources():
     assert render_gantt(schedule, instance, "text").count("\n") == 2 + 5000
     assert render_gantt(schedule, instance, "svg").count("<rect ") == 5001
     assert instance_from_dict(json.loads(dumps_instance(instance))) == instance
+
+
+def _reference_events(schedule, instance):
+    """The event list swept literally: at each instant, in time order, the
+    resources of the completing tasks are removed, then those of the starting
+    tasks added; the window start is always an event."""
+    placed = [(instance.task(task_id), start) for task_id, start in schedule.starts.items()]
+    instants = {instance.window.start}
+    for task, start in placed:
+        instants |= {start, start + task.processing_time}
+    held = set()
+    events = []
+    for t in sorted(instants):
+        completing = [task for task, start in placed if start + task.processing_time == t]
+        starting = [task for task, start in placed if start == t]
+        for task in completing:
+            held -= task.resources
+        for task in starting:
+            held |= task.resources
+        started, completed = frozenset(task.id for task in starting), frozenset(task.id for task in completing)
+        events.append(Event(t, started, completed, frozenset(held)))
+    return tuple(events)
+
+
+def _random_schedule(rng, instance):
+    """Some tasks of ``instance`` at random starts, in or out of its window and
+    overlapping freely, and random, possibly overlapping, plan lists."""
+    window = instance.window
+    starts = {
+        task.id: rng.randint(window.start - 6, window.end + 6) for task in instance.iter_tasks() if rng.random() < 0.7
+    }
+    plan_ids = [plan.id for plan in instance.plans]
+    scheduled = rng.sample(plan_ids, rng.randint(0, len(plan_ids)))
+    discarded = rng.sample(plan_ids, rng.randint(0, len(plan_ids)))
+    return Schedule(starts, scheduled, discarded)
+
+
+def test_event_list_and_writer_on_random_schedules():
+    # partial, overlapping and out-of-window schedules, not only engine-built ones
+    rng = random.Random(base_seed())
+    for _ in range(300):
+        instance = random_instance(rng, max_plans=5, max_tasks=4, n_resources=rng.choice([2, 3, 6]), horizon=12)
+        schedule = _random_schedule(rng, instance)
+        events = event_list(schedule, instance)
+        assert events == _reference_events(schedule, instance)
+        assert all(type(event) is Event for event in events)
+        expected = json.dumps(schedule_to_dict(schedule, instance, events), indent=2) + "\n"
+        assert dumps_schedule(schedule, instance, events) == expected
