@@ -150,7 +150,7 @@ def random_instance(
                 resources = {next_private}
                 next_private += 1
             else:
-                resources = set(rng.sample(range(1, n_resources + 1), rng.randint(1, 2)))
+                resources = set(rng.sample(range(1, n_resources + 1), rng.randint(1, min(2, n_resources))))
             preds = []
             if index > 1 and rng.random() < 0.5:
                 preds.append((rng.randint(1, index - 1), rng.randint(0, max_lag)))

@@ -1,5 +1,9 @@
 import dataclasses
+import random
 import re
+import sys
+import threading
+import tracemalloc
 
 import pytest
 
@@ -16,8 +20,9 @@ from plansched import (
     UnknownTask,
     build_instance,
 )
+from plansched.data import load_bundled
 from plansched.model import Event
-from conftest import example1_instance, make_plan
+from conftest import base_seed, example1_instance, make_plan, random_instance
 
 
 def test_window_rejects_inverted():
@@ -164,6 +169,13 @@ def test_task_rejects_non_integer_fields(field, bad):
 def test_task_rejects_non_integer_predecessor_pair(pair):
     with pytest.raises(InstanceError, match="must be a pair of integers"):
         Task(**_TASK_FIELDS, resources={1}, predecessors=(pair,))
+
+
+@pytest.mark.parametrize("pair, shown", [(5, "5"), ([1, 2, 3], "[1, 2, 3]"), ((1,), "(1,)")])
+def test_task_names_a_predecessor_that_is_not_a_pair(pair, shown):
+    message = rf"^task \(1, 2\): predecessor {re.escape(shown)} must be a pair of integers$"
+    with pytest.raises(InstanceError, match=message):
+        Task(**_TASK_FIELDS, resources={1}, predecessors=[pair])
 
 
 def test_task_stores_predecessor_pairs_as_tuples():
@@ -413,3 +425,102 @@ def test_instance_rejects_an_entry_that_is_not_a_plan(entry):
     # a Task has an ``id`` as a Plan does, so it is caught only where its tasks are read
     with pytest.raises(InstanceError, match=rf"^plans: {re.escape(repr(entry))} is not a Plan$"):
         Instance((_PLAN, entry), frozenset(), {1: 1}, TimeWindow(0, 5))
+
+
+def _lone(rho: int) -> frozenset[int]:
+    """The resource set that a fresh task on the lone resource ``rho`` stores."""
+    return Task(1, 1, 1, 0, 5, [rho]).resources
+
+
+def _assert_one_set_per_lone_id(instance: Instance) -> None:
+    tasks = [task for plan in instance.plans for task in plan.tasks]
+    assert tasks and all(len(task.resources) == 1 for task in tasks)
+    for task in tasks:
+        (rho,) = task.resources
+        assert task.resources is _lone(rho)
+
+
+def test_lone_resource_tasks_share_one_set_per_id():
+    _assert_one_set_per_lone_id(load_bundled("benchmarks/scenario1.json"))
+    _assert_one_set_per_lone_id(random_instance(random.Random(base_seed() + 35), max_plans=8, n_resources=1))
+
+
+def test_two_resource_task_has_its_own_set():
+    first, second = (load_bundled("example2.json").plan(5).task(2) for _ in range(2))
+    assert first.resources == second.resources == frozenset({1, 3})
+    assert first.resources is not second.resources
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+@pytest.mark.parametrize("collection", [set, list, frozenset])
+def test_lone_non_integer_resource_is_rejected_before_it_is_shared(bad, collection):
+    # shared first, {True} would become the set of 1
+    message = rf"^task \(1, 1\): resource ids must be integers, got {re.escape(repr(bad))}$"
+    with pytest.raises(InstanceError, match=message):
+        Task(1, 1, 1, 0, 5, collection([bad]))
+    assert [type(rho) for rho in _lone(1)] == [int]
+
+
+@pytest.mark.parametrize("rho, shared", [(-1, False), (0, True), (1023, True), (1024, False), (10**20, False)])
+def test_lone_resources_share_a_set_from_0_to_1023(rho, shared):
+    assert _lone(rho) == frozenset({rho})
+    assert (_lone(rho) is _lone(rho)) == shared
+
+
+def test_private_resources_cross_the_shared_range():
+    # disjoint_resources numbers the tasks' private resources from 1000 up
+    instance = random_instance(random.Random(base_seed() + 36), min_plans=30, max_plans=30, disjoint_resources=True)
+    tasks = [task for plan in instance.plans for task in plan.tasks]
+    assert max(rho for task in tasks for rho in task.resources) >= 1024
+    for task in tasks:
+        (rho,) = task.resources
+        assert task.resources == frozenset({rho})
+        assert (task.resources is _lone(rho)) == (rho < 1024)
+
+
+def test_threads_filling_the_shared_sets_agree():
+    # ids 500-899 are used by no other test, so the threads fill them afresh
+    ids = list(range(500, 900))
+    found: list[list[frozenset[int]]] = []
+
+    def build(seed):
+        order = ids[:]
+        random.Random(seed).shuffle(order)
+        built = {rho: Task(1, 1, 1, 0, 5, [rho]).resources for rho in order}
+        found.append([built[rho] for rho in ids])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and len(found) == 8
+    for sets in zip(*found):
+        assert all(s is sets[0] for s in sets)
+
+
+def test_shared_set_keeps_equality_hash_and_repr():
+    task = Task(1, 1, 1, 0, 5, frozenset({1}))
+    assert task == Task(1, 1, 1, 0, 5, [1]) == Task(1, 1, 1, 0, 5, {1})
+    assert hash(task) == hash((1, 1, 1, 0, 5, frozenset({1}), ()))
+    assert repr(task) == (
+        "Task(plan_id=1, index=1, processing_time=1, release=0, due=5, resources=frozenset({1}), predecessors=())"
+    )
+    assert dataclasses.replace(task, due=6).resources is task.resources is _lone(1)
+
+
+def test_single_resource_task_keeps_at_most_250_bytes():
+    # a fresh frozenset on every task kept 401-405 bytes per task alive, the shared one 185-189 (Python 3.10-3.13)
+    lone = [[rho] for rho in range(1, 15)]
+    tracemalloc.start()
+    try:
+        tasks = [Task(plan_id, 1, 2, 0, 9, lone[plan_id % 14]) for plan_id in range(10_000)]
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size / len(tasks) <= 250
