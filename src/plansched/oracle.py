@@ -172,7 +172,10 @@ class _Search:
         """Start times that fit every task of ``plans``, or None.
 
         With ``probe`` only the first descent is made: None at its first
-        backtrack.
+        backtrack.  ``children()`` scans every task of ``plans`` at each
+        node, so one node costs time linear in their task count, quadratic
+        for one long chained plan.  That is left as it is: the search is
+        exponential anyway.
         """
         order = [k for plan in plans for k in self.numbers_of[plan.id]]  # task numbers by position
         n = len(order)

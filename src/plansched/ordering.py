@@ -8,7 +8,10 @@ mutually unordered and get sorted by priority, highest first.
 The one scheduling order merges those per-frontier lists by priority: at each
 step it takes the highest-priority head among the frontier heads whose DAG
 predecessors have all been taken, the lower frontier first on equal priority.
-A high-priority successor is thus inserted as soon as its predecessors are.
+Only a frontier's head may go next: a ready plan waits behind an unready
+plan of equal or higher priority listed before it in the same frontier, even
+when lower-priority plans of other frontiers go first meanwhile.  So the input
+order of two unrelated equal-priority plans can decide which of them fits.
 The DAG orders insertion only; it places no constraint on times.
 """
 

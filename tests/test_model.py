@@ -1,8 +1,10 @@
 import dataclasses
+import itertools
 import random
 import re
 import sys
 import threading
+import time
 import tracemalloc
 
 import pytest
@@ -229,27 +231,24 @@ def test_plan_keeps_its_dataclass_contract():
     assert repr(plan) == f"Plan(id=1, priority=5, tasks=({first!r}, {second!r}))"
     same = Plan(id=1, priority=5, tasks=[first, second])
     assert plan == same and hash(plan) == hash(same)
-    assert plan.task(2) is second  # builds this plan's map only; it is not compared
+    assert plan.task(2) is second  # a lookup stores nothing on the plan
     assert plan == same and hash(plan) == hash(same)
     assert plan != dataclasses.replace(plan, priority=4)
     assert [(f.name, f.init, f.compare) for f in dataclasses.fields(Plan)] == [
         ("id", True, True),
         ("priority", True, True),
         ("tasks", True, True),
-        ("_by_index", False, False),
     ]
     with pytest.raises(dataclasses.FrozenInstanceError):
         plan.priority = 4
     assert not hasattr(plan, "__dict__")
-    # replace goes through __init__: it re-checks, re-sorts and starts an empty map
+    # replace goes through __init__: it re-checks and re-sorts
     with pytest.raises(InstanceError, match="^plan 1: task 2 names unknown predecessor 1$"):
         dataclasses.replace(plan, tasks=(second,))
     with pytest.raises(InstanceError, match="^plan 2 contains task tagged for plan 1$"):
         dataclasses.replace(plan, id=2)
     with pytest.raises(InstanceError, match="priority must be an integer"):
         dataclasses.replace(plan, priority=True)
-    with pytest.raises(ValueError):
-        dataclasses.replace(plan, _by_index={})  # the map is derived, never passed
     third = Task(1, 3, 1, 0, 9, {1}, ((2, 0),))
     grown = dataclasses.replace(plan, tasks=(third, second, first))
     assert grown.tasks == (first, second, third)
@@ -279,6 +278,62 @@ def test_plan_names_its_first_fault_in_task_order(tasks, message):
     c = Task(1, 3, 2, 0, 9, {1}, ((9, 0),))
     with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
         Plan(1, 1, tasks(a, b, c))
+
+
+def _smallest_topological_order(tasks):
+    """The topological order of ``tasks`` that is smallest by list position, by
+    brute force: permutations of the positions come in lexicographic order, so
+    the first whose every predecessor comes earlier is the smallest."""
+    for order in itertools.permutations(range(len(tasks))):
+        taken = set()
+        for k in order:
+            if any(j not in taken for j, _ in tasks[k].predecessors):
+                break
+            taken.add(tasks[k].index)
+        else:
+            return tuple(tasks[k] for k in order)
+
+
+def test_plan_orders_random_task_dags_by_smallest_position():
+    rng = random.Random(base_seed() + 36)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        indices = rng.sample(range(1, 20), n)  # in a precedence order; the list is shuffled below
+        tasks = [
+            Task(1, i, 1, 0, 9, {1}, [(j, rng.randint(0, 2)) for j in indices[:k] if rng.random() < 0.4])
+            for k, i in enumerate(indices)
+        ]
+        rng.shuffle(tasks)
+        assert Plan(1, 1, tasks).tasks == _smallest_topological_order(tasks)
+
+
+def test_plan_orders_a_task_that_lists_its_predecessor_twice():
+    a = Task(1, 1, 2, 0, 9, {1})
+    b = Task(1, 2, 2, 0, 9, {1}, ((1, 0), (1, 3)))  # listed before the predecessor it names twice
+    c = Task(1, 3, 2, 0, 9, {1}, ((2, 0),))
+    assert Plan(1, 1, (b, a, c)).tasks == (a, b, c)
+    assert Plan(1, 1, (c, b, a)).tasks == (a, b, c)
+
+
+def _chain(n: int) -> list[Task]:
+    """``n`` one-tick tasks on one resource, each after the one before it."""
+    return [Task(1, 1, 1, 0, 10 * n, {1})] + [Task(1, i, 1, 0, 10 * n, {1}, ((i - 1, 0),)) for i in range(2, n + 1)]
+
+
+def test_plan_names_a_cycle_closing_a_long_chain():
+    tasks = _chain(4000)
+    tasks[0] = Task(1, 1, 1, 0, 40000, {1}, ((4000, 0),))
+    with pytest.raises(CyclicTaskGraph, match="^plan 1: task precedence graph has a cycle$"):
+        Plan(1, 1, tasks)
+
+
+def test_plan_orders_a_long_reversed_chain_in_under_a_second():
+    tasks = _chain(4000)
+    t0 = time.perf_counter()
+    plan = Plan(1, 1, tasks[::-1])
+    elapsed = time.perf_counter() - t0
+    assert plan == Plan(1, 1, tasks)
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
 def test_event_keeps_equality_and_hash():

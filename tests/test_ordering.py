@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plansched import TimeWindow, build_instance, sort_plans
+from plansched import TimeWindow, build_instance, build_schedule, exact_max_weight, objective, sort_plans
 from conftest import make_plan
 from reference import plan_order
 
@@ -82,6 +82,35 @@ def test_priority_merge_of_frontiers(priorities, edges, expected):
     instance = _instance(priorities, edges)
     assert [p.id for p in sort_plans(instance)] == expected
     assert [p.id for p, _ in plan_order(instance)] == expected  # the rescan reference agrees
+
+
+@pytest.mark.parametrize(
+    "listed, order, discarded, total",
+    [
+        # 4 is ready once 1 is taken, but waits behind its frontier's head 3,
+        # which waits for the priority-1 plan 2; then 2 takes 4's only slot
+        ((1, 2, 3, 4), [1, 2, 3, 4], [4], 9),
+        # listed the other way, 4 heads the frontier and goes in after 1
+        ((1, 2, 4, 3), [1, 4, 2, 3], [2], 11),
+    ],
+)
+def test_a_ready_plan_waits_behind_an_unready_head_of_equal_priority(listed, order, discarded, total):
+    # the head rule: only each frontier's head may go next, so the input order
+    # of two unrelated equal-priority plans decides which of 2 and 4 fits
+    rows = {
+        1: (5, [(1, 1, 0, 20, {1}, [])]),
+        2: (1, [(1, 4, 0, 4, {2}, [])]),
+        3: (3, [(1, 1, 0, 20, {3}, [])]),
+        4: (3, [(1, 4, 0, 4, {2}, [])]),
+    }
+    plans = [make_plan(pid, *rows[pid]) for pid in listed]
+    instance = build_instance(plans, plan_dag={(2, 3), (1, 4)}, window=TimeWindow(0, 20))
+    assert instance.frontier_of == {1: 0, 2: 0, 3: 1, 4: 1}
+    assert [p.id for p in sort_plans(instance)] == order
+    schedule = build_schedule(instance).schedule
+    assert schedule.discarded_plans == discarded
+    assert objective(instance, schedule) == total
+    assert exact_max_weight(instance).optimum == 11
 
 
 def _brute_depth(n_plans, edges):
