@@ -5,14 +5,16 @@ instance (``Timelines``), which holds the resource's maximal busy runs; every
 step below reads and writes only the timelines of its own tasks' resources.
 
 - :func:`_fit_plan` finds where a plan's tasks go, each at its earliest
-  feasible instant, and writes nothing.
+  feasible instant, and writes nothing but its own local state: a plan that
+  repeats a resource keeps its fitted intervals as timelines of its own.
 - :func:`_idle_sum` measures the idle time a fitted plan would leave.
 - :func:`schedule_plan_set`, the one public step, commits a group of
   equal-priority plans, a group of one included, the smallest idle sum
   first, ends a round at an idle sum of 0, and states when a kept trial is
   patched or dropped.
-- :func:`_commit` alone writes: it records a plan and writes its tasks
-  through :func:`_occupy`, the only writer of start times and timelines.
+- :func:`_commit` alone writes the working state: it records a plan and its
+  start times, and adds its tasks to the timelines through :func:`_occupy`,
+  the only writer of timelines.
 - :func:`build_schedule` groups the plans of
   :func:`plansched.ordering.sort_plans` and returns a :class:`ScheduleResult`,
   whose event list is derived from the final start times on first access.
@@ -36,8 +38,9 @@ Timelines = dict[int, tuple[list[int], list[int]]]
 A run is a stretch of back-to-back task intervals.  Two runs of one resource
 neither overlap, as resources are unary, nor touch, as :func:`_occupy` merges
 them, so ``ends[i] < starts[i + 1]`` and the ends are sorted too.  Callers
-seed every resource of the instance with ``([], [])``; intervals are only
-ever added, so a run is never split.
+seed every resource that is read or written with ``([], [])``: the working
+timelines every resource of the instance, a plan's own every resource of
+the plan.  Intervals are only ever added, so a run is never split.
 """
 
 
@@ -73,16 +76,14 @@ def _lower_bound(task: Task, window: TimeWindow, completions: dict[int, int]) ->
     return bound
 
 
-def _occupy(task: Task, start: int, s_w: Schedule, busy: Timelines) -> None:
-    """Record ``start`` for ``task`` and add its interval to each of its resources' timelines.
+def _occupy(task: Task, start: int, end: int, busy: Timelines) -> None:
+    """Add ``task``'s interval ``[start, end)`` to each of its resources' timelines.
 
-    The interval ``[start, end)`` is free, so it joins the run that ends at
-    ``start`` and the run that starts at ``end``: it extends the one, the
-    other, or bridges both into one run; next to neither, it is a new run.
-    Only :func:`_commit` calls it.
+    The interval is free, so it joins the run that ends at ``start`` and the
+    run that starts at ``end``: it extends the one, the other, or bridges both
+    into one run; next to neither, it is a new run.  :func:`_commit` calls it
+    on the working timelines, and :func:`_fit_plan` on a plan's own.
     """
-    s_w.starts[task.id] = start
-    end = start + task.processing_time
     for rho in task.resources:
         starts, ends = busy[rho]
         i = bisect_left(starts, start)  # runs before i end by start, runs from i start at end or later
@@ -99,21 +100,20 @@ def _occupy(task: Task, start: int, s_w: Schedule, busy: Timelines) -> None:
             ends.insert(i, end)
 
 
-def _earliest_fit(task: Task, lower: int, busy: Timelines, window: TimeWindow, own=()) -> int | None:
+def _earliest_fit(task: Task, lower: int, layers: tuple[Timelines, ...], window: TimeWindow) -> int | None:
     """First ``t >= lower`` with ``task``'s resources free over ``[t, t + p)``, or None.
 
-    The task must complete by its due date and the window end.  On each
-    resource only the last run that starts before ``t + p`` needs a look:
+    The task must complete by its due date and the window end.  ``layers``
+    holds the timelines to keep clear of: the working ones, and, once its plan
+    repeats a resource, the plan's own (:func:`_fit_plan`).  On each resource
+    of each layer only the last run that starts before ``t + p`` needs a look:
     ends are sorted as well, so if any run overlaps ``[t, t + p)`` that one
-    does, and no start before its end fits.  ``own`` holds further intervals
-    ``(s, e)`` the task must avoid, those of its plan's tasks fitted before it
-    on a shared resource, which no timeline holds yet; they are read once the
-    timelines leave the candidate in place.  The candidate jumps to the end of
-    any run or interval that overlaps it, and all are checked again, until
-    none moves it or it passes the latest start.  The candidate never moves
-    back, so each jump passes one run or own interval for good: the jumps of
-    one call are at most the runs on the task's resources plus its ``own``
-    intervals, and its passes over them at most one more.
+    does, and no start before its end fits.  The candidate jumps to the end of
+    any run that overlaps it, and all are checked again, until none moves it
+    or it passes the latest start.  The candidate never moves back, so each
+    jump passes one run for good: the jumps of one call are at most the runs
+    on the task's resources in all layers, and its passes at most one more,
+    each one bisect per resource and layer.
     """
     p = task.processing_time
     # comparisons, not min(), and no per-call list: this runs for every task of every fit
@@ -122,45 +122,51 @@ def _earliest_fit(task: Task, lower: int, busy: Timelines, window: TimeWindow, o
     t = lower
     while t <= latest:
         moved = False
-        for rho in resources:
-            starts, ends = busy[rho]
-            i = bisect_left(starts, t + p)
-            if i and ends[i - 1] > t:
-                t = ends[i - 1]
-                moved = True
+        for timelines in layers:
+            for rho in resources:
+                starts, ends = timelines[rho]
+                i = bisect_left(starts, t + p)
+                if i and ends[i - 1] > t:
+                    t = ends[i - 1]
+                    moved = True
         if not moved:
-            for s, e in own:
-                if s < t + p and e > t:
-                    t = e
-                    break
-            else:
-                return t
+            return t
     return None
 
 
 def _fit_plan(plan: Plan, busy: Timelines, window: TimeWindow) -> list[tuple[Task, int, int]] | None:
     """Where the tasks of ``plan`` go on ``busy``: ``(task, start, end)`` each, in plan order.
 
-    None if a task does not fit.  Nothing is written.  Each task gets its
-    earliest fit (:func:`_earliest_fit`) from its lower bound
+    None if a task does not fit.  Nothing but local state is written.  Each
+    task gets its earliest fit (:func:`_earliest_fit`) from its lower bound
     (:func:`_lower_bound`, reading its predecessors' completions from the
     tasks fitted before it), clear of the timelines and of the plan's own
-    earlier tasks on a shared resource.
+    earlier tasks on a shared resource.  Most plans use each resource once,
+    and their tasks are checked against ``busy`` alone.  At the first task
+    that meets a resource of an earlier one, the intervals fitted so far
+    become the plan's own timelines, written by :func:`_occupy` as the
+    working ones are, and every later task is checked against both and then
+    added to its own.
     """
     fitted = []
     completions: dict[int, int] = {}
-    used: set[int] = set()  # the resources of the tasks fitted so far
+    used: set[int] = set()  # the resources of the tasks fitted so far, until own exists
+    own: Timelines | None = None
+    layers = (busy,)
     for task in plan.tasks:
-        if used.isdisjoint(task.resources):  # most tasks: no earlier task of the plan to avoid
-            own = ()
-        else:
-            own = [(s, e) for other, s, e in fitted if not task.resources.isdisjoint(other.resources)]
+        if own is None and not used.isdisjoint(task.resources):  # the plan repeats a resource
+            own = {rho: ([], []) for other in plan.tasks for rho in other.resources}
+            for other, s, e in fitted:
+                _occupy(other, s, e, own)
+            layers = (busy, own)
         used |= task.resources
-        start = _earliest_fit(task, _lower_bound(task, window, completions), busy, window, own)
+        start = _earliest_fit(task, _lower_bound(task, window, completions), layers, window)
         if start is None:
             return None
         end = completions[task.index] = start + task.processing_time
         fitted.append((task, start, end))
+        if own is not None:
+            _occupy(task, start, end, own)
     return fitted
 
 
@@ -171,25 +177,45 @@ def _idle_sum(fitted: list[tuple[Task, int, int]], busy: Timelines, w_s: int, sp
     (:func:`_latest_release_on`).  One ``(lr, s, e)`` per task is appended
     to ``spans``: ``[s, e)`` is the task's interval, and ``[lr, e)``, from its
     latest release to its completion, is the stretch of each of its
-    resources' timelines that its fit and measurement depend on.
+    resources' timelines that its fit and measurement depend on.  Only when
+    the plan repeats a resource are its task ends gathered, sorted per
+    resource, for :func:`_latest_release_on`.
     """
+    own_ends: dict[int, list[int]] | None = None
+    used: set[int] = set()
+    for task, _, _ in fitted:
+        if not used.isdisjoint(task.resources):  # the plan repeats a resource
+            own_ends = {}
+            for other, _, end in fitted:
+                for rho in other.resources:
+                    own_ends.setdefault(rho, []).append(end)
+            for ends in own_ends.values():
+                ends.sort()
+            break
+        used |= task.resources
     total = 0
     for task, start, end in fitted:
-        release = _latest_release_on(busy, task, start, w_s, fitted)
+        release = _latest_release_on(busy, task, start, w_s, own_ends)
         total += start - release
         spans.append((release, start, end))
     return total
 
 
-def _latest_release_on(busy: Timelines, task: Task, start: int, w_s: int, fitted: list[tuple[Task, int, int]]) -> int:
+def _latest_release_on(
+    busy: Timelines, task: Task, start: int, w_s: int, own_ends: dict[int, list[int]] | None
+) -> int:
     """Latest instant <= ``start`` at which one of ``task``'s resources turned free.
 
     That is the latest end ``e <= start`` of an interval on one of its
-    resources: in the timelines, where one bisect per resource finds it (the
-    latest task end by ``start`` is a run end, as no run covers ``start``), or
-    among its plan's ``fitted`` tasks, earlier or later in the plan, that share
-    a resource with it; the timelines do not hold the plan yet.  Falls back to
-    the window start when no interval ends by ``start``.
+    resources, found by one bisect per resource: in the timelines (the latest
+    task end by ``start`` is a run end, as no run covers ``start``), and in
+    ``own_ends``, the sorted ends of its plan's tasks per resource, earlier
+    or later in the plan, which the timelines do not hold yet.  These are
+    task ends, not runs: the run of the plan that holds the task may bridge
+    an earlier task's end.  ``own_ends`` is None when the plan uses each
+    resource once, as then the only plan task on the task's resources is the
+    task itself, which ends after ``start``.  Falls back to the window start
+    when no interval ends by ``start``.
     """
     best = w_s
     for rho in task.resources:
@@ -197,9 +223,11 @@ def _latest_release_on(busy: Timelines, task: Task, start: int, w_s: int, fitted
         j = bisect_right(ends, start)
         if j and ends[j - 1] > best:
             best = ends[j - 1]
-    for other, _, end in fitted:
-        if best < end <= start and not task.resources.isdisjoint(other.resources):
-            best = end
+        if own_ends is not None:
+            ends = own_ends[rho]
+            j = bisect_right(ends, start)
+            if j and ends[j - 1] > best:
+                best = ends[j - 1]
     return best
 
 
@@ -285,9 +313,10 @@ def schedule_plan_set(plans: list[Plan], s_w: Schedule, busy: Timelines, window:
 def _commit(
     plan: Plan, fitted: list, s_w: Schedule, busy: Timelines, trials: dict[int, list], watch: dict[int, list]
 ) -> None:
-    """Record ``plan`` in ``scheduled_plans``, write its tasks (:func:`_occupy`)
-    and patch or drop the kept trials in the watch lists of its resources, by
-    the rule :func:`schedule_plan_set` states.
+    """Record ``plan`` in ``scheduled_plans``, write its tasks' starts and,
+    through :func:`_occupy`, their intervals, and patch or drop the kept
+    trials in the watch lists of its resources, by the rule
+    :func:`schedule_plan_set` states.
 
     ``fitted`` holds per task a triple ``(task, s, e)`` whose last two entries
     are the task's start and completion: the fit (:func:`_fit_plan`) of a
@@ -299,8 +328,10 @@ def _commit(
     rolled back.
     """
     s_w.scheduled_plans.append(plan.id)
+    starts = s_w.starts
     for task, a, b in fitted:
-        _occupy(task, a, s_w, busy)
+        starts[task.id] = a
+        _occupy(task, a, b, busy)
         if not trials:
             continue
         for rho in task.resources:
@@ -343,14 +374,13 @@ def build_schedule(instance: Instance, *, strict_plan_precedence: bool = False) 
 
     frontier_of = instance.frontier_of
     groups: list[list[Plan]] = []
-    key = None
+    priority = frontier = None  # those of the last group
     for plan in sort_plans(instance):
-        plan_key = (plan.priority, frontier_of[plan.id])
-        if plan_key == key:
+        if plan.priority == priority and frontier_of[plan.id] == frontier:
             groups[-1].append(plan)
         else:
             groups.append([plan])
-            key = plan_key
+            priority, frontier = plan.priority, frontier_of[plan.id]
     discarded: set[int] = set()  # the ids in s_w.discarded_plans
     for group in groups:
         if strict_plan_precedence:

@@ -37,14 +37,17 @@ def sort_plans(instance: Instance) -> list[Plan]:
     order is kept, every precedence edge points forward, and an instance
     without a plan DAG (a single frontier) is ordered by priority alone.
 
-    Ready heads sit in a heap keyed by ``(-priority, frontier)``, and each
-    plan counts its untaken predecessors.  Each step pops one entry, takes
-    that frontier's head, pushes the frontier of every successor that became
-    a ready head, and pushes the frontier back if its next head is ready.
-    The cost is one sort per frontier, then O(log F) per plan for F
-    frontiers, and O(1) per DAG edge.
+    An instance without a plan DAG has one frontier, so its order is that
+    frontier's stable sort, returned as it is.  Otherwise ready heads sit in
+    a heap keyed by ``(-priority, frontier)``, and each plan counts its
+    untaken predecessors.  Each step pops one entry, takes that frontier's
+    head, pushes the frontier of every successor that became a ready head,
+    and pushes the frontier back if its next head is ready.  The cost is one
+    sort per frontier, then, with a DAG, O(log F) per plan for F frontiers
+    and O(1) per DAG edge.
     """
-
+    if not instance.plan_dag:  # one frontier: nothing to merge
+        return sorted(instance.plans, key=_priority, reverse=True)
     frontier_of = instance.frontier_of
     frontiers: list[list[Plan]] = [[] for _ in range(max(frontier_of.values(), default=-1) + 1)]
     for plan in instance.plans:  # input order within each frontier

@@ -1,6 +1,7 @@
 import copy
 import importlib
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -117,12 +118,11 @@ def test_lower_bound_predecessor_completion(example1):
 )
 def test_occupy_keeps_maximal_runs(start, p, expected):
     task = make_plan(1, 1, [(1, p, 0, 20, {1, 2}, [])]).tasks[0]
-    s_w, busy = _fresh_state([1, 2])
+    _, busy = _fresh_state([1, 2])
     busy[1] = ([2, 10], [4, 12])
-    engine._occupy(task, start, s_w, busy)
+    engine._occupy(task, start, start + p, busy)
     assert busy[1] == expected
     assert busy[2] == ([start], [start + p])  # alone on an empty timeline
-    assert s_w.starts == {(1, 1): start}
 
 
 def test_back_to_back_tasks_share_one_event():
@@ -694,6 +694,33 @@ def test_chain_ladder_packs_resource_1_into_one_run():
     assert schedule_plan_set(list(instance.plans), s_w, busy, instance.window) == set()
     assert s_w.starts == build_schedule(instance).schedule.starts
     assert busy[1] == ([0], [sum(plan.tasks[0].processing_time for plan in instance.plans)])
+
+
+def _long_plan(plan_id, n, rho):
+    """One plan of ``n`` unchained one-tick tasks on resource ``rho``, window and due ``[0, 10n]``."""
+    return make_plan(plan_id, 1, [(index, 1, 0, 10 * n, {rho}, []) for index in range(1, n + 1)])
+
+
+def test_long_plan_on_one_resource_builds_at_per_task_cost():
+    # every task after the first meets the plan's own run [0, k) and jumps
+    # past it in one bisect; a scan of the earlier tasks jumps once per task
+    instance = build_instance([_long_plan(1, 1000, 1)], window=TimeWindow(0, 10_000))
+    began = time.perf_counter()
+    result = build_schedule(instance)
+    assert time.perf_counter() - began < 1
+    assert [result.schedule.starts[(1, index)] for index in range(1, 1001)] == list(range(1000))
+
+
+def test_group_of_two_long_plans_builds_at_per_task_cost():
+    # both plans are fitted and measured as a group: the idle sums read each
+    # plan's own task ends by bisect, and the first commit keeps the other
+    # plan's trial, as the two share no resource
+    instance = build_instance([_long_plan(1, 1000, 1), _long_plan(2, 1000, 2)], window=TimeWindow(0, 10_000))
+    began = time.perf_counter()
+    result = build_schedule(instance)
+    assert time.perf_counter() - began < 1
+    for plan_id in (1, 2):
+        assert [result.schedule.starts[(plan_id, index)] for index in range(1, 1001)] == list(range(1000))
 
 
 # -------------------------------------------------------------- build_schedule

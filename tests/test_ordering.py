@@ -174,3 +174,21 @@ def test_random_dags_merge_matches_rescan(data):
     priorities = [(i, data.draw(st.integers(min_value=1, max_value=4))) for i in range(1, n + 1)]
     instance = _instance(priorities, edges)
     assert [p.id for p in sort_plans(instance)] == [p.id for p, _ in plan_order(instance)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_dag_free_order_matches_rescan(data):
+    # without a plan DAG sort_plans takes one stable sort; the rescan
+    # reference merges its one frontier, so the two agree on ids in any
+    # input order and on every tie of priority
+    n = data.draw(st.integers(min_value=1, max_value=9))
+    ids = data.draw(st.permutations(range(1, n + 1)))
+    priorities = [(pid, data.draw(st.integers(min_value=1, max_value=3))) for pid in ids]
+    instance = _instance(priorities)
+    assert [p.id for p in sort_plans(instance)] == [p.id for p, _ in plan_order(instance)]
+
+
+def test_empty_instance_orders_no_plan():
+    instance = build_instance([], window=TimeWindow(0, 10))
+    assert sort_plans(instance) == [] == plan_order(instance)

@@ -159,16 +159,40 @@ def test_fits_write_nothing(monkeypatch):
     assert fits["whole"] > 200 and fits["failed"] > 200, fits
 
 
+def _own_runs(fitted):
+    """Per resource, the maximal runs of a fitted plan's own intervals, and whether two of them touch."""
+    intervals: dict[int, list] = {}
+    for task, s, e in fitted:
+        for rho in task.resources:
+            intervals.setdefault(rho, []).append((s, e))
+    runs, touching = {}, False
+    for rho, spans in intervals.items():
+        spans.sort()
+        merged = [list(spans[0])]
+        for s, e in spans[1:]:
+            if s == merged[-1][1]:
+                merged[-1][1] = e
+                touching = True
+            else:
+                merged.append([s, e])
+        runs[rho] = len(merged)
+    return runs, touching
+
+
 def test_fit_and_measure_equal_place_and_measure():
     # on random states, with plans that may use one resource in several
     # tasks, fitting and measuring a plan gives the starts, spans and idle
     # sum of the tick reference: reference._place puts the tasks one by one,
     # each written before the next is placed, and reference._spans and
-    # reference._idle measure the placed plan
+    # reference._idle measure the placed plan.  The second draw, plans of up
+    # to 8 tasks on 2 resources, gives plans whose own timelines hold 3 runs
+    # or more on a resource, and whose own intervals touch
     rng = random.Random(base_seed() + 12)
-    compared = shared = 0
-    for _ in range(150):
-        instance = random_instance(rng, max_plans=6)
+    compared = shared = many_runs = touching = 0
+    long_plans = {"max_plans": 4, "max_tasks": 8, "n_resources": 2, "horizon": 40, "max_processing": 3}
+    draws = [{"max_plans": 6}] * 150 + [{**long_plans, "impossible_prob": 0.02}] * 150
+    for kwargs in draws:
+        instance = random_instance(rng, **kwargs)
         window = instance.window
         s_w, busy = Schedule(), empty_timelines(instance.resources)
         for plan in sort_plans(instance):
@@ -188,7 +212,10 @@ def test_fit_and_measure_equal_place_and_measure():
             compared += 1
             resources = [rho for task in plan.tasks for rho in task.resources]
             shared += len(set(resources)) < len(resources)
-    assert compared > 200 and shared > 20, (compared, shared)
+            runs, touch = _own_runs(fitted)
+            many_runs += max(runs.values()) >= 3
+            touching += touch
+    assert compared > 300 and shared > 100 and many_runs > 30 and touching > 30, (compared, shared, many_runs, touching)
 
 
 def test_kept_trials_equal_a_fresh_placement_after_every_commit(monkeypatch):
